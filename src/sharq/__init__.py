@@ -45,6 +45,7 @@ from .errors import (
     NotClassicalStateError,
     NotSquareError,
     NotUnitaryOperationError,
+    OracleCompilationError,
     QubitLimitExceededError,
     ResourceExhaustedError,
     SemanticOracleNotMaterializableError,

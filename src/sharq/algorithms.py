@@ -9,9 +9,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arithmetic import OperationPlan, modular_exponentiation_ops, reverse_ops
+from .arithmetic import OperationPlan, modular_exponentiation_ops, reverse_ops, run_on_basis
 from .engine import RegisterView, SimulationContext
 from .errors import DuplicateIndexesError, InvalidParameterError, SizeMismatchError
+from .errors import OracleCompilationError
 from .gates import QuantumOperation, cnot, hadamard, pauli_x
 from .numtheory import bits_to_express, mod_pow
 
@@ -77,19 +78,13 @@ def inverse_qft_ops(indices) -> OperationPlan:
 
 # --- the period-finding oracle ----------------------------------------------
 
-@lru_cache(maxsize=32)
-def _uf_permutation(m: int, modulus: int) -> np.ndarray:
-    n = bits_to_express(modulus)
-    size = 1 << (2 * n)
-    f = np.empty(size, dtype=np.int64)
-    f[0] = 1 % modulus
-    for x in range(1, size):  # f(x) from f(x-1), avoiding large powers
-        f[x] = (f[x - 1] * m) % modulus
-    x_part = np.arange(size, dtype=np.int64) << n
+def _xor_oracle(name: str, f: np.ndarray, n: int) -> QuantumOperation:
+    """The permutation |x>|y> -> |x>|y XOR f(x)> on REG1 (2n qubits) then REG2 (n)."""
+    x_part = np.arange(len(f), dtype=np.int64) << n
     y_part = np.arange(1 << n, dtype=np.int64)
     perm = (x_part[:, None] | (y_part[None, :] ^ f[:, None])).ravel()
     perm.flags.writeable = False
-    return perm
+    return QuantumOperation(name, tuple(range(3 * n)), permutation=perm)
 
 
 @lru_cache(maxsize=32)
@@ -104,11 +99,31 @@ def semantic_uf(m: int, modulus: int) -> QuantumOperation:
     if math.gcd(m, modulus) != 1:
         raise InvalidParameterError(f"base {m} shares a factor with modulus {modulus}")
     n = bits_to_express(modulus)
-    return QuantumOperation(
-        f"Uf[{m}^x mod {modulus}]",
-        tuple(range(3 * n)),
-        permutation=_uf_permutation(m, modulus),
-    )
+    f = np.empty(1 << (2 * n), dtype=np.int64)
+    f[0] = 1 % modulus
+    for x in range(1, len(f)):  # f(x) from f(x-1), avoiding large powers
+        f[x] = (f[x - 1] * m) % modulus
+    return _xor_oracle(f"Uf[{m}^x mod {modulus}]", f, n)
+
+
+@lru_cache(maxsize=32)
+def circuit_uf(m: int, modulus: int) -> QuantumOperation:
+    """The oracle of ``semantic_uf`` with f traced through ``modular_exponentiation_ops``.
+
+    One array trace covers every x in REG1, with REG2 at 1 and the 4n+2
+    ancillas at 0; it must bring REG1 and every ancilla back unchanged.
+    """
+    n = bits_to_express(modulus)
+    width, ancillas = 7 * n + 2, 4 * n + 2
+    plan = modular_exponentiation_ops(
+        range(2 * n), range(2 * n, 3 * n), range(3 * n, width), m, modulus)
+    x = np.arange(1 << (2 * n), dtype=np.int64)
+    traced = run_on_basis(plan.ops, width, (x << (5 * n + 2)) | (1 << ancillas))
+    f = (traced >> ancillas) & ((1 << n) - 1)
+    if not np.array_equal(traced ^ (f << ancillas), x << (5 * n + 2)):
+        raise OracleCompilationError(
+            f"the circuit for {m}^x mod {modulus} changes REG1 or leaves an ancilla set")
+    return _xor_oracle(f"Uf[{m}^x mod {modulus}, circuit]", f, n)
 
 
 # --- the quantum step of factoring --------------------------------------------
@@ -123,20 +138,15 @@ def shor_quantum_step(ctx: SimulationContext, n_value: int, m: int,
     realized as a logical reordering of the measured view. Pass ``register``
     (3n qubits, fully collapsed) to reuse qubits across iterations.
 
-    ``oracle="circuit"`` builds U_f from the gate-level modular
-    exponentiation instead and allocates its own 7n+2 qubits (REG1, REG2 and
-    4n+2 ancillas); ``register`` is not used. Under the default cap of 26 that
-    fits only N < 8, so N=3 (16 qubits) runs and N=15 (30 qubits) raises
-    QubitLimitExceededError.
+    ``oracle`` picks the source of U_f, ``semantic_uf`` or ``circuit_uf``
+    (compiled once per (m, N) from the gate-built modular exponentiation).
+    Both are the same 3n-qubit permutation, so a seed samples alike through either.
     """
     if math.gcd(m, n_value) != 1:
         raise InvalidParameterError(f"m={m} shares a factor with N={n_value}")
     if oracle not in ("semantic", "circuit"):
         raise InvalidParameterError(f"oracle must be 'semantic' or 'circuit', got {oracle!r}")
     n = bits_to_express(n_value)
-
-    if oracle == "circuit":
-        return _circuit_quantum_step(ctx, n_value, m, n)
 
     if register is None:
         register = ctx.allocate_register(3 * n)
@@ -145,13 +155,16 @@ def shor_quantum_step(ctx: SimulationContext, n_value: int, m: int,
     else:
         register.set_from_unsigned(0)
 
+    uf = semantic_uf(m, n_value) if oracle == "semantic" else circuit_uf(m, n_value)
     reg1 = register.slice_to(2 * n - 1)
     reg2 = register.slice_from(2 * n)
     reg1.apply_operations(_hadamard_all_cached(2 * n))
-    register.apply_operation(semantic_uf(m, n_value))
+    register.apply_operation(uf)
     f_value = reg2.measure().to_unsigned()
-    measured = _inverse_qft_and_measure(reg1)
-    return PeriodSample(measured, 1 << (2 * n), f_value)
+    # Inverse QFT = bit reversal then the conjugated ladder in reverse; the
+    # reversal is folded into a reversed view so no swap gates are spent.
+    reversed_reg1 = reg1.slice_reverse().apply_operations(_inverse_ladder(2 * n))
+    return PeriodSample(reversed_reg1.measure().to_unsigned(), 1 << (2 * n), f_value)
 
 
 @lru_cache(maxsize=16)
@@ -162,29 +175,6 @@ def _hadamard_all_cached(width: int) -> tuple[QuantumOperation, ...]:
 @lru_cache(maxsize=16)
 def _inverse_ladder(width: int) -> tuple[QuantumOperation, ...]:
     return tuple(op.inverse() for op in reversed(_qft_ladder(list(range(width)))))
-
-
-def _inverse_qft_and_measure(reg1: RegisterView) -> int:
-    # Inverse QFT = bit reversal then the conjugated ladder in reverse; the
-    # reversal is folded into a reversed view so no swap gates are spent.
-    reversed_view = reg1.slice_reverse()
-    reversed_view.apply_operations(_inverse_ladder(len(reg1)))
-    return reversed_view.measure().to_unsigned()
-
-
-def _circuit_quantum_step(ctx: SimulationContext, n_value: int, m: int, n: int) -> PeriodSample:
-    # Gate-built U_f needs 2n + n + 4n+2 qubits; only viable at tiny widths.
-    register = ctx.allocate_register(7 * n + 2)
-    reg1 = register.slice_to(2 * n - 1)
-    reg2 = register.slice_range(2 * n, 3 * n - 1)
-    reg2.set_from_unsigned(1)  # the multiply accumulator starts at 1
-    reg1.apply_operations(hadamard_all_ops(range(2 * n)).ops)
-    plan = modular_exponentiation_ops(
-        range(2 * n), range(2 * n, 3 * n), range(3 * n, 7 * n + 2), m, n_value)
-    register.apply_operations(plan.ops)
-    f_value = reg2.measure().to_unsigned()
-    measured = _inverse_qft_and_measure(reg1)
-    return PeriodSample(measured, 1 << (2 * n), f_value)
 
 
 # --- classical post-processing ---------------------------------------------

@@ -16,12 +16,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     DuplicateIndexesError,
     InvalidParameterError,
     SizeMismatchError,
 )
-from .gates import QuantumOperation, cnot, pauli_x, toffoli
+from .gates import HARD_QUBIT_LIMIT, QuantumOperation, cnot, pauli_x, toffoli
 
 
 @dataclass(frozen=True)
@@ -48,25 +50,31 @@ def _check_distinct(*index_groups):
             seen.add(i)
 
 
-def run_on_basis(ops, width: int, value: int) -> int:
-    """Trace a classical reversible circuit on a basis state.
+def run_on_basis(ops, width: int, value):
+    """Trace a classical reversible circuit on basis states.
 
     Independent of the amplitude engine: every gate must be a basis
     permutation (X/CNot/Toffoli/Fredkin and friends). ``value`` is the
-    big-endian content of a ``width``-qubit register.
+    big-endian content of a ``width``-qubit register (width <= 62): an int,
+    traced to an int, or an integer array of inputs, traced together.
     """
-    if not 0 <= value < (1 << width):
+    values = np.asarray(value)
+    if not 0 <= width <= HARD_QUBIT_LIMIT:
+        raise InvalidParameterError(f"cannot trace {width} qubits; the limit is {HARD_QUBIT_LIMIT}")
+    if values.dtype.kind not in "iu" or ((values < 0) | (values >> width != 0)).any():
         raise InvalidParameterError(f"{value} does not fit in {width} bits")
+    pad = HARD_QUBIT_LIMIT - width
+    word = values.astype(np.int64) << pad  # qubit t at bit 61 - t, for every width
     for op in ops:
+        flips = op.basis_flips
         sub = 0
         for t in op.targets:
-            sub = (sub << 1) | ((value >> (width - 1 - t)) & 1)
-        sub = op.basis_map(sub)
-        for j, t in enumerate(op.targets):
-            bit = (sub >> (op.arity - 1 - j)) & 1
-            position = width - 1 - t
-            value = (value & ~(1 << position)) | (bit << position)
-    return value
+            if t >= width:
+                raise SizeMismatchError(f"{op.name} targets qubit {t} of a {width}-qubit register")
+            sub = (sub << 1) | ((word >> (HARD_QUBIT_LIMIT - 1 - t)) & 1)
+        word ^= flips[sub]
+    out = word >> pad
+    return int(out) if values.ndim == 0 else out
 
 
 # --- sum / carry ------------------------------------------------------------

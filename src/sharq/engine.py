@@ -28,10 +28,9 @@ from .errors import (
     SizeMismatchError,
     ValueOutOfRangeError,
 )
-from .gates import QuantumOperation, pauli_x
+from .gates import HARD_QUBIT_LIMIT, QuantumOperation, pauli_x
 
 DEFAULT_QUBIT_CAP = 26
-HARD_QUBIT_LIMIT = 62
 
 # Outcome probabilities below this are numerically extinct branches and are
 # never sampled; renormalization still uses the exact observed mass.

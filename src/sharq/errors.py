@@ -53,6 +53,10 @@ class InvalidParameterError(SharqError):
     """An argument is outside the operation's domain."""
 
 
+class OracleCompilationError(SharqError):
+    """A gate-built oracle changed its input register or left an ancilla set."""
+
+
 class SemanticOracleNotMaterializableError(SharqError):
     """A permutation-backed operation has no dense matrix to expand."""
 

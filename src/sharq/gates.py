@@ -27,13 +27,9 @@ from .errors import (
     SizeMismatchError,
 )
 
-# Full-matrix expansion is a validation oracle only; beyond this width the
-# dense route is pointless and the direct state-vector path must be used.
-EXPANSION_LIMIT = 10
-
-# Permutation actions are checked exhaustively for bijectivity up to this
-# many qubits; wider oracles are trusted to be correct by construction.
-ORACLE_CHECK_LIMIT = 16
+# Basis labels are int64 words, so no state or basis trace is wider than
+# this. run_on_basis keeps qubit t of any register at bit 61 - t of its word.
+HARD_QUBIT_LIMIT = 62
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -103,9 +99,10 @@ class QuantumOperation:
     def _action_is_unitary(self) -> bool:
         if self.matrix is not None:
             return linalg.is_unitary(self.matrix, linalg.UNITARY_TOL)
-        if self.arity > ORACLE_CHECK_LIMIT:
-            return True  # too wide for the exhaustive check; correct by construction
-        return bool(np.array_equal(np.sort(self.permutation), np.arange(self.dimension)))
+        perm = self.permutation
+        # a bijection hits every index in range exactly once; O(d) at any width
+        return bool(perm.min() >= 0 and perm.max() < self.dimension
+                    and (np.bincount(perm, minlength=self.dimension) == 1).all())
 
     def require_unitary(self):
         """Raise unless the action is unitary; applied before every use."""
@@ -124,7 +121,7 @@ class QuantumOperation:
             if np.array_equal(adjoint, self.matrix):
                 return self
             return QuantumOperation(name, self.targets, matrix=adjoint)
-        inverted = np.argsort(self.permutation)
+        inverted = self._permutation_inverse
         if np.array_equal(inverted, self.permutation):
             return self
         return QuantumOperation(name, self.targets, permutation=inverted)
@@ -138,19 +135,25 @@ class QuantumOperation:
             )
         return replace(self, targets=new_targets)
 
-    def basis_map(self, sub_index: int) -> int:
-        """Image of a basis sub-index under the action.
+    @cached_property
+    def basis_flips(self) -> np.ndarray:
+        """Lookup table of the classical action for ``run_on_basis``: entry s is the
+        word mask (qubit t at bit 61 - t) of the targets flipped on sub-index s.
 
-        Only defined for classical (0/1 permutation-matrix) gates; used to
-        trace reversible circuits without touching amplitudes.
+        Only a permutation, or a matrix whose every column is an exact 0/1 basis
+        vector, has one; any other gate raises InvalidParameterError.
         """
-        if self.permutation is not None:
-            return int(self.permutation[sub_index])
-        column = self.matrix[:, sub_index]
-        row = int(np.argmax(np.abs(column)))
-        if abs(column[row] - 1.0) > 1e-9:
-            raise InvalidParameterError(f"{self.name} is not a classical basis permutation")
-        return row
+        if self.matrix is None:
+            images = self.permutation
+        else:
+            images = np.argmax(self.matrix != 0, axis=0)
+            if not np.array_equal(self.matrix, np.eye(self.dimension)[:, images]):
+                raise InvalidParameterError(f"{self.name} is not a classical basis permutation")
+        changed = images ^ np.arange(self.dimension)
+        flips = np.zeros(self.dimension, dtype=np.int64)
+        for j, t in enumerate(self.targets):
+            flips |= ((changed >> (self.arity - 1 - j)) & 1) << (HARD_QUBIT_LIMIT - 1 - t)
+        return flips
 
 
 def retarget(op: QuantumOperation, new_targets) -> QuantumOperation:
@@ -317,9 +320,9 @@ def expand_to_full_matrix(op: QuantumOperation, n_qubits: int) -> np.ndarray:
     Built by explicit index arithmetic so it stays an independent oracle for
     the direct state-vector application path.
     """
-    if n_qubits > EXPANSION_LIMIT:
+    if n_qubits > linalg.MAX_MATRIX_QUBITS:
         raise QubitLimitExceededError(
-            f"full-matrix expansion is capped at {EXPANSION_LIMIT} qubits, got {n_qubits}"
+            f"full-matrix expansion is capped at {linalg.MAX_MATRIX_QUBITS} qubits, got {n_qubits}"
         )
     if op.matrix is None:
         raise SemanticOracleNotMaterializableError(

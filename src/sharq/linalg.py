@@ -18,7 +18,7 @@ STATE_TOL = 1e-9
 
 # Dense matrices above this qubit count are too large to be useful here
 # (the full-matrix path exists as a validation oracle, not a fast path).
-MAX_MATRIX_QUBITS = 12
+MAX_MATRIX_QUBITS = 10
 
 
 def as_matrix(a) -> np.ndarray:

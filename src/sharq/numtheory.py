@@ -29,21 +29,6 @@ def bits_to_express(value: int) -> int:
     return value.bit_length()
 
 
-def is_prime(value: int) -> bool:
-    if value < 2:
-        return False
-    if value < 4:
-        return True
-    if value % 2 == 0:
-        return False
-    d = 3
-    while d * d <= value:
-        if value % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def smallest_prime_factor(value: int) -> int:
     if value < 2:
         raise InvalidParameterError(f"need an integer >= 2, got {value}")
@@ -55,6 +40,10 @@ def smallest_prime_factor(value: int) -> int:
             return d
         d += 2
     return value
+
+
+def is_prime(value: int) -> bool:
+    return value >= 2 and smallest_prime_factor(value) == value
 
 
 def is_prime_power(value: int) -> bool:

@@ -59,10 +59,8 @@ def shor_factor(ctx: SimulationContext, n_value: int, force_m: int | None = None
     """Factor an odd composite N into (p, q) with p*q == N.
 
     ``force_m`` pins the random base; it exists to reproduce worked traces
-    deterministically. ``oracle`` selects the semantic U_f (default) or the
-    gate-built circuit where widths permit. The circuit needs 7n+2 qubits for
-    an n-bit N, so every N accepted here (N >= 15, 30 qubits or more) is
-    refused with QubitLimitExceededError under the default cap of 26.
+    deterministically. ``oracle`` selects the semantic U_f (default) or the one
+    compiled from the gate-built circuit; every step reuses one 3n-qubit register.
     """
     from .algorithms import extract_period, shor_quantum_step
 
@@ -96,7 +94,7 @@ def shor_factor(ctx: SimulationContext, n_value: int, force_m: int | None = None
         if lucky != 1:
             return finish(m, "gcd-shortcut", factor=lucky)
 
-        if work is None and oracle == "semantic":
+        if work is None:
             work = ctx.allocate_register(3 * n_bits)
         sample = shor_quantum_step(ctx, n_value, m, oracle=oracle, register=work)
         period = extract_period([sample], m, n_value)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import sharq
-from sharq import SimulationContext
+from sharq import SimulationContext, algorithms
 from sharq.algorithms import (
     PeriodSample,
     _convergent_denominators,
+    circuit_uf,
     deutsch,
     extract_period,
     hadamard_all_ops,
@@ -16,7 +17,8 @@ from sharq.algorithms import (
     semantic_uf,
     shor_quantum_step,
 )
-from sharq.errors import DuplicateIndexesError, InvalidParameterError
+from sharq.arithmetic import OperationPlan, modular_exponentiation_ops
+from sharq.errors import DuplicateIndexesError, InvalidParameterError, OracleCompilationError
 from sharq.gates import expand_to_full_matrix
 
 
@@ -240,7 +242,7 @@ class TestShorQuantumStep:
             assert sample.measured in {0, 64, 128, 192}
 
     def test_circuit_oracle_runs_at_its_real_width(self):
-        # N=3 has n=2: REG1 (4) + REG2 (2) + 4n+2 ancillas (10) = 7n+2 = 16
+        # N=3 has n=2: the compiled U_f acts on REG1 (4) + REG2 (2) = 3n = 6
         # qubits. m=2 has period 2, so REG1 samples k*16/2: the support {0, 8}.
         # Both oracles make the same two draws from the same distributions, so
         # each seed must give the same sample through either.
@@ -248,7 +250,7 @@ class TestShorQuantumStep:
         for seed in range(4):
             ctx = SimulationContext(seed=seed)
             circuit = shor_quantum_step(ctx, 3, 2, oracle="circuit")
-            assert ctx.physical_count == 16
+            assert ctx.physical_count == 6
             semantic = shor_quantum_step(SimulationContext(seed=seed), 3, 2)
             assert circuit == semantic
             circuit_seen.add(circuit.measured)
@@ -256,9 +258,27 @@ class TestShorQuantumStep:
         assert circuit_seen == semantic_seen == {0, 8}
 
     def test_circuit_oracle_needs_width(self):
-        ctx = SimulationContext(seed=0)
-        with pytest.raises(sharq.QubitLimitExceededError):
-            shor_quantum_step(ctx, 15, 8, oracle="circuit")
+        # the gate-built U_f compiles to the semantic permutation, so at N=15
+        # each seed gives the same sample through either oracle at 12 qubits
+        for seed in range(4):
+            ctx = SimulationContext(seed=seed)
+            circuit = shor_quantum_step(ctx, 15, 8, oracle="circuit")
+            assert ctx.physical_count == 12
+            assert circuit == shor_quantum_step(SimulationContext(seed=seed), 15, 8)
+
+    def test_circuit_oracle_refuses_a_circuit_that_leaves_an_ancilla_set(self, monkeypatch):
+        # without its last gate the plan leaves the modulus register holding a bit
+        def truncated(*args):
+            plan = modular_exponentiation_ops(*args)
+            return OperationPlan(plan.ops[:-1], plan.result_indices)
+
+        monkeypatch.setattr(algorithms, "modular_exponentiation_ops", truncated)
+        circuit_uf.cache_clear()
+        try:
+            with pytest.raises(OracleCompilationError, match="ancilla"):
+                shor_quantum_step(SimulationContext(seed=0), 15, 8, oracle="circuit")
+        finally:
+            circuit_uf.cache_clear()
 
     def test_invalid_m(self):
         ctx = SimulationContext(seed=0)

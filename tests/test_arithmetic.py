@@ -20,6 +20,7 @@ from sharq.errors import (
     InvalidParameterError,
     SizeMismatchError,
 )
+from sharq.gates import HARD_QUBIT_LIMIT, QuantumOperation, cnot, hadamard, pauli_x, pauli_z, toffoli
 
 from conftest import bits_of, put_bits
 
@@ -32,6 +33,58 @@ def classical_sum(c, x, y):
 
 def classical_carry_out(c, x, y):
     return (x & y) ^ (c & (x ^ y))  # majority when the ancilla starts 0
+
+
+class TestRunOnBasis:
+    def test_array_trace_of_the_fifteen_modexp(self):
+        # one array call over all 256 exponents against per-int traces and mod_pow
+        n, width = 4, 30
+        reg1, reg2, anc = range(8), range(8, 12), range(12, 30)
+        plan = modular_exponentiation_ops(reg1, reg2, anc, 7, 15)
+        inputs = [put_bits(put_bits(0, width, reg1, x), width, reg2, 1) for x in range(1 << (2 * n))]
+        traced = run_on_basis(plan.ops, width, np.array(inputs))
+        assert traced.dtype == np.int64 and traced.shape == (256,)
+        for x in range(256):
+            out = int(traced[x])
+            assert bits_of(out, width, reg2) == pow(7, x, 15)
+            assert bits_of(out, width, reg1) == x
+            assert bits_of(out, width, anc) == 0
+        for x in (0, 1, 77, 255):
+            assert run_on_basis(plan.ops, width, inputs[x]) == int(traced[x])
+
+    def test_int_in_gives_python_int_out(self):
+        out = run_on_basis([cnot(0, 1), toffoli(0, 1, 2)], 3, 0b100)
+        assert type(out) is int and out == 0b111
+        assert type(run_on_basis([], 3, np.int64(5))) is int
+
+    def test_full_word_width(self):
+        top = 1 << (HARD_QUBIT_LIMIT - 1)
+        assert run_on_basis([cnot(0, HARD_QUBIT_LIMIT - 1)], HARD_QUBIT_LIMIT, top) == top | 1
+
+    def test_permutation_operations_are_traced(self):
+        swap_perm = QuantumOperation("P", (2, 0), permutation=np.array([0, 2, 1, 3]))
+        assert run_on_basis([swap_perm], 3, 0b001) == 0b100
+
+    @pytest.mark.parametrize("width,value", [
+        (HARD_QUBIT_LIMIT + 1, 0), (-1, 0), (3, 8), (3, -1), (3, np.array([1, 8])),
+        (3, 2 ** 70), (3, 1.0),
+    ])
+    def test_refused_inputs(self, width, value):
+        with pytest.raises(InvalidParameterError):
+            run_on_basis([], width, value)
+
+    @pytest.mark.parametrize("op", [hadamard(0), pauli_z(0)])
+    def test_non_classical_gates_refused(self, op):
+        with pytest.raises(InvalidParameterError):
+            run_on_basis([op], 1, 0)
+        with pytest.raises(InvalidParameterError):
+            run_on_basis([op], 1, np.array([0, 1]))
+
+    def test_targets_must_fit_the_width(self):
+        with pytest.raises(SizeMismatchError):
+            run_on_basis([pauli_x(3)], 3, 0)
+        with pytest.raises(SizeMismatchError):
+            run_on_basis([cnot(0, 63)], HARD_QUBIT_LIMIT, 0)
 
 
 class TestSumGate:

@@ -113,8 +113,12 @@ class TestFactor:
         assert code == 3
 
     def test_circuit_oracle_width_failure(self, capsys):
-        code, _, _ = run_cli(capsys, "factor", "15", "--oracle", "circuit", "--seed", "0")
-        assert code == 2
+        code, out, _ = run_cli(
+            capsys, "factor", "15", "--oracle", "circuit", "--seed", "0", "--output", "json",
+        )
+        assert code == 0
+        _, summary = parse_json_lines(out)
+        assert summary["factors"] == [3, 5]
 
     def test_seeded_run(self, capsys):
         code, out, _ = run_cli(capsys, "factor", "15", "--seed", "42", "--output", "json")

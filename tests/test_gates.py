@@ -7,6 +7,7 @@ from sharq import SimulationContext, linalg
 from sharq.errors import (
     DuplicateIndexesError,
     InvalidParameterError,
+    NotUnitaryOperationError,
     QubitLimitExceededError,
     SemanticOracleNotMaterializableError,
     SizeMismatchError,
@@ -88,6 +89,15 @@ class TestCatalogMatrices:
                cnot(), swap(), toffoli(), fredkin()]
         for op in ops:
             assert linalg.is_unitary(op.matrix, 1e-10), op.name
+
+    @pytest.mark.parametrize("permutation", [
+        [0, 1, 2, 4], [-1, 1, 2, 3], np.zeros(1 << 16), np.zeros(1 << 17),
+    ], ids=["out-of-range", "negative", "all-zeros-16", "all-zeros-17"])
+    def test_non_bijective_permutation_refused_at_any_width(self, permutation):
+        perm = np.asarray(permutation, dtype=np.int64)
+        op = QuantumOperation("bad", tuple(range(len(perm).bit_length() - 1)), permutation=perm)
+        with pytest.raises(NotUnitaryOperationError):
+            op.require_unitary()
 
     def test_rotation_k_ladder(self):
         assert np.abs(rotation_k(2).matrix - phase_s().matrix).max() < 1e-12
@@ -353,6 +363,14 @@ class TestWalsh:
         assert np.abs(
             reg_all.peek_amplitudes() - reg_each.peek_amplitudes()
         ).max() < 1e-12
+
+    def test_refused_where_expansion_is(self):
+        # one dense-matrix cap: full-matrix expansion refuses 11 qubits too
+        walsh(range(10))
+        with pytest.raises(QubitLimitExceededError):
+            walsh(range(11))
+        with pytest.raises(QubitLimitExceededError):
+            linalg.identity(11)
 
 
 class TestDualPath:

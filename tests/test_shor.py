@@ -135,17 +135,20 @@ class TestFactoring:
         with pytest.raises(ResourceExhaustedError):
             shor_factor(ctx, 15, force_m=14)
 
-    def test_qubit_reuse_stays_under_cap(self):
+    @pytest.mark.parametrize("oracle", ["semantic", "circuit"])
+    def test_qubit_reuse_stays_under_cap(self, oracle):
         ctx = SimulationContext(seed=1)
         try:
-            shor_factor(ctx, 15, force_m=14)
+            shor_factor(ctx, 15, force_m=14, oracle=oracle)
         except ResourceExhaustedError:
             pass
         assert ctx.physical_count == 12  # one work register, reused every iteration
 
     def test_circuit_oracle_exceeds_the_cap_for_real_inputs(self):
-        # the gate-built U_f needs 7n+2 qubits, far over the default cap
-        from sharq.errors import QubitLimitExceededError
-
-        with pytest.raises(QubitLimitExceededError):
-            shor_factor(SimulationContext(seed=0), 15, force_m=8, oracle="circuit")
+        # the gate-built U_f compiles to 3n qubits, so N=15 factors under the cap
+        for seed in range(4):
+            ctx = SimulationContext(seed=seed)
+            outcome = shor_factor(ctx, 15, force_m=8, oracle="circuit")
+            assert outcome.factors == (3, 5)
+            assert outcome.trace == shor_factor(SimulationContext(seed=seed), 15, force_m=8).trace
+            assert ctx.physical_count == 12
