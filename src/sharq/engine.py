@@ -7,13 +7,24 @@ amplitudes and a collapse through one is visible through the other.
 
 Bit convention: exposed index 0 is the leftmost ket symbol and the most
 significant bit, so a 4-qubit register reading |0101> converts to the
-unsigned integer 5. Internally, reshaping the state to ``(2,) * P`` puts
-physical qubit p on axis p.
+unsigned integer 5. Internally physical qubit 0 is the most significant bit
+of the flat state index.
+
+Gates are applied by structure class (``QuantumOperation._kernel``). A diagonal
+gate multiplies, in place, the slices whose phase is not 1. On adjacent
+ascending targets the state is an ``(a, 2**k, b)`` array: a permutation is one
+``take`` along its middle axis (U_f over a whole register) and a dense gate one
+matrix product. On other targets a permutation of up to three qubits moves
+slices in place; a dense gate, or a wider permutation, moves the target axes
+last and back. ``_layout`` is the one place that maps targets to axes, for
+gates, marginals, collapse and inspection alike.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +60,72 @@ def _unallocatable(n_qubits: int) -> QubitLimitExceededError:
         f"a {n_qubits}-qubit amplitude array needs {16 << n_qubits} bytes, "
         f"which cannot be allocated"
     )
+
+
+# A permutation on scattered or reordered targets moves slices in place up to
+# this arity (at most 8 slices per gate); wider ones take one axis move.
+_SLICE_MOVE_ARITY = 3
+
+# On an (a, 2**k, b) view with short columns, broadcasting M over a would be a
+# small product per leading index; up to this width the gate is instead one
+# product of the (a, 2**k * b) matrix with M kron I_b.
+_KRON_WIDTH = 32
+
+
+class _Layout(NamedTuple):
+    """How the flat state is viewed when a given tuple of qubits are the targets."""
+
+    shape: tuple[int, ...]  # one length-2 axis per target, one merged axis per run of others
+    axes: tuple[int, ...]  # the axis of each target, in target order
+    rest: tuple[int, ...]  # the merged axes
+    block: tuple[int, int] | None  # (a, b) when the state is an (a, 2**k, b) array
+    kept: tuple[int, ...]  # puts the target axes left after summing ``rest`` in target order
+    mask: tuple[int, ...]  # ``shape`` with every merged axis of length 1
+
+
+@lru_cache(maxsize=1024)
+def _layout(n_qubits: int, physical: tuple[int, ...]) -> _Layout:
+    """The one map from target qubits to axes, for gates, marginals, collapse and peeks.
+
+    Qubits stay in order; a run of non-target qubits becomes one merged axis.
+    ``block`` is set when the targets are adjacent and ascending.
+    """
+    targets = set(physical)
+    shape, rest, axis_of, run = [], [], {}, 0
+    for q in range(n_qubits):
+        if q not in targets:
+            run += 1
+            continue
+        if run:
+            rest.append(len(shape))
+            shape.append(1 << run)
+            run = 0
+        axis_of[q] = len(shape)
+        shape.append(2)
+    if run or not shape:
+        rest.append(len(shape))
+        shape.append(1 << run)
+    k = len(physical)
+    first = physical[0] if k else n_qubits
+    block = None
+    if physical == tuple(range(first, first + k)):
+        block = (1 << first, 1 << (n_qubits - first - k))
+    axes = tuple(axis_of[q] for q in physical)
+    kept = tuple(sorted(axes).index(axis) for axis in axes)
+    mask = tuple(1 if axis in rest else 2 for axis in range(len(shape)))
+    return _Layout(tuple(shape), axes, tuple(rest), block, kept, mask)
+
+
+def _selector(ndim: int, axes: tuple[int, ...], sub_index: int) -> tuple:
+    """Index of the slice where the targets on ``axes`` hold ``sub_index`` (big-endian).
+
+    The trailing Ellipsis keeps the slice a view even when every axis is a target.
+    """
+    index = [slice(None)] * ndim + [Ellipsis]
+    k = len(axes)
+    for j, axis in enumerate(axes):
+        index[axis] = (sub_index >> (k - 1 - j)) & 1
+    return tuple(index)
 
 
 def trial_seed(master_seed: int, trial_index: int) -> np.random.SeedSequence:
@@ -148,7 +225,8 @@ class SimulationContext:
         first = self._count
         if n_qubits:
             if first == 0:
-                self._state = np.asarray(amplitudes, dtype=complex)
+                # the kernels write through reshaped views, so the state is contiguous
+                self._state = np.ascontiguousarray(amplitudes, dtype=complex)
             else:
                 # Kronecker product: appended qubits are the least significant
                 try:
@@ -164,29 +242,51 @@ class SimulationContext:
         # Unitarity is enforced before any amplitude is touched, so a failed
         # check leaves the vector bit-identical.
         op.require_unitary()
-        n, k = self._count, len(physical_targets)
-        psi = self._state.reshape((2,) * n)
-        in_targets = set(physical_targets)
-        order = [a for a in range(n) if a not in in_targets] + list(physical_targets)
-        block = psi.transpose(order).reshape(-1, 1 << k)
-        if op.matrix is not None:
-            block = block @ op.matrix.T
+        layout = _layout(self._count, physical_targets)
+        ndim, axes = len(layout.shape), layout.axes
+        psi = self._state.reshape(layout.shape)
+        kernel = op._kernel
+        if kernel == "diag":
+            for sub_index, phase in op._phases:
+                psi[_selector(ndim, axes, sub_index)] *= phase
+        elif layout.block is not None:
+            a, b = layout.block
+            if kernel == "perm":
+                moved = self._state.reshape(a, op.dimension, b).take(op._permutation_inverse, axis=1)
+            elif op.dimension * b <= _KRON_WIDTH and a > b:
+                matrix = op.matrix if b == 1 else np.kron(op.matrix, np.eye(b))
+                moved = self._state.reshape(a, -1) @ matrix.T
+            else:
+                moved = np.matmul(op.matrix, self._state.reshape(a, op.dimension, b))
+            self._state = moved.reshape(-1)
+        elif kernel == "perm" and op.arity <= _SLICE_MOVE_ARITY:
+            for cycle in op._cycles:
+                # the amplitudes at sub-index cycle[i] move to cycle[i + 1]
+                slot = [psi[_selector(ndim, axes, s)] for s in cycle]
+                carried = slot[-1].copy()
+                for i in range(len(cycle) - 1, 0, -1):
+                    slot[i][...] = slot[i - 1]
+                slot[0][...] = carried
         else:
-            block = block.take(op._permutation_inverse, axis=1)
-        back = [0] * n
-        for position, axis in enumerate(order):
-            back[axis] = position
-        self._state = block.reshape((2,) * n).transpose(back).reshape(-1)
+            # the one axis move: targets last, in target order, and back in place
+            view = psi.transpose(layout.rest + axes)
+            columns = view.reshape(-1, op.dimension)
+            if kernel == "perm":
+                columns = columns.take(op._permutation_inverse, axis=1)
+            else:
+                columns = columns @ op.matrix.T
+            view[...] = columns.reshape(view.shape)
 
     # -- measurement -----------------------------------------------------
 
     def _marginal_probabilities(self, physical: tuple[int, ...]) -> np.ndarray:
-        n, k = self._count, len(physical)
-        probs = np.abs(self._state) ** 2
-        probs = probs.reshape((2,) * n)
-        chosen = set(physical)
-        order = list(physical) + [a for a in range(n) if a not in chosen]
-        return probs.transpose(order).reshape(1 << k, -1).sum(axis=1)
+        """Outcome probabilities of ``physical``, big-endian in the given order."""
+        layout = _layout(self._count, physical)
+        probs = np.abs(self._state.reshape(layout.shape))
+        probs *= probs
+        if layout.rest:
+            probs = probs.sum(axis=layout.rest)
+        return probs.transpose(layout.kept).reshape(-1)
 
     def _measure(self, physical: tuple[int, ...]) -> tuple[int, ...]:
         k = len(physical)
@@ -200,22 +300,34 @@ class SimulationContext:
         outcome = int(np.searchsorted(cumulative, draw, side="right"))
         outcome = min(outcome, (1 << k) - 1)
         bits = tuple((outcome >> (k - 1 - i)) & 1 for i in range(k))
-        psi = self._state.reshape((2,) * self._count)
-        for qubit, bit in zip(physical, bits):
-            selector = [slice(None)] * self._count
-            selector[qubit] = 1 - bit
-            psi[tuple(selector)] = 0.0
-        self._state = (psi / math.sqrt(marginal[outcome])).reshape(-1)
+        # collapse: one masked multiply that zeroes the other outcomes and rescales
+        layout = _layout(self._count, physical)
+        mask = np.zeros(layout.mask)
+        mask[_selector(len(layout.mask), layout.axes, outcome)] = 1.0 / math.sqrt(marginal[outcome])
+        psi = self._state.reshape(layout.shape)
+        psi *= mask
         return bits
 
-    def _classical_bit(self, qubit: int):
-        """0/1 when the qubit is collapsed, None when it is in superposition."""
-        marginal = self._marginal_probabilities((qubit,))
-        if marginal[1] <= _CLASSICAL_ATOL:
-            return 0
-        if marginal[1] >= 1.0 - _CLASSICAL_ATOL:
-            return 1
-        return None
+    def _classical_bits(self, physical: tuple[int, ...]) -> list[int]:
+        """Bits of the basis state ``physical`` are collapsed to, from one marginal.
+
+        Raises NotClassicalStateError naming the first qubit in superposition.
+        """
+        marginal = self._marginal_probabilities(physical)
+        top = int(np.argmax(marginal))
+        k = len(physical)
+        if marginal[top] >= 1.0 - _CLASSICAL_ATOL:
+            return [(top >> (k - 1 - i)) & 1 for i in range(k)]
+        # not jointly one basis state: look for the first qubit in superposition
+        bits = []
+        for qubit in physical:
+            p_one = self._marginal_probabilities((qubit,))[1]
+            if _CLASSICAL_ATOL < p_one < 1.0 - _CLASSICAL_ATOL:
+                raise NotClassicalStateError(
+                    f"physical qubit {qubit} is in superposition; initialize only classical qubits"
+                )
+            bits.append(int(p_one >= 1.0 - _CLASSICAL_ATOL))
+        return bits
 
     # -- debug-only inspection -------------------------------------------
 
@@ -311,14 +423,7 @@ class RegisterView:
         width = len(self)
         if not 0 <= value < (1 << width):
             raise ValueOutOfRangeError(f"{value} does not fit in {width} qubits")
-        current = []
-        for qubit in self._exposed:
-            bit = self.context._classical_bit(qubit)
-            if bit is None:
-                raise NotClassicalStateError(
-                    f"physical qubit {qubit} is in superposition; initialize only classical qubits"
-                )
-            current.append(bit)
+        current = self.context._classical_bits(self._exposed)
         for i, have in enumerate(current):
             want = (value >> (width - 1 - i)) & 1
             if have != want:
@@ -376,11 +481,9 @@ class RegisterView:
         """
         ctx = self.context
         ctx._require_debug()
-        n, k = ctx._count, len(self)
-        psi = ctx._state.reshape((2,) * n)
-        chosen = set(self._exposed)
-        order = list(self._exposed) + [a for a in range(n) if a not in chosen]
-        block = psi.transpose(order).reshape(1 << k, -1)
+        layout = _layout(ctx._count, self._exposed)
+        block = ctx._state.reshape(layout.shape).transpose(layout.axes + layout.rest)
+        block = block.reshape(1 << len(self), -1)
         if block.shape[1] == 1:
             return block[:, 0].copy()
         singular = np.linalg.svd(block, compute_uv=False)

@@ -110,8 +110,52 @@ class QuantumOperation:
             raise NotUnitaryOperationError(f"operation {self.name!r} is not unitary")
 
     @cached_property
+    def _basis_images(self) -> np.ndarray | None:
+        """Image of each sub-index when the action maps basis states to basis
+        states (a permutation, or a matrix whose every column is an exact 0/1
+        basis vector), else None. The one test of "this is a basis permutation"."""
+        if self.matrix is None:
+            return self.permutation
+        images = np.argmax(self.matrix != 0, axis=0)
+        if np.array_equal(self.matrix, np.eye(self.dimension)[:, images]):
+            return images
+        return None
+
+    @cached_property
+    def _kernel(self) -> str:
+        """Structure class the engine dispatches on, decided once per operation:
+        ``perm`` for a basis permutation, ``diag`` for any other diagonal matrix
+        (phases), ``dense`` for everything else."""
+        if self._basis_images is not None:
+            return "perm"
+        if np.array_equal(self.matrix, np.diag(np.diagonal(self.matrix))):
+            return "diag"
+        return "dense"
+
+    @cached_property
+    def _phases(self) -> tuple[tuple[int, complex], ...]:
+        """(sub-index, phase) for every diagonal entry of a ``diag`` gate that is not 1."""
+        return tuple((s, complex(d)) for s, d in enumerate(np.diagonal(self.matrix)) if d != 1)
+
+    @cached_property
+    def _cycles(self) -> tuple[tuple[int, ...], ...]:
+        """Nontrivial cycles (s, image of s, ...) of a ``perm`` gate's basis map."""
+        images = self._basis_images.tolist()
+        seen, cycles = set(), []
+        for start, image in enumerate(images):
+            if start in seen or image == start:
+                continue
+            cycle, s = [], start
+            while s not in seen:
+                seen.add(s)
+                cycle.append(s)
+                s = images[s]
+            cycles.append(tuple(cycle))
+        return tuple(cycles)
+
+    @cached_property
     def _permutation_inverse(self) -> np.ndarray:
-        return np.argsort(self.permutation)
+        return np.argsort(self._basis_images)
 
     def inverse(self) -> "QuantumOperation":
         """The adjoint, bound to the same targets; self-inverse gates share the instance."""
@@ -143,12 +187,9 @@ class QuantumOperation:
         Only a permutation, or a matrix whose every column is an exact 0/1 basis
         vector, has one; any other gate raises InvalidParameterError.
         """
-        if self.matrix is None:
-            images = self.permutation
-        else:
-            images = np.argmax(self.matrix != 0, axis=0)
-            if not np.array_equal(self.matrix, np.eye(self.dimension)[:, images]):
-                raise InvalidParameterError(f"{self.name} is not a classical basis permutation")
+        images = self._basis_images
+        if images is None:
+            raise InvalidParameterError(f"{self.name} is not a classical basis permutation")
         changed = images ^ np.arange(self.dimension)
         flips = np.zeros(self.dimension, dtype=np.int64)
         for j, t in enumerate(self.targets):

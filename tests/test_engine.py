@@ -202,6 +202,23 @@ class TestSetFromUnsigned:
         with pytest.raises(NotClassicalStateError):
             reg.set_from_unsigned(1)
 
+    def test_names_the_one_superposed_qubit_among_collapsed_ones(self, debug_ctx):
+        ctx = debug_ctx()
+        ctx.allocate_register(2).apply_operation(hadamard(1))  # superposed, but not reset
+        reg = ctx.allocate_register(5).set_from_unsigned(0b10110)
+        reg.apply_operation(hadamard(3))  # physical qubit 5
+        before = ctx._state.copy()
+        with pytest.raises(NotClassicalStateError, match="physical qubit 5 "):
+            reg.slice([4, 0, 3, 1]).set_from_unsigned(0)
+        assert np.array_equal(ctx._state, before)  # refused before any gate
+
+    def test_reads_collapsed_bits_beside_a_superposed_register(self):
+        ctx = SimulationContext(seed=0)
+        ctx.allocate_register(2).apply_operation(hadamard(0))
+        reg = ctx.allocate_register(4).set_from_unsigned(0b1001)
+        reg.slice([3, 2, 1, 0]).set_from_unsigned(0b0110)
+        assert reg.measure().to_bitstring() == "0110"
+
 
 class TestApplyOperation:
     def test_hadamard_makes_even_superposition(self, debug_ctx):

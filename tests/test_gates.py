@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sharq import SimulationContext, linalg
+from sharq.algorithms import _inverse_ladder, semantic_uf
 from sharq.errors import (
     DuplicateIndexesError,
     InvalidParameterError,
@@ -396,3 +397,51 @@ class TestDualPath:
 
             expected = expand_to_full_matrix(op, n) @ vec
             assert np.abs(ctx._state - expected).max() < 1e-9
+
+
+class TestKernelClass:
+    """The engine dispatches on ``_kernel``; a catalog gate that fell back to the
+    dense path would still be correct, only slow, so the classes are pinned."""
+
+    @pytest.mark.parametrize("op, kernel", [
+        (hadamard(), "dense"),
+        (pauli_y(), "dense"),
+        (rx(0.3), "dense"),
+        (pauli_z(), "diag"),
+        (phase_s(), "diag"),
+        (phase_t(), "diag"),
+        (rotation_k(5), "diag"),
+        (rz(0.3), "diag"),
+        (controlled_u(rotation_k(4), [0], 1), "diag"),
+        (pauli_x(), "perm"),
+        (cnot(), "perm"),
+        (swap(), "perm"),
+        (toffoli(), "perm"),
+        (fredkin(), "perm"),
+        (semantic_uf(2, 15), "perm"),
+    ], ids=lambda value: getattr(value, "name", value))
+    def test_catalog_gate_class(self, op, kernel):
+        assert op._kernel == kernel
+
+    def test_inverse_qft_ladder_is_hadamards_and_phases(self):
+        kernels = {op.name: op._kernel for op in _inverse_ladder(6)}
+        assert kernels.pop("H") == "dense"
+        assert kernels and set(kernels.values()) == {"diag"}
+
+    def test_arity_zero_phase_is_diagonal(self):
+        assert QuantumOperation("phase", (), matrix=[[1j]])._kernel == "diag"
+        assert QuantumOperation("one", (), matrix=[[1]])._kernel == "perm"
+
+    def test_basis_flips_share_the_basis_permutation_test(self):
+        # a monomial matrix with a phase is not classical: dense, and no flip table
+        op = QuantumOperation("iX", (0,), matrix=[[0, 1j], [1j, 0]])
+        assert op._basis_images is None and op._kernel == "dense"
+        with pytest.raises(InvalidParameterError):
+            op.basis_flips
+        assert np.array_equal(toffoli()._basis_images, [0, 1, 2, 3, 4, 5, 7, 6])
+
+    def test_class_is_cached_on_the_operation(self, debug_ctx):
+        op = controlled_u(rotation_k(3), [1], 0)
+        assert "_kernel" not in op.__dict__
+        debug_ctx().allocate_register(2).apply_operation(op)
+        assert op.__dict__["_kernel"] == "diag"

@@ -2,20 +2,30 @@
 
 Hypothesis draws circuit sizes, qubit layouts and inputs; each property is
 checked against an independent oracle (classical arithmetic, per-input
-traces, the amplitude engine, or the semantic U_f).
+traces, the amplitude engine, the full-matrix expansion, or the semantic U_f).
 """
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sharq import SimulationContext
 from sharq.algorithms import circuit_uf, semantic_uf
-from sharq.arithmetic import add_n_ops, modular_add_ops, run_on_basis
-from sharq.gates import QuantumOperation, cnot, fredkin, pauli_x, swap, toffoli
+from sharq.arithmetic import OperationPlan, add_n_ops, modular_add_ops, run_on_basis
+from sharq.errors import NotUnitaryOperationError
+from sharq.gates import (
+    QuantumOperation,
+    cnot,
+    expand_to_full_matrix,
+    fredkin,
+    pauli_x,
+    swap,
+    toffoli,
+)
 
-from conftest import bits_of, put_bits
+from conftest import bits_of, put_bits, random_state
 
 # derandomized and without an example database, so every run checks the same cases
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -117,3 +127,135 @@ def test_compiled_oracle_is_the_semantic_permutation(data):
     compiled = circuit_uf(m, modulus)
     compiled.require_unitary()
     assert np.array_equal(compiled.permutation, semantic_uf(m, modulus).permutation)
+
+
+# --- gate kernels against the full-matrix and basis-trace oracles ------------
+
+# "matrix01" is a basis permutation given as a 0/1 matrix, "permutation" one
+# given as a basis map; both dispatch to the permutation kernel.
+KINDS = ("dense", "diag", "matrix01", "permutation")
+seeds = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def operations(draw, width):
+    """An operation of any kernel class, arity 0-4, on random targets of a view.
+
+    Arity 4 reaches the axis move that permutations wider than 3 qubits take."""
+    arity = draw(st.integers(0, min(4, width)), label="arity")
+    targets = tuple(draw(st.permutations(range(width)), label="targets")[:arity])
+    kind = draw(st.sampled_from(KINDS), label="kind")
+    dim = 1 << arity
+    rng = np.random.default_rng(draw(seeds, label="seed"))
+    if kind == "dense":
+        q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        return QuantumOperation(kind, targets, matrix=q * (np.diagonal(r) / np.abs(np.diagonal(r))))
+    if kind == "diag":
+        phases = np.exp(2j * np.pi * rng.random(dim))
+        phases[rng.random(dim) < 0.3] = 1.0  # entries of 1 are skipped by the kernel
+        return QuantumOperation(kind, targets, matrix=np.diag(phases))
+    images = np.array(draw(st.permutations(range(dim)), label="images"))
+    if kind == "permutation":
+        return QuantumOperation(kind, targets, permutation=images)
+    return QuantumOperation(kind, targets, matrix=np.eye(dim)[:, images])
+
+
+@st.composite
+def views(draw):
+    """(context width, exposed order): a sliced, reordered view of one register."""
+    n = draw(st.integers(1, 6), label="n")
+    width = draw(st.integers(1, n), label="width")
+    return n, tuple(draw(st.permutations(range(n)), label="order")[:width])
+
+
+def _oracle(op, physical, n, state):
+    """``op`` on ``physical`` of an n-qubit state, without the engine."""
+    placed = op.retarget(physical)
+    if op.matrix is not None:
+        expected = expand_to_full_matrix(placed, n) @ state
+    if op._basis_images is not None:
+        moved = np.empty_like(state)
+        moved[run_on_basis([placed], n, np.arange(1 << n))] = state
+        if op.matrix is not None:
+            assert np.abs(moved - expected).max() < 1e-12  # the two oracles agree
+        expected = moved
+    return expected
+
+
+def _context(data, n):
+    ctx = SimulationContext(seed=data.draw(seeds, label="ctx seed"), debug=True)
+    reg = ctx.allocate_register(n)
+    ctx._set_state(random_state(np.random.default_rng(data.draw(seeds, label="state")), n))
+    return ctx, reg
+
+
+@PROPERTY
+@given(st.data())
+def test_random_circuits_match_the_oracles_and_their_inverse_restores(data):
+    n, order = data.draw(views())
+    ops = data.draw(st.lists(operations(len(order)), min_size=1, max_size=6), label="ops")
+    ctx, reg = _context(data, n)
+    view = reg.slice(order)
+    start = expected = ctx._state.copy()
+    for op in ops:
+        view.apply_operation(op)
+        expected = _oracle(op, tuple(order[t] for t in op.targets), n, expected)
+        assert np.abs(ctx._state - expected).max() < 1e-10
+        assert abs(np.linalg.norm(ctx._state) - 1.0) < 1e-12
+    view.apply_operations(OperationPlan(tuple(ops), ()).inverse().ops)
+    assert np.abs(ctx._state - start).max() < 1e-10
+
+
+@PROPERTY
+@given(st.data())
+def test_collapse_is_seen_through_every_aliasing_view(data):
+    n, order = data.draw(views())
+    ctx, reg = _context(data, n)
+    view = reg.slice(order)
+    view.apply_operations(data.draw(st.lists(operations(len(order)), max_size=3), label="ops"))
+    subset = data.draw(st.permutations(range(len(order))), label="subset")
+    subset = subset[:data.draw(st.integers(1, len(order)), label="k")]
+    measured = tuple(order[i] for i in subset)
+    before = ctx._state.copy()
+
+    bits = view.measure(subset)
+
+    # the projected, renormalized state, by explicit index arithmetic
+    keep = np.array([bits_of(v, n, measured) == bits.to_unsigned() for v in range(1 << n)])
+    projected = np.where(keep, before, 0)
+    assert np.abs(ctx._state - projected / np.linalg.norm(projected)).max() < 1e-10
+    for other in (reg, reg.slice_reverse(), view):
+        positions = [other.exposed.index(q) for q in measured]
+        assert other.measure(positions).bits == bits.bits
+    assert abs(np.linalg.norm(ctx._state) - 1.0) < 1e-12
+
+
+def _not_unitary(kind, dim, rng):
+    if kind == "dense":
+        return {"matrix": rng.normal(size=(dim, dim)) + 0j}
+    if kind == "diag":
+        phases = np.ones(dim, dtype=complex)
+        phases[rng.integers(dim)] = 0.5
+        return {"matrix": np.diag(phases)}
+    images = rng.permutation(dim)
+    images[0] = images[1]  # two inputs share an image: not a bijection
+    if kind == "permutation":
+        return {"permutation": images}
+    return {"matrix": np.eye(dim)[:, images]}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@PROPERTY
+@given(data=st.data())
+def test_failed_unitarity_check_leaves_the_state_bit_identical(kind, data):
+    n, order = data.draw(views())
+    ctx, reg = _context(data, n)
+    arity = data.draw(st.integers(1, min(3, len(order))), label="arity")
+    targets = tuple(data.draw(st.permutations(range(len(order))), label="targets")[:arity])
+    rng = np.random.default_rng(data.draw(seeds, label="seed"))
+    op = QuantumOperation("bad", targets, **_not_unitary(kind, 1 << arity, rng))
+    assert op._kernel == {"matrix01": "perm", "permutation": "perm"}.get(kind, kind)
+    before = ctx._state.copy()
+    with pytest.raises(NotUnitaryOperationError):
+        reg.slice(order).apply_operation(op)
+    assert np.array_equal(ctx._state, before)
