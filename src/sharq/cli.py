@@ -1,9 +1,11 @@
 """Command-line entry point.
 
-Commands: coin-toss, entangle, factor, state. Trials run on independent
-per-trial contexts with seeds derived from the master seed, so a fixed
---seed pins the entire output. Exit status: 0 success, 1 usage,
-2 precondition failure, 3 resource exhaustion.
+Commands: coin-toss, entangle, factor, state. A tally command simulates
+its circuit once; each trial then measures the prepared state with its own
+generator, seeded from the master seed and the trial index (``trial_seed``),
+so a fixed --seed pins the entire output and gives the same tallies as one
+fresh context per trial. Exit status: 0 success, 1 usage, 2 precondition
+failure, 3 resource exhaustion.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from collections import Counter
 
 import numpy as np
 
-from .engine import HARD_QUBIT_LIMIT, SimulationContext, trial_seed
+from .engine import HARD_QUBIT_LIMIT, SimulationContext, _measure_trials
 from .errors import (
     InvalidParameterError,
     QubitLimitExceededError,
@@ -46,9 +48,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    # numpy seeds its generators only from non-negative integers
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="master RNG seed (default: entropy)")
+    common.add_argument("--seed", type=_non_negative_int, default=None,
+                        help="master RNG seed (default: entropy)")
     common.add_argument("--trials", type=_positive_int, default=1000, help="number of trials")
     common.add_argument("--output", choices=("text", "json"), default="text")
     common.add_argument("--qubit-cap", type=int, default=26,
@@ -92,40 +103,34 @@ def _emit_tally(args, seed: int, tally: Counter, elapsed_ms: int):
         print(f"seed={seed} trials={total} elapsed_ms={elapsed_ms}")
 
 
-def _run_tally(args, per_trial) -> int:
+def _run_tally(args, prepare) -> int:
+    """Run ``prepare``'s measurement-free circuit once, then measure it per trial."""
     seed = _resolve_seed(args.seed)
     start = time.perf_counter()
-    tally: Counter = Counter()
-    for trial in range(args.trials):
-        ctx = SimulationContext(seed=trial_seed(seed, trial), qubit_cap=args.qubit_cap)
-        tally[per_trial(ctx)] += 1
+    register = prepare(SimulationContext(seed=seed, qubit_cap=args.qubit_cap))
+    tally = Counter(result.to_bitstring()
+                    for result in _measure_trials(register, seed, args.trials))
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     _emit_tally(args, seed, tally, elapsed_ms)
     return EXIT_OK
 
 
 def cmd_coin_toss(args) -> int:
-    def per_trial(ctx):
+    def prepare(ctx):
         coin = ctx.allocate_register(1)
         for _ in range(args.tosses):
             coin.apply_operation(hadamard(0))
-        return coin.measure().to_bitstring()
+        return coin
 
-    return _run_tally(args, per_trial)
+    return _run_tally(args, prepare)
 
 
 def cmd_entangle(args) -> int:
-    def per_trial(ctx):
-        return prepare_named_state(ctx, "beta00").measure().to_bitstring()
-
-    return _run_tally(args, per_trial)
+    return _run_tally(args, lambda ctx: prepare_named_state(ctx, "beta00"))
 
 
 def cmd_state(args) -> int:
-    def per_trial(ctx):
-        return prepare_named_state(ctx, args.name).measure().to_bitstring()
-
-    return _run_tally(args, per_trial)
+    return _run_tally(args, lambda ctx: prepare_named_state(ctx, args.name))
 
 
 def cmd_factor(args) -> int:

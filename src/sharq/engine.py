@@ -17,7 +17,7 @@ ascending targets the state is an ``(a, 2**k, b)`` array: a permutation is one
 matrix product. On other targets a permutation of up to three qubits moves
 slices in place; a dense gate, or a wider permutation, moves the target axes
 last and back. ``_layout`` is the one place that maps targets to axes, for
-gates, marginals, collapse and inspection alike.
+gates, marginals, collapse, register resets and inspection alike.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ from .errors import (
     SizeMismatchError,
     ValueOutOfRangeError,
 )
-from .gates import HARD_QUBIT_LIMIT, QuantumOperation, pauli_x
+from .gates import HARD_QUBIT_LIMIT, QuantumOperation
 
 DEFAULT_QUBIT_CAP = 26
 
@@ -146,7 +146,7 @@ class ClassicalResult:
         return value
 
     def to_bitstring(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return "".join(map(str, self.bits))
 
     def __str__(self) -> str:
         return self.to_bitstring()
@@ -292,16 +292,17 @@ class SimulationContext:
         k = len(physical)
         if k == 0:
             return ()
-        marginal = self._marginal_probabilities(physical)
-        weights = np.where(marginal < PROBABILITY_FLOOR, 0.0, marginal)
-        # inverse-CDF sampling; cheaper than Generator.choice for small supports
-        cumulative = np.cumsum(weights)
-        draw = self.rng.random() * cumulative[-1]
-        outcome = int(np.searchsorted(cumulative, draw, side="right"))
-        outcome = min(outcome, (1 << k) - 1)
-        bits = tuple((outcome >> (k - 1 - i)) & 1 for i in range(k))
-        # collapse: one masked multiply that zeroes the other outcomes and rescales
         layout = _layout(self._count, physical)
+        marginal = self._marginal_probabilities(physical)
+        # the floor as a product with 0/1, which keeps every other weight exact
+        weights = marginal * (marginal >= PROBABILITY_FLOOR)
+        # inverse-CDF sampling; cheaper than Generator.choice for small supports
+        cumulative = weights.cumsum()
+        draw = self.rng.random() * cumulative[-1]
+        outcome = int(cumulative.searchsorted(draw, side="right"))
+        outcome = min(outcome, (1 << k) - 1)
+        bits = tuple([(outcome >> (k - 1 - i)) & 1 for i in range(k)])
+        # collapse: one masked multiply that zeroes the other outcomes and rescales
         mask = np.zeros(layout.mask)
         mask[_selector(len(layout.mask), layout.axes, outcome)] = 1.0 / math.sqrt(marginal[outcome])
         psi = self._state.reshape(layout.shape)
@@ -328,6 +329,19 @@ class SimulationContext:
                 )
             bits.append(int(p_one >= 1.0 - _CLASSICAL_ATOL))
         return bits
+
+    def _flip(self, physical: tuple[int, ...]):
+        """Not on every qubit of ``physical`` at once: one copy with their axes reversed.
+
+        Reversing a length-2 axis swaps the halves where that qubit is 0 and 1,
+        which is exactly what Not does; the copy keeps the state contiguous.
+        """
+        layout = _layout(self._count, physical)
+        index = [slice(None)] * len(layout.shape)
+        for axis in layout.axes:
+            index[axis] = slice(None, None, -1)
+        flipped = self._state.reshape(layout.shape)[tuple(index)]
+        self._state = np.ascontiguousarray(flipped).reshape(-1)
 
     # -- debug-only inspection -------------------------------------------
 
@@ -418,16 +432,19 @@ class RegisterView:
     def set_from_unsigned(self, value: int) -> "RegisterView":
         """Encode ``value`` big-endian by applying Not to the differing qubits.
 
-        All targeted qubits must already be in collapsed basis states.
+        All targeted qubits must already be in collapsed basis states. The Nots
+        are applied together, in one pass over the state.
         """
         width = len(self)
         if not 0 <= value < (1 << width):
             raise ValueOutOfRangeError(f"{value} does not fit in {width} qubits")
         current = self.context._classical_bits(self._exposed)
-        for i, have in enumerate(current):
-            want = (value >> (width - 1 - i)) & 1
-            if have != want:
-                self.context._apply(pauli_x(0), (self._exposed[i],))
+        differing = tuple(
+            qubit for i, (qubit, have) in enumerate(zip(self._exposed, current))
+            if have != (value >> (width - 1 - i)) & 1
+        )
+        if differing:
+            self.context._flip(differing)
         return self
 
     # -- operations ---------------------------------------------------------
@@ -492,3 +509,19 @@ class RegisterView:
         column = int(np.argmax(np.linalg.norm(block, axis=0)))
         vec = block[:, column]
         return vec / np.linalg.norm(vec)
+
+
+def _measure_trials(register: RegisterView, master_seed: int, trials: int):
+    """Measure ``register`` once per trial, each time from the state it holds now.
+
+    The state is snapshotted once. Trial t restores a copy of it and measures
+    with a generator seeded by ``trial_seed(master_seed, t)``, so it reads
+    what a fresh context with that seed would read after the same
+    measurement-free circuit. Yields one ClassicalResult per trial.
+    """
+    ctx = register.context
+    prepared = ctx._state.copy()
+    for trial in range(trials):
+        ctx._state = prepared.copy()
+        ctx.rng = np.random.default_rng(trial_seed(master_seed, trial))
+        yield register.measure()

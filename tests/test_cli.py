@@ -1,6 +1,12 @@
 import json
+from collections import Counter
 
+import pytest
+
+from sharq import SimulationContext
 from sharq.cli import main
+from sharq.engine import trial_seed
+from sharq.gates import NAMED_STATES, hadamard, prepare_named_state
 
 
 def run_cli(capsys, *argv):
@@ -174,11 +180,91 @@ class TestGlobalFlags:
         code, _, _ = run_cli(capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("command", [("coin-toss",), ("factor", "15")], ids=" ".join)
+    def test_negative_seed_is_a_usage_error(self, capsys, command):
+        code, _, err = run_cli(capsys, *command, "--seed", "-5")
+        assert code == 1
+        assert err.startswith("usage:")
+        assert "--seed" in err and "must be >= 0" in err
+
     def test_random_seed_is_reported(self, capsys):
         code, out, _ = run_cli(capsys, "coin-toss", "--trials", "2", "--output", "json")
         assert code == 0
         _, summary = parse_json_lines(out)
         assert isinstance(summary["seed"], int)
+
+
+def _prepare_coin(tosses):
+    def prepare(ctx):
+        coin = ctx.allocate_register(1)
+        for _ in range(tosses):
+            coin.apply_operation(hadamard(0))
+        return coin
+    return prepare
+
+
+def _prepare_named(name):
+    return lambda ctx: prepare_named_state(ctx, name)
+
+
+# each tally command, with the circuit it is documented to run
+TALLY_CIRCUITS = {
+    ("coin-toss", "--tosses", "1"): _prepare_coin(1),
+    ("coin-toss", "--tosses", "2"): _prepare_coin(2),
+    ("entangle",): _prepare_named("beta00"),
+    **{("state", name): _prepare_named(name) for name in NAMED_STATES},
+}
+
+
+class TestTallyPath:
+    """The circuit is simulated once and every trial measured from the prepared state."""
+
+    @pytest.mark.parametrize("seed", [0, 9, 2024])
+    @pytest.mark.parametrize("command", sorted(TALLY_CIRCUITS), ids=" ".join)
+    def test_tally_equals_one_fresh_context_per_trial(self, capsys, command, seed):
+        trials = 200
+        code, out, _ = run_cli(capsys, *command, "--trials", str(trials), "--seed", str(seed),
+                               "--output", "json")
+        assert code == 0
+        rows, summary = parse_json_lines(out)
+        prepare = TALLY_CIRCUITS[command]
+        expected = Counter(
+            prepare(SimulationContext(seed=trial_seed(seed, t))).measure().to_bitstring()
+            for t in range(trials)
+        )
+        assert {row["outcome"]: row["count"] for row in rows} == expected
+        assert summary["trials"] == trials
+
+    @pytest.mark.parametrize("command", sorted(TALLY_CIRCUITS), ids=" ".join)
+    def test_gates_run_once_and_measurement_once_per_trial(self, capsys, monkeypatch, command):
+        calls = Counter()
+
+        def counting(name):
+            original = getattr(SimulationContext, name)
+
+            def wrapper(ctx, *args):
+                calls[name] += 1
+                return original(ctx, *args)
+            return wrapper
+
+        for name in ("_apply", "_measure"):
+            monkeypatch.setattr(SimulationContext, name, counting(name))
+        seen = {}
+        for trials in (1, 50):
+            calls.clear()
+            code, _, _ = run_cli(capsys, *command, "--trials", str(trials), "--seed", "4")
+            assert code == 0
+            assert calls["_measure"] == trials
+            seen[trials] = calls["_apply"]
+        assert seen[1] == seen[50]
+
+    @pytest.mark.parametrize("command, cap", [(("entangle",), 1), (("state", "ghz"), 2),
+                                              (("state", "w"), 2)],
+                             ids=["entangle", "state ghz", "state w"])
+    def test_too_small_qubit_cap_is_a_precondition_failure(self, capsys, command, cap):
+        code, out, err = run_cli(capsys, *command, "--qubit-cap", str(cap), "--seed", "1")
+        assert code == 2
+        assert "cap" in err and out == ""
 
 
 class TestConsoleScript:

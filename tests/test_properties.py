@@ -230,6 +230,28 @@ def test_collapse_is_seen_through_every_aliasing_view(data):
     assert abs(np.linalg.norm(ctx._state) - 1.0) < 1e-12
 
 
+@PROPERTY
+@given(st.data())
+def test_one_pass_reset_equals_a_not_per_differing_bit(data):
+    n, order = data.draw(views())
+    ctx, reg = _context(data, n)
+    view = reg.slice(order)
+    have = view.measure().bits  # the view is collapsed; the other qubits stay superposed
+    value = data.draw(st.integers(0, (1 << len(order)) - 1), label="value")
+    reference = SimulationContext(debug=True)
+    reference.allocate_register(n)
+    reference._state = ctx._state.copy()
+    for i, qubit in enumerate(order):
+        if have[i] != (value >> (len(order) - 1 - i)) & 1:
+            reference._apply(pauli_x(0), (qubit,))
+
+    view.set_from_unsigned(value)
+
+    assert np.array_equal(ctx._state, reference._state)
+    assert ctx._state.flags.c_contiguous
+    assert view.measure().to_unsigned() == value
+
+
 def _not_unitary(kind, dim, rng):
     if kind == "dense":
         return {"matrix": rng.normal(size=(dim, dim)) + 0j}
