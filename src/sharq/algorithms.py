@@ -1,5 +1,5 @@
-"""QFT builders, the semantic period-finding oracle, the Shor quantum step,
-continued-fraction period extraction, and Deutsch's algorithm.
+"""QFT builders, the controlled-multiply oracles, the one-control-qubit Shor
+step, continued-fraction period extraction, and Deutsch's algorithm.
 """
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arithmetic import OperationPlan, modular_exponentiation_ops, reverse_ops, run_on_basis
+from .arithmetic import OperationPlan, _multiply_round, reverse_ops, run_on_basis
 from .engine import RegisterView, SimulationContext
 from .errors import DuplicateIndexesError, InvalidParameterError, SizeMismatchError
 from .errors import OracleCompilationError
@@ -21,9 +21,9 @@ from .numtheory import bits_to_express, mod_pow
 class PeriodSample:
     """One measurement from the quantum period-finding step.
 
-    ``measured`` is the post-transform REG1 value, a sample whose ratio to
+    ``measured`` is the 2n-bit sample c read off the control, whose ratio to
     ``modulus`` (= 2**(2n)) approximates k/P; it is not the period itself.
-    ``f_value`` records the REG2 collapse for tracing.
+    ``f_value`` records the work register's final value for tracing.
     """
 
     measured: int
@@ -39,22 +39,9 @@ def hadamard_all_ops(indices) -> OperationPlan:
     return OperationPlan(tuple(hadamard(i) for i in indices), tuple(indices))
 
 
-def _controlled_phase(k: int, control: int, target: int, conjugate: bool = False) -> QuantumOperation:
-    sign = -1.0 if conjugate else 1.0
-    phase = np.exp(sign * 2j * np.pi / (1 << k))
-    m = np.diag([1.0, 1.0, 1.0, phase]).astype(complex)
-    name = f"CR{k}†" if conjugate else f"CR{k}"
-    return QuantumOperation(name, (control, target), matrix=m)
-
-
-def _qft_ladder(indices) -> list[QuantumOperation]:
-    ops: list[QuantumOperation] = []
-    m = len(indices)
-    for j in range(m):
-        ops.append(hadamard(indices[j]))
-        for k in range(2, m - j + 1):
-            ops.append(_controlled_phase(k, control=indices[j + k - 1], target=indices[j]))
-    return ops
+def _controlled_phase(k: int, control: int, target: int) -> QuantumOperation:
+    m = np.diag([1.0, 1.0, 1.0, np.exp(2j * np.pi / (1 << k))]).astype(complex)
+    return QuantumOperation(f"CR{k}", (control, target), matrix=m)
 
 
 def qft_ops(indices) -> OperationPlan:
@@ -66,7 +53,12 @@ def qft_ops(indices) -> OperationPlan:
     indices = [int(i) for i in indices]
     if len(set(indices)) != len(indices):
         raise DuplicateIndexesError(f"indices must be unique, got {indices}")
-    ops = _qft_ladder(indices) + list(reverse_ops(indices).ops)
+    ops: list[QuantumOperation] = []
+    for j, target in enumerate(indices):
+        ops.append(hadamard(target))
+        for k in range(2, len(indices) - j + 1):
+            ops.append(_controlled_phase(k, control=indices[j + k - 1], target=target))
+    ops.extend(reverse_ops(indices).ops)
     return OperationPlan(tuple(ops), tuple(indices))
 
 
@@ -78,52 +70,49 @@ def inverse_qft_ops(indices) -> OperationPlan:
 
 # --- the period-finding oracle ----------------------------------------------
 
-def _xor_oracle(name: str, f: np.ndarray, n: int) -> QuantumOperation:
-    """The permutation |x>|y> -> |x>|y XOR f(x)> on REG1 (2n qubits) then REG2 (n)."""
-    x_part = np.arange(len(f), dtype=np.int64) << n
-    y_part = np.arange(1 << n, dtype=np.int64)
-    perm = (x_part[:, None] | (y_part[None, :] ^ f[:, None])).ravel()
+def _multiply_oracle(name: str, images: np.ndarray, n: int) -> QuantumOperation:
+    """|c>|y> -> |c>|images[y] if c else y> on 1 + n qubits; y past ``images`` stays fixed."""
+    perm = np.arange(2 << n, dtype=np.int64)
+    perm[(1 << n):(1 << n) + len(images)] = images + (1 << n)
     perm.flags.writeable = False
-    return QuantumOperation(name, tuple(range(3 * n)), permutation=perm)
+    return QuantumOperation(name, tuple(range(n + 1)), permutation=perm)
 
 
 @lru_cache(maxsize=32)
 def semantic_uf(m: int, modulus: int) -> QuantumOperation:
-    """Permutation oracle |x>|y> -> |x>|y XOR f(x)> with f(x) = m**x mod modulus.
-
-    Acts on 3n qubits: REG1 (2n, holding x) then REG2 (n). With REG2 at zero
-    the output register receives f(x) directly.
-    """
+    """Controlled multiply |c>|y> -> |c>|m**c * y mod modulus> on the control
+    then n work qubits; y >= modulus is left fixed."""
     if modulus < 2:
         raise InvalidParameterError(f"modulus must exceed 1, got {modulus}")
     if math.gcd(m, modulus) != 1:
         raise InvalidParameterError(f"base {m} shares a factor with modulus {modulus}")
-    n = bits_to_express(modulus)
-    f = np.empty(1 << (2 * n), dtype=np.int64)
-    f[0] = 1 % modulus
-    for x in range(1, len(f)):  # f(x) from f(x-1), avoiding large powers
-        f[x] = (f[x - 1] * m) % modulus
-    return _xor_oracle(f"Uf[{m}^x mod {modulus}]", f, n)
+    y = np.arange(modulus, dtype=np.int64)
+    return _multiply_oracle(f"Uf[{m}*y mod {modulus}]", y * (m % modulus) % modulus,
+                            bits_to_express(modulus))
 
 
 @lru_cache(maxsize=32)
 def circuit_uf(m: int, modulus: int) -> QuantumOperation:
-    """The oracle of ``semantic_uf`` with f traced through ``modular_exponentiation_ops``.
+    """The oracle of ``semantic_uf`` compiled from one VBE multiply round.
 
-    One array trace covers every x in REG1, with REG2 at 1 and the 4n+2
-    ancillas at 0; it must bring REG1 and every ancilla back unchanged.
+    One array trace at width 5n+3 covers c in {0, 1} and every y < modulus,
+    with the modulus register holding N and the other 3n+2 ancillas at 0. It
+    must give back all but y as it found them, and y too when c = 0.
     """
     n = bits_to_express(modulus)
-    width, ancillas = 7 * n + 2, 4 * n + 2
-    plan = modular_exponentiation_ops(
-        range(2 * n), range(2 * n, 3 * n), range(3 * n, width), m, modulus)
-    x = np.arange(1 << (2 * n), dtype=np.int64)
-    traced = run_on_basis(plan.ops, width, (x << (5 * n + 2)) | (1 << ancillas))
-    f = (traced >> ancillas) & ((1 << n) - 1)
-    if not np.array_equal(traced ^ (f << ancillas), x << (5 * n + 2)):
-        raise OracleCompilationError(
-            f"the circuit for {m}^x mod {modulus} changes REG1 or leaves an ancilla set")
-    return _xor_oracle(f"Uf[{m}^x mod {modulus}, circuit]", f, n)
+    width, work = 5 * n + 3, 4 * n + 2  # y sits at bits work .. work+n-1, c above it
+    ancillas = range(n + 1, width)      # modulus register, temp, multiplier scratch
+    ops = _multiply_round(0, range(1, n + 1), ancillas[n:2 * n], ancillas[:n],
+                          ancillas[2 * n:], m % modulus, modulus)
+    y = np.arange(modulus, dtype=np.int64)
+    start = (np.concatenate([y, y | (1 << n)]) << work) | (modulus << (3 * n + 2))
+    traced = run_on_basis(ops, width, start)
+    may_change = np.repeat([0, ((1 << n) - 1) << work], modulus)  # y, and only when c = 1
+    if ((traced ^ start) & ~may_change).any():
+        raise OracleCompilationError(f"the round for {m}*y mod {modulus} changes the control, "
+                                     "leaves an ancilla set or changes y when c = 0")
+    images = (traced[modulus:] >> work) & ((1 << n) - 1)
+    return _multiply_oracle(f"Uf[{m}*y mod {modulus}, circuit]", images, n)
 
 
 # --- the quantum step of factoring --------------------------------------------
@@ -131,50 +120,53 @@ def circuit_uf(m: int, modulus: int) -> QuantumOperation:
 def shor_quantum_step(ctx: SimulationContext, n_value: int, m: int,
                       oracle: str = "semantic",
                       register: RegisterView | None = None) -> PeriodSample:
-    """Run one period-finding iteration and sample REG1.
+    """Run one period-finding iteration on one recycled control qubit.
 
-    Pipeline: |0...0>, Hadamard-all on REG1 (2n qubits), U_f, measure REG2,
-    inverse QFT on REG1, measure REG1. The inverse-QFT qubit reversal is
-    realized as a logical reordering of the measured view. Pass ``register``
-    (3n qubits, fully collapsed) to reuse qubits across iterations.
-
-    ``oracle`` picks the source of U_f, ``semantic_uf`` or ``circuit_uf``
-    (compiled once per (m, N) from the gate-built modular exponentiation).
-    Both are the same 3n-qubit permutation, so a seed samples alike through either.
+    Semiclassical phase estimation (Griffiths-Niu, Beauregard) on n+1 qubits:
+    the control, then a work register set to 1. Round i applies H, the oracle
+    for m**(2**(2n-1-i)) mod N, a phase undoing the bits read so far, and H,
+    then reads bit i of the sample off the control (least significant first)
+    and resets it. The work register is read last. (sample, f) is distributed
+    as in the textbook step with an inverse QFT on a 2n-qubit REG1. Pass
+    ``register`` (n+1 qubits, fully collapsed) to reuse qubits across steps.
+    ``oracle`` picks ``semantic_uf`` or ``circuit_uf``; both are the same
+    permutation, so a seed samples alike through either.
     """
     if math.gcd(m, n_value) != 1:
         raise InvalidParameterError(f"m={m} shares a factor with N={n_value}")
-    if oracle not in ("semantic", "circuit"):
+    build = {"semantic": semantic_uf, "circuit": circuit_uf}.get(oracle)
+    if build is None:
         raise InvalidParameterError(f"oracle must be 'semantic' or 'circuit', got {oracle!r}")
     n = bits_to_express(n_value)
 
     if register is None:
-        register = ctx.allocate_register(3 * n)
-    elif len(register) != 3 * n:
-        raise SizeMismatchError(f"work register must have {3 * n} qubits")
-    else:
-        register.set_from_unsigned(0)
+        register = ctx.allocate_register(n + 1)
+    elif len(register) != n + 1:
+        raise SizeMismatchError(f"work register must have {n + 1} qubits")
+    # every oracle is built (or refused) before the state is touched
+    multiplies = [build(pow(m, 1 << (2 * n - 1 - i), n_value), n_value) for i in range(2 * n)]
+    register.set_from_unsigned(1)
 
-    uf = semantic_uf(m, n_value) if oracle == "semantic" else circuit_uf(m, n_value)
-    reg1 = register.slice_to(2 * n - 1)
-    reg2 = register.slice_from(2 * n)
-    reg1.apply_operations(_hadamard_all_cached(2 * n))
-    register.apply_operation(uf)
-    f_value = reg2.measure().to_unsigned()
-    # Inverse QFT = bit reversal then the conjugated ladder in reverse; the
-    # reversal is folded into a reversed view so no swap gates are spent.
-    reversed_reg1 = reg1.slice_reverse().apply_operations(_inverse_ladder(2 * n))
-    return PeriodSample(reversed_reg1.measure().to_unsigned(), 1 << (2 * n), f_value)
+    control = register.slice_to(0)
+    measured = 0
+    for i, multiply in enumerate(multiplies):
+        control.apply_operation(hadamard(0))
+        register.apply_operation(multiply)
+        if measured:
+            control.apply_operation(_phase(-measured, i + 1))
+        control.apply_operation(hadamard(0))
+        if control.measure().to_unsigned():
+            control.apply_operation(pauli_x(0))
+            measured |= 1 << i
+    f_value = register.slice_from(1).measure().to_unsigned()
+    return PeriodSample(measured, 1 << (2 * n), f_value)
 
 
-@lru_cache(maxsize=16)
-def _hadamard_all_cached(width: int) -> tuple[QuantumOperation, ...]:
-    return hadamard_all_ops(range(width)).ops
-
-
-@lru_cache(maxsize=16)
-def _inverse_ladder(width: int) -> tuple[QuantumOperation, ...]:
-    return tuple(op.inverse() for op in reversed(_qft_ladder(list(range(width)))))
+@lru_cache(maxsize=256)
+def _phase(numerator: int, k: int) -> QuantumOperation:
+    """diag(1, exp(2*pi*i * numerator / 2**k))"""
+    phase = np.exp(2j * np.pi * numerator / (1 << k))
+    return QuantumOperation(f"P({numerator}/2^{k})", (0,), matrix=np.diag([1.0, phase]))
 
 
 # --- classical post-processing ---------------------------------------------
@@ -193,7 +185,7 @@ def _convergent_denominators(numerator: int, denominator: int) -> list[int]:
 
 
 def extract_period(samples, m: int, n_value: int) -> int | None:
-    """Recover the period from REG1 samples, or None to signal a resample.
+    """Recover the period from step samples, or None to signal a resample.
 
     Each sample c is expanded as c/modulus by continued fractions; convergent
     denominators d <= N (and their doubles, since the reduced fraction can

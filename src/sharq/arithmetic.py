@@ -274,19 +274,24 @@ def modular_exponentiation_ops(reg1_indices, reg2_indices, ancilla_indices,
     ops: list[QuantumOperation] = list(set_modulus)
     factor = base % modulus
     for j in range(2 * n):  # exponent bits, least significant first
-        inverse_factor = pow(factor, -1, modulus)
-        control = reg1[2 * n - 1 - j]
-        forward = controlled_modular_multiply_ops(
-            control, reg2, temp, n_reg, mult_scratch, factor, modulus)
-        backward = controlled_modular_multiply_ops(
-            control, temp, reg2, n_reg, mult_scratch, inverse_factor, modulus)
-        ops.extend(forward.ops)            # temp <- factor*acc or acc
-        ops.extend(backward.inverse().ops)  # acc -> 0, reversibly
-        for a, b in zip(reg2, temp):        # move the product back into REG2
-            ops.extend((cnot(a, b), cnot(b, a), cnot(a, b)))
+        ops.extend(_multiply_round(reg1[2 * n - 1 - j], reg2, temp, n_reg, mult_scratch,
+                                   factor, modulus))
         factor = (factor * factor) % modulus
     ops.extend(set_modulus)  # clear the modulus register back to |0>
     return OperationPlan(tuple(ops), tuple(reg2))
+
+
+def _multiply_round(control: int, acc, temp, n_reg, scratch,
+                    factor: int, modulus: int) -> list[QuantumOperation]:
+    """One VBE round, acc <- factor*acc mod modulus if ``control`` else acc (acc <
+    modulus): the forward multiply, the inverse backward multiply, the swap."""
+    forward = controlled_modular_multiply_ops(control, acc, temp, n_reg, scratch, factor, modulus)
+    backward = controlled_modular_multiply_ops(
+        control, temp, acc, n_reg, scratch, pow(factor, -1, modulus), modulus)
+    ops = [*forward.ops, *backward.inverse().ops]  # temp <- factor*acc or acc; acc -> 0
+    for a, b in zip(acc, temp):                   # move the product back into acc
+        ops.extend((cnot(a, b), cnot(b, a), cnot(a, b)))
+    return ops
 
 
 # --- qubit-order reversal -------------------------------------------------------

@@ -1,6 +1,6 @@
 """Classical control loop for factoring via quantum period finding.
 
-The loop: pick an untried random m in (1, N); a nontrivial gcd(m, N) is a
+The loop: draw a random untried m in (1, N); a nontrivial gcd(m, N) is a
 lucky factor; otherwise run the quantum step, extract the period P, reject
 odd P and m**(P/2) == -1 (mod N), and emit gcd(m**(P/2) +- 1, N).
 """
@@ -54,13 +54,12 @@ def _screen(n_value: int):
 
 
 def shor_factor(ctx: SimulationContext, n_value: int, force_m: int | None = None,
-                oracle: str = "semantic",
-                max_iterations: int = MAX_ITERATIONS) -> FactoringOutcome:
+                oracle: str = "semantic") -> FactoringOutcome:
     """Factor an odd composite N into (p, q) with p*q == N.
 
     ``force_m`` pins the random base; it exists to reproduce worked traces
-    deterministically. ``oracle`` selects the semantic U_f (default) or the one
-    compiled from the gate-built circuit; every step reuses one 3n-qubit register.
+    deterministically. ``oracle`` selects the semantic oracle (default) or the
+    one compiled from the gate-built circuit; every step reuses one n+1 qubit register.
     """
     from .algorithms import extract_period, shor_quantum_step
 
@@ -78,16 +77,17 @@ def shor_factor(ctx: SimulationContext, n_value: int, force_m: int | None = None
         p, q = sorted((factor, n_value // factor))
         return FactoringOutcome(n_value, (p, q), tuple(trace))
 
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         if force_m is not None:
             m = force_m
         else:
-            untried = [c for c in range(2, n_value) if c not in tried]
-            if not untried:
+            if len(tried) == n_value - 2:
                 raise ResourceExhaustedError(
                     f"every candidate m for N={n_value} has been tried without success"
                 )
-            m = int(ctx.rng.choice(untried))
+            m = int(ctx.rng.integers(2, n_value))
+            while m in tried:  # rejection sampling
+                m = int(ctx.rng.integers(2, n_value))
             tried.add(m)
 
         lucky = gcd(m, n_value)
@@ -95,7 +95,7 @@ def shor_factor(ctx: SimulationContext, n_value: int, force_m: int | None = None
             return finish(m, "gcd-shortcut", factor=lucky)
 
         if work is None:
-            work = ctx.allocate_register(3 * n_bits)
+            work = ctx.allocate_register(n_bits + 1)
         sample = shor_quantum_step(ctx, n_value, m, oracle=oracle, register=work)
         period = extract_period([sample], m, n_value)
         if period is None:
@@ -115,5 +115,5 @@ def shor_factor(ctx: SimulationContext, n_value: int, force_m: int | None = None
         trace.append(IterationRecord(len(trace) + 1, m, "no-factor", sample, period))
 
     raise ResourceExhaustedError(
-        f"no factor of {n_value} found within {max_iterations} iterations"
+        f"no factor of {n_value} found within {MAX_ITERATIONS} iterations"
     )

@@ -17,9 +17,9 @@ from sharq.algorithms import (
     semantic_uf,
     shor_quantum_step,
 )
-from sharq.arithmetic import OperationPlan, modular_exponentiation_ops
+from sharq.arithmetic import _multiply_round, run_on_basis
 from sharq.errors import DuplicateIndexesError, InvalidParameterError, OracleCompilationError
-from sharq.gates import expand_to_full_matrix
+from sharq.gates import QuantumOperation, expand_to_full_matrix
 
 
 def dft_matrix(n_qubits: int) -> np.ndarray:
@@ -133,22 +133,31 @@ class TestInverseQft:
         assert np.allclose(plan.ops[0].matrix, sharq.hadamard().matrix)
 
 
+def apply_cascade(reg, m: int, modulus: int, n: int):
+    """The full U_f |x>|1> -> |x>|m**x mod N> on REG1 (2n) then REG2 (n), built
+    from one controlled multiply per REG1 qubit."""
+    for j in range(2 * n):  # REG1 qubit 2n-1-j carries exponent bit j
+        view = reg.slice([2 * n - 1 - j, *range(2 * n, 3 * n)])
+        view.apply_operation(semantic_uf(pow(m, 1 << j, modulus), modulus))
+
+
 class TestSemanticUf:
     def test_worked_mapping(self, debug_ctx):
-        # f(2) = 8^2 mod 15 = 4
-        ctx = debug_ctx()
-        reg = ctx.allocate_register(12)
-        reg.slice(range(8)).set_from_unsigned(2)
-        reg.apply_operation(semantic_uf(8, 15))
-        assert reg.slice(range(8)).measure().to_unsigned() == 2
-        assert reg.slice(range(8, 12)).measure().to_unsigned() == 4
+        # control set: y = 2 -> 8 * 2 mod 15 = 1; control clear: y stays 2
+        for control, want in ((1, 1), (0, 2)):
+            ctx = debug_ctx()
+            reg = ctx.allocate_register(5).set_from_unsigned((control << 4) | 2)
+            reg.apply_operation(semantic_uf(8, 15))
+            assert reg.measure().to_unsigned() == (control << 4) | want
 
     def test_uniform_image_distribution(self, debug_ctx):
-        # after Hadamard-all on REG1, REG2's marginal is exactly 1/4 on {1,2,4,8}
+        # after Hadamard-all on REG1 and the cascade of controlled multiplies,
+        # REG2's marginal is exactly 1/4 on {1,2,4,8}
         ctx = debug_ctx()
         reg = ctx.allocate_register(12)
+        reg.slice_from(8).set_from_unsigned(1)
         reg.apply_operations(hadamard_all_ops(range(8)).ops)
-        reg.apply_operation(semantic_uf(8, 15))
+        apply_cascade(reg, 8, 15, 4)
         state = reg.peek_amplitudes()
         probabilities = (np.abs(state) ** 2).reshape(256, 16).sum(axis=0)
         expected = np.zeros(16)
@@ -157,16 +166,18 @@ class TestSemanticUf:
 
     def test_bijective_over_all_basis_states(self):
         perm = semantic_uf(8, 15).permutation
-        assert len(perm) == 4096
-        assert np.array_equal(np.sort(perm), np.arange(4096))
+        assert len(perm) == 32  # the control plus four work qubits
+        assert np.array_equal(np.sort(perm), np.arange(32))
 
-    def test_xor_semantics(self):
-        # |x>|y> -> |x>|y XOR f(x)> for nonzero y as well
-        perm = semantic_uf(8, 15).permutation
-        for x, y in [(3, 5), (7, 15), (0, 9)]:
-            image = int(perm[(x << 4) | y])
-            assert image >> 4 == x
-            assert image & 15 == y ^ pow(8, x, 15)
+    def test_controlled_multiply_semantics(self):
+        # |c>|y> -> |c>|m**c * y mod N>; c = 0 is the identity, y >= N stays fixed
+        for m, modulus in ((8, 15), (2, 21), (5, 33)):
+            n = modulus.bit_length()
+            perm = semantic_uf(m, modulus).permutation
+            y = np.arange(1 << n)
+            assert np.array_equal(perm[y], y)
+            want = np.where(y < modulus, y * m % modulus, y)
+            assert np.array_equal(perm[(1 << n) + y], (1 << n) + want)
 
     def test_shared_factor_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -174,19 +185,32 @@ class TestSemanticUf:
 
     def test_applies_through_shuffled_views(self):
         # the oracle's targets are view-relative, so a permuted layout of the
-        # same twelve qubits must produce the same logical result
+        # same five qubits must produce the same logical result
         rng = np.random.default_rng(64)
-        for _ in range(5):
+        for _ in range(8):
             ctx = SimulationContext(seed=0)
-            backing = ctx.allocate_register(12)
-            layout = [int(i) for i in rng.permutation(12)]
+            backing = ctx.allocate_register(5)
+            layout = [int(i) for i in rng.permutation(5)]
             view = backing.slice(layout)
-            x = int(rng.integers(256))
-            view.set_from_unsigned(x << 4)
+            control, y = int(rng.integers(2)), int(rng.integers(16))
+            view.set_from_unsigned((control << 4) | y)
             view.apply_operation(semantic_uf(8, 15))
             measured = view.measure().to_unsigned()
-            assert measured >> 4 == x
-            assert measured & 15 == pow(8, x, 15)
+            assert measured >> 4 == control
+            assert measured & 15 == (8 * y % 15 if control and y < 15 else y)
+
+
+def exact_joint(modulus: int, m: int) -> np.ndarray:
+    """P(c, f) of the textbook step, from the DFT of each REG1 progression.
+
+    REG1 holds every x < Q; once REG2 reads f it holds the x with m**x = f
+    (mod N), and the inverse QFT makes P(c, f) = |DFT(indicator_f)[c]|^2 / Q^2.
+    Rows are indexed by f, columns by c.
+    """
+    q = 1 << (2 * modulus.bit_length())
+    f = np.array([pow(m, x, modulus) for x in range(q)])
+    indicator = (f[None, :] == np.arange(modulus)[:, None]).astype(float)
+    return np.abs(np.fft.fft(indicator, axis=1)) ** 2 / q ** 2
 
 
 class TestShorQuantumStep:
@@ -199,14 +223,16 @@ class TestShorQuantumStep:
         assert seen == {1, 2, 4, 8}
 
     def test_reg1_support_after_collapse_to_four(self, debug_ctx):
-        # find a run where REG2 collapses to 4, then inspect REG1's support
+        # the textbook layout from the same oracle: find a run where REG2
+        # collapses to 4, then inspect REG1's support
         for seed in range(50):
             ctx = debug_ctx(seed=seed)
             reg = ctx.allocate_register(12)
             reg1 = reg.slice_to(7)
             reg2 = reg.slice_from(8)
+            reg2.set_from_unsigned(1)
             reg1.apply_operations(hadamard_all_ops(range(8)).ops)
-            reg.apply_operation(semantic_uf(8, 15))
+            apply_cascade(reg, 8, 15, 4)
             if reg2.measure().to_unsigned() != 4:
                 continue
             amplitudes = reg1.peek_amplitudes()
@@ -214,6 +240,26 @@ class TestShorQuantumStep:
             assert support == set(range(2, 256, 4))  # x with 8^x mod 15 == 4
             return
         pytest.fail("REG2 never collapsed to 4 over 50 seeds")
+
+    @pytest.mark.parametrize("modulus, m, trials", [(15, 7, 600), (21, 2, 600), (33, 5, 600)])
+    def test_samples_follow_the_exact_distribution(self, modulus, m, trials):
+        # every (c, f) must be possible, and the c-marginal must sit as close
+        # to the exact one as draws from the exact distribution itself do: its
+        # TV distance may not exceed the largest of 200 exact multinomial draws
+        joint = exact_joint(modulus, m)
+        ctx = SimulationContext(seed=modulus)
+        work = ctx.allocate_register(modulus.bit_length() + 1)
+        counts = np.zeros(joint.shape[1])
+        for _ in range(trials):
+            sample = shor_quantum_step(ctx, modulus, m, register=work)
+            assert sample.modulus == joint.shape[1]
+            assert joint[sample.f_value, sample.measured] > 1e-12, sample
+            counts[sample.measured] += 1
+        exact = joint.sum(axis=0)
+        rng = np.random.default_rng(0)
+        bound = max(np.abs(rng.multinomial(trials, exact / exact.sum()) / trials - exact).sum() / 2
+                    for _ in range(200))
+        assert np.abs(counts / trials - exact).sum() / 2 <= bound
 
     def test_reg1_measurement_support(self):
         # oracle: the DFT of a period-4 arithmetic progression over 256 points
@@ -234,23 +280,45 @@ class TestShorQuantumStep:
 
     def test_register_reuse(self):
         ctx = SimulationContext(seed=9)
-        work = ctx.allocate_register(12)
+        work = ctx.allocate_register(5)
         first = shor_quantum_step(ctx, 15, 8, register=work)
         second = shor_quantum_step(ctx, 15, 8, register=work)
-        assert ctx.physical_count == 12
+        assert ctx.physical_count == 5
         for sample in (first, second):
             assert sample.measured in {0, 64, 128, 192}
 
+    @pytest.mark.parametrize("oracle", ["semantic", "circuit"])
+    def test_tables_stay_within_the_step_width(self, monkeypatch, oracle):
+        # no operation, and no basis trace, a step builds holds more than
+        # 2**(n+1) entries; at N=77 the 3n-qubit U_f held 2**21
+        sizes = []
+        post_init = QuantumOperation.__post_init__
+
+        def recording(op):
+            post_init(op)
+            sizes.append(op.dimension)
+
+        def tracing(ops, width, value):
+            sizes.append(np.size(value))
+            return run_on_basis(ops, width, value)
+
+        monkeypatch.setattr(QuantumOperation, "__post_init__", recording)
+        monkeypatch.setattr(algorithms, "run_on_basis", tracing)
+        algorithms.semantic_uf.cache_clear()
+        algorithms.circuit_uf.cache_clear()
+        shor_quantum_step(SimulationContext(seed=3), 77, 2, oracle=oracle)
+        assert sizes and max(sizes) <= 1 << 8
+
     def test_circuit_oracle_runs_at_its_real_width(self):
-        # N=3 has n=2: the compiled U_f acts on REG1 (4) + REG2 (2) = 3n = 6
-        # qubits. m=2 has period 2, so REG1 samples k*16/2: the support {0, 8}.
-        # Both oracles make the same two draws from the same distributions, so
+        # N=3 has n=2: the step runs on the control plus 2 work qubits. m=2
+        # has period 2, so the sample is k*16/2: the support {0, 8}. Both
+        # oracles make the same 2n+1 draws from the same distributions, so
         # each seed must give the same sample through either.
         circuit_seen, semantic_seen = set(), set()
         for seed in range(4):
             ctx = SimulationContext(seed=seed)
             circuit = shor_quantum_step(ctx, 3, 2, oracle="circuit")
-            assert ctx.physical_count == 6
+            assert ctx.physical_count == 3
             semantic = shor_quantum_step(SimulationContext(seed=seed), 3, 2)
             assert circuit == semantic
             circuit_seen.add(circuit.measured)
@@ -258,27 +326,32 @@ class TestShorQuantumStep:
         assert circuit_seen == semantic_seen == {0, 8}
 
     def test_circuit_oracle_needs_width(self):
-        # the gate-built U_f compiles to the semantic permutation, so at N=15
-        # each seed gives the same sample through either oracle at 12 qubits
+        # the gate-built round compiles to the semantic permutation, so at
+        # N=15 each seed gives the same sample through either oracle at 5 qubits
         for seed in range(4):
             ctx = SimulationContext(seed=seed)
             circuit = shor_quantum_step(ctx, 15, 8, oracle="circuit")
-            assert ctx.physical_count == 12
+            assert ctx.physical_count == 5
             assert circuit == shor_quantum_step(SimulationContext(seed=seed), 15, 8)
 
     def test_circuit_oracle_refuses_a_circuit_that_leaves_an_ancilla_set(self, monkeypatch):
-        # without its last gate the plan leaves the modulus register holding a bit
-        def truncated(*args):
-            plan = modular_exponentiation_ops(*args)
-            return OperationPlan(plan.ops[:-1], plan.result_indices)
-
-        monkeypatch.setattr(algorithms, "modular_exponentiation_ops", truncated)
+        # without its last gate the round's swap leaves a temp qubit holding a bit
+        monkeypatch.setattr(algorithms, "_multiply_round", lambda *args: _multiply_round(*args)[:-1])
         circuit_uf.cache_clear()
         try:
             with pytest.raises(OracleCompilationError, match="ancilla"):
                 shor_quantum_step(SimulationContext(seed=0), 15, 8, oracle="circuit")
         finally:
             circuit_uf.cache_clear()
+
+    def test_circuit_oracle_refused_before_the_state_is_touched(self, debug_ctx):
+        # N=2049 has n=12: the round would trace 5n+3 = 63 qubits, past the limit
+        ctx = debug_ctx()
+        work = ctx.allocate_register(13).set_from_unsigned(5)
+        before = ctx._state.copy()
+        with pytest.raises(InvalidParameterError, match="62"):
+            shor_quantum_step(ctx, 2049, 2, oracle="circuit", register=work)
+        assert np.array_equal(ctx._state, before)
 
     def test_invalid_m(self):
         ctx = SimulationContext(seed=0)

@@ -365,19 +365,22 @@ class TestModularExponentiation:
             assert bits_of(out, width, reg2) == want
 
     def test_agrees_with_semantic_oracle(self):
-        # circuit route vs the permutation oracle, for every basis x
+        # circuit route vs one controlled-multiply oracle per set exponent bit
         from sharq.algorithms import semantic_uf
 
         n = 3
         modulus, base = 5, 3
-        oracle = semantic_uf(base, modulus)
         reg1 = list(range(6))
         reg2 = list(range(6, 9))
         anc = list(range(9, 9 + 14))
         width = 9 * n + 2
         plan = modular_exponentiation_ops(reg1, reg2, anc, base, modulus)
         for x in range(1 << (2 * n)):
-            semantic_out = int(oracle.permutation[x << n]) & ((1 << n) - 1)
+            semantic_out = 1
+            for j in range(2 * n):
+                if (x >> j) & 1:
+                    oracle = semantic_uf(pow(base, 1 << j, modulus), modulus)
+                    semantic_out = int(oracle.permutation[(1 << n) | semantic_out]) & ((1 << n) - 1)
             value = put_bits(put_bits(0, width, reg1, x), width, reg2, 1)
             circuit_out = bits_of(run_on_basis(plan.ops, width, value), width, reg2)
             assert circuit_out == semantic_out == pow(base, x, modulus)

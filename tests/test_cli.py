@@ -126,6 +126,12 @@ class TestFactor:
         _, summary = parse_json_lines(out)
         assert summary["factors"] == [3, 5]
 
+    def test_circuit_oracle_past_the_trace_width_is_a_precondition_failure(self, capsys):
+        # n=12: the compiled round needs 5n+3 = 63 traced qubits, past the 62 limit
+        code, out, err = run_cli(capsys, "factor", "2049", "--force-m", "2", "--oracle", "circuit")
+        assert code == 2
+        assert out == "" and "62" in err
+
     def test_seeded_run(self, capsys):
         code, out, _ = run_cli(capsys, "factor", "15", "--seed", "42", "--output", "json")
         assert code == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sharq import SimulationContext, linalg
-from sharq.algorithms import _inverse_ladder, semantic_uf
+from sharq.algorithms import inverse_qft_ops, semantic_uf
 from sharq.errors import (
     DuplicateIndexesError,
     InvalidParameterError,
@@ -424,8 +424,9 @@ class TestKernelClass:
         assert op._kernel == kernel
 
     def test_inverse_qft_ladder_is_hadamards_and_phases(self):
-        kernels = {op.name: op._kernel for op in _inverse_ladder(6)}
+        kernels = {op.name: op._kernel for op in inverse_qft_ops(range(6)).ops}
         assert kernels.pop("H") == "dense"
+        assert kernels.pop("CNot") == "perm"  # the qubit-order reversal
         assert kernels and set(kernels.values()) == {"diag"}
 
     def test_arity_zero_phase_is_diagonal(self):

@@ -1,9 +1,11 @@
 """A fixed seed pins every sampled output: Shor factoring traces and CLI tallies.
 
-The literals below were recorded from the engine that applied every gate by
+The CLI literals were recorded from the engine that applied every gate by
 transposing the state, before gates were applied in place by structure class.
-An engine change that alters any of them changes what a fixed ``--seed`` means,
-and must say so.
+The Shor literals were re-recorded when the quantum step moved to one recycled
+control qubit, which makes 2n+1 draws per step instead of two, and the base m
+came to be drawn by rejection. A change that alters any of them changes what a
+fixed ``--seed`` means, and must say so.
 """
 import json
 
@@ -14,17 +16,18 @@ from sharq.cli import main
 from sharq.shor import shor_factor
 
 # (N, seed) -> (factors, trace); each trace entry is
-# (m, status, measured REG1 value, REG2 value, period), None where not sampled.
+# (m, status, sample c, work-register value f, period), None where not sampled.
 FACTOR_TRACES = {
-    (15, 0): ((3, 5), ((13, "degenerate-sample", 0, 4, None), (9, "gcd-shortcut", None, None, None))),
-    (15, 1): ((3, 5), ((8, "degenerate-sample", 0, 8, None), (9, "gcd-shortcut", None, None, None))),
+    (15, 0): ((3, 5), ((13, "factored", 192, 13, 4),)),
+    (15, 1): ((3, 5), ((8, "factored", 128, 1, 4),)),
     (15, 2): ((3, 5), ((12, "gcd-shortcut", None, None, None),)),
     (21, 0): ((3, 7), ((18, "gcd-shortcut", None, None, None),)),
-    (21, 1): ((3, 7), ((10, "degenerate-sample", 0, 19, None), (12, "gcd-shortcut", None, None, None))),
-    (21, 2): ((3, 7), ((17, "trivial-root", 683, 4, 6), (6, "gcd-shortcut", None, None, None))),
+    (21, 1): ((3, 7), ((10, "factored", 853, 13, 6),)),
+    (21, 2): ((3, 7), ((17, "trivial-root", 682, 1, 6), (6, "gcd-shortcut", None, None, None))),
     (35, 0): ((5, 7), ((30, "gcd-shortcut", None, None, None),)),
-    (35, 1): ((5, 7), ((17, "factored", 341, 33, 12),)),
-    (35, 2): ((5, 7), ((29, "factored", 2048, 1, 2),)),
+    (35, 1): ((5, 7), ((17, "degenerate-sample", 1365, 27, None),
+                       (18, "degenerate-sample", 3072, 16, None), (32, "factored", 342, 18, 12))),
+    (35, 2): ((5, 7), ((29, "degenerate-sample", 0, 29, None), (10, "gcd-shortcut", None, None, None))),
 }
 
 # 1000 trials at --seed 3

@@ -1,9 +1,10 @@
 import pytest
 
-from sharq import SimulationContext
+from sharq import SimulationContext, algorithms
+from sharq.algorithms import PeriodSample
 from sharq.errors import InvalidParameterError, ResourceExhaustedError
 from sharq.numtheory import bits_to_express, gcd, is_prime, is_prime_power, mod_pow
-from sharq.shor import shor_factor
+from sharq.shor import MAX_ITERATIONS, shor_factor
 
 # f(x) = 8^x mod 15 from the worked factoring trace
 WORKED_F_TABLE = [1, 8, 4, 2, 1, 8, 4, 2, 1, 8, 4, 2, 1, 8, 4, 2]
@@ -128,6 +129,27 @@ class TestFactoring:
             p, q = outcome.factors
             assert p * q == 21 and p > 1 and q < 21
 
+    def test_no_m_repeats_within_a_trace(self, monkeypatch):
+        # every step reads the degenerate sample 0, so the loop draws bases
+        # until a gcd shortcut or the iteration budget; none may repeat
+        drawn = []
+
+        def degenerate_step(ctx, n_value, m, **kwargs):
+            drawn.append(m)
+            return PeriodSample(0, 1 << 18)
+
+        monkeypatch.setattr(algorithms, "shor_quantum_step", degenerate_step)
+        total = 0
+        for seed in range(20):
+            drawn.clear()
+            try:
+                drawn.append(shor_factor(SimulationContext(seed=seed), 323).trace[-1].m)
+            except ResourceExhaustedError:
+                assert len(drawn) == MAX_ITERATIONS
+            assert len(drawn) == len(set(drawn)), (seed, drawn)
+            total += len(drawn)
+        assert total > 100
+
     def test_budget_exhaustion(self):
         # order of 14 mod 15 is 2 and 14 == -1 (mod 15): every iteration is a
         # trivial-root rejection, so the budget must fire
@@ -142,13 +164,13 @@ class TestFactoring:
             shor_factor(ctx, 15, force_m=14, oracle=oracle)
         except ResourceExhaustedError:
             pass
-        assert ctx.physical_count == 12  # one work register, reused every iteration
+        assert ctx.physical_count == 5  # one control plus four work qubits, reused every iteration
 
     def test_circuit_oracle_exceeds_the_cap_for_real_inputs(self):
-        # the gate-built U_f compiles to 3n qubits, so N=15 factors under the cap
+        # the gate-built round compiles to n+1 qubits, so N=15 factors under the cap
         for seed in range(4):
             ctx = SimulationContext(seed=seed)
             outcome = shor_factor(ctx, 15, force_m=8, oracle="circuit")
             assert outcome.factors == (3, 5)
             assert outcome.trace == shor_factor(SimulationContext(seed=seed), 15, force_m=8).trace
-            assert ctx.physical_count == 12
+            assert ctx.physical_count == 5
