@@ -23,7 +23,8 @@ from .errors import (
     InvalidParameterError,
     SizeMismatchError,
 )
-from .gates import HARD_QUBIT_LIMIT, QuantumOperation, cnot, pauli_x, toffoli
+from .engine import _fused
+from .gates import HARD_QUBIT_LIMIT, QuantumOperation, cnot, pauli_x, toffoli, trace_words
 
 
 @dataclass(frozen=True)
@@ -53,28 +54,34 @@ def _check_distinct(*index_groups):
 def run_on_basis(ops, width: int, value):
     """Trace a classical reversible circuit on basis states.
 
-    Independent of the amplitude engine: every gate must be a basis
-    permutation (X/CNot/Toffoli/Fredkin and friends). ``value`` is the
-    big-endian content of a ``width``-qubit register (width <= 62): an int,
-    traced to an int, or an integer array of inputs, traced together.
+    Independent of the amplitudes: every gate must be a basis permutation
+    (X/CNot/Toffoli/Fredkin and friends). ``value`` is the big-endian content
+    of a ``width``-qubit register (width <= 62): an int, traced to an int, or an
+    integer array of inputs, traced together. Every input and gate is checked
+    before the trace; runs of gates are then traced as the fused permutations
+    the engine applies.
     """
     values = np.asarray(value)
     if not 0 <= width <= HARD_QUBIT_LIMIT:
         raise InvalidParameterError(f"cannot trace {width} qubits; the limit is {HARD_QUBIT_LIMIT}")
     if values.dtype.kind not in "iu" or ((values < 0) | (values >> width != 0)).any():
         raise InvalidParameterError(f"{value} does not fit in {width} bits")
-    pad = HARD_QUBIT_LIMIT - width
-    word = values.astype(np.int64) << pad  # qubit t at bit 61 - t, for every width
-    for op in ops:
-        flips = op.basis_flips
-        sub = 0
+
+    def check(op):
+        op.basis_flips  # refuses a gate that is not a basis permutation
         for t in op.targets:
             if t >= width:
                 raise SizeMismatchError(f"{op.name} targets qubit {t} of a {width}-qubit register")
-            sub = (sub << 1) | ((word >> (HARD_QUBIT_LIMIT - 1 - t)) & 1)
-        word ^= flips[sub]
-    out = word >> pad
-    return int(out) if values.ndim == 0 else out
+
+    ops = tuple(ops)
+    plan = _fused(ops, check)
+    if plan.top >= width or not plan.classical:
+        for op in ops:
+            check(op)  # raises for the first gate that cannot be traced
+    pad = HARD_QUBIT_LIMIT - width  # qubit t at bit 61 - t, for every width
+    if values.ndim == 0:
+        return trace_words(plan.ops, int(values) << pad) >> pad
+    return trace_words(plan.ops, values.astype(np.int64) << pad) >> pad
 
 
 # --- sum / carry ------------------------------------------------------------

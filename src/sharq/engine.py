@@ -14,10 +14,14 @@ Gates are applied by structure class (``QuantumOperation._kernel``). A diagonal
 gate multiplies, in place, the slices whose phase is not 1. On adjacent
 ascending targets the state is an ``(a, 2**k, b)`` array: a permutation is one
 ``take`` along its middle axis (U_f over a whole register) and a dense gate one
-matrix product. On other targets a permutation of up to three qubits moves
-slices in place; a dense gate, or a wider permutation, moves the target axes
-last and back. ``_layout`` is the one place that maps targets to axes, for
-gates, marginals, collapse, register resets and inspection alike.
+matrix product. On other targets a permutation of up to ``_SLICE_MOVE_ARITY`` = 8
+qubits moves slices in place; a dense gate, or a wider permutation, moves the
+target axes last and back. ``_layout`` is the one place that maps targets to
+axes, for gates, marginals, collapse, register resets and inspection alike.
+
+A plan (``RegisterView.apply_operations``, and ``run_on_basis`` for traces) is
+checked as a whole, then run with each run of consecutive basis permutations
+fused into one exact permutation on at most ``_SLICE_MOVE_ARITY`` qubits.
 """
 from __future__ import annotations
 
@@ -39,7 +43,7 @@ from .errors import (
     SizeMismatchError,
     ValueOutOfRangeError,
 )
-from .gates import HARD_QUBIT_LIMIT, QuantumOperation
+from .gates import HARD_QUBIT_LIMIT, QuantumOperation, trace_words
 
 DEFAULT_QUBIT_CAP = 26
 
@@ -63,8 +67,12 @@ def _unallocatable(n_qubits: int) -> QubitLimitExceededError:
 
 
 # A permutation on scattered or reordered targets moves slices in place up to
-# this arity (at most 8 slices per gate); wider ones take one axis move.
-_SLICE_MOVE_ARITY = 3
+# this arity (at most 256 slices per gate); wider ones take one axis move. It is
+# also the width of a fused run of basis permutations (``_fused``).
+_SLICE_MOVE_ARITY = 8
+
+# Fused plans kept, keyed on the ops tuple; the oldest entry goes first.
+_FUSED_ENTRIES = 64
 
 # On an (a, 2**k, b) view with short columns, broadcasting M over a would be a
 # small product per leading index; up to this width the gate is instead one
@@ -126,6 +134,83 @@ def _selector(ndim: int, axes: tuple[int, ...], sub_index: int) -> tuple:
     for j, axis in enumerate(axes):
         index[axis] = (sub_index >> (k - 1 - j)) & 1
     return tuple(index)
+
+
+def _compose(group: list[QuantumOperation], union: set[int]) -> QuantumOperation:
+    """One permutation on the sorted ``union`` that acts as ``group`` run in order.
+
+    Every local input is traced through the group at once; a lone gate is kept.
+    """
+    if len(group) == 1:
+        return group[0]
+    qubits = tuple(sorted(union))
+    k = len(qubits)
+    bits = (np.arange(1 << k, dtype=np.int64)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    words = (bits << (HARD_QUBIT_LIMIT - 1 - np.array(qubits))).sum(axis=1)
+    # the words ascend with the sub-index, and the group maps them onto themselves
+    images = np.searchsorted(words, trace_words(group, words.copy()))
+    return QuantumOperation(f"Fused[{len(group)}]", qubits, permutation=images)
+
+
+def _fuse(ops: tuple[QuantumOperation, ...]) -> tuple[QuantumOperation, ...]:
+    """Greedily merge consecutive basis permutations while their targets span at
+    most ``_SLICE_MOVE_ARITY`` qubits.
+
+    Dense and diagonal gates, zero-target gates and permutations that fail the
+    unitarity check are barriers and pass through unchanged. Moving amplitudes
+    is exact, so the fused plan gives bit-identical states and traces.
+    """
+    fused: list[QuantumOperation] = []
+    group: list[QuantumOperation] = []
+    union: set[int] = set()
+    for op in ops:
+        joins = (0 < op.arity <= _SLICE_MOVE_ARITY and op._kernel == "perm"
+                 and op._action_is_unitary)
+        if not (joins and len(union.union(op.targets)) <= _SLICE_MOVE_ARITY):
+            if group:
+                fused.append(_compose(group, union))
+            group, union = [], set()
+            if not joins:
+                fused.append(op)
+                continue
+        group.append(op)
+        union.update(op.targets)
+    if group:
+        fused.append(_compose(group, union))
+    return tuple(fused)
+
+
+class _FusedPlan(NamedTuple):
+    ops: tuple[QuantumOperation, ...]  # what a plan's gates fuse to
+    top: int  # the highest target of any gate, -1 for none
+    classical: bool  # every gate is a basis permutation
+
+
+_FUSED: dict[tuple[QuantumOperation, ...], _FusedPlan] = {}
+
+
+def _fused(ops: tuple[QuantumOperation, ...], check) -> _FusedPlan:
+    """The fused form of a plan, from a bounded cache keyed on ``ops``.
+
+    Operations hash by identity and catalog gates are cached instances, so a
+    rebuilt plan hits. On a miss ``check`` runs on every op before anything is
+    fused or stored. A hit runs no per-gate code: callers compare ``top`` with
+    their width, read ``classical`` or check the (few) fused ops themselves.
+    """
+    plan = _FUSED.get(ops)
+    if plan is None:
+        for op in ops:
+            check(op)
+        plan = _FusedPlan(_fuse(ops), max((max(op.targets, default=-1) for op in ops), default=-1),
+                          all(op._kernel == "perm" for op in ops))
+        if len(_FUSED) >= _FUSED_ENTRIES:
+            del _FUSED[next(iter(_FUSED))]
+        _FUSED[ops] = plan
+    return plan
+
+
+# clearing every cache of this module (for a cold-cache timing) clears this one too
+_fused.cache_clear = _FUSED.clear
 
 
 def trial_seed(master_seed: int, trial_index: int) -> np.random.SeedSequence:
@@ -449,7 +534,8 @@ class RegisterView:
 
     # -- operations ---------------------------------------------------------
 
-    def apply_operation(self, op: QuantumOperation) -> "RegisterView":
+    def _physical(self, op: QuantumOperation) -> tuple[int, ...]:
+        """The physical qubits ``op`` acts on; refuses targets outside this view."""
         if op.arity > len(self):
             raise SizeMismatchError(
                 f"{op.name} needs {op.arity} qubits but the register has {len(self)}"
@@ -459,13 +545,31 @@ class RegisterView:
                 raise SizeMismatchError(
                     f"{op.name} targets index {t}, outside this {len(self)}-qubit register"
                 )
-        physical = tuple(self._exposed[t] for t in op.targets)
-        self.context._apply(op, physical)
+        return tuple(self._exposed[t] for t in op.targets)
+
+    def apply_operation(self, op: QuantumOperation) -> "RegisterView":
+        self.context._apply(op, self._physical(op))
         return self
 
+    def _check(self, op: QuantumOperation):
+        self._physical(op)
+        op.require_unitary()
+
     def apply_operations(self, ops) -> "RegisterView":
-        for op in ops:
-            self.apply_operation(op)
+        """Apply ``ops`` in order, with runs of basis permutations fused.
+
+        The whole plan is checked first, so a bad operation anywhere in it
+        raises before any amplitude changes.
+        """
+        ops = tuple(ops)
+        plan = _fused(ops, self._check)
+        if plan.top >= len(self):
+            for op in ops:
+                self._check(op)  # raises for the first op that does not fit
+        for op in plan.ops:
+            op.require_unitary()
+        for op in plan.ops:
+            self.context._apply(op, tuple(self._exposed[t] for t in op.targets))
         return self
 
     # -- measurement ----------------------------------------------------------

@@ -196,9 +196,31 @@ class QuantumOperation:
             flips |= ((changed >> (self.arity - 1 - j)) & 1) << (HARD_QUBIT_LIMIT - 1 - t)
         return flips
 
+    @cached_property
+    def _basis_flip_view(self) -> memoryview:
+        """``basis_flips`` without a copy, read as Python ints, for tracing one int word."""
+        return memoryview(self.basis_flips)
+
 
 def retarget(op: QuantumOperation, new_targets) -> QuantumOperation:
     return op.retarget(new_targets)
+
+
+def trace_words(ops, word):
+    """Carry basis words (qubit t at bit 61 - t) through basis-permutation gates.
+
+    The one classical tracer, behind ``run_on_basis`` and gate fusion. ``word`` is
+    a Python int, or an int64 array that is updated in place. Every gate must
+    have ``basis_flips`` and targets below 62.
+    """
+    array = isinstance(word, np.ndarray)
+    for op in ops:
+        sub = 0
+        for t in op.targets:
+            sub = (sub << 1) | ((word >> (HARD_QUBIT_LIMIT - 1 - t)) & 1)
+        # a Python int stays one, several times faster than an int64 scalar
+        word ^= (op.basis_flips if array else op._basis_flip_view)[sub]
+    return word
 
 
 # --- single-qubit catalog -------------------------------------------------

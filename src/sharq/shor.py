@@ -81,10 +81,8 @@ def shor_factor(ctx: SimulationContext, n_value: int, force_m: int | None = None
         if force_m is not None:
             m = force_m
         else:
-            if len(tried) == n_value - 2:
-                raise ResourceExhaustedError(
-                    f"every candidate m for N={n_value} has been tried without success"
-                )
+            # an untried m always remains: drawing one that shares a factor
+            # with N ends the loop, so not every candidate can have been tried
             m = int(ctx.rng.integers(2, n_value))
             while m in tried:  # rejection sampling
                 m = int(ctx.rng.integers(2, n_value))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sharq import SimulationContext
+from sharq import SimulationContext, engine
 from sharq.arithmetic import (
     add_n_ops,
     carry_inverse_ops,
@@ -85,6 +85,34 @@ class TestRunOnBasis:
             run_on_basis([pauli_x(3)], 3, 0)
         with pytest.raises(SizeMismatchError):
             run_on_basis([cnot(0, 63)], HARD_QUBIT_LIMIT, 0)
+
+    @pytest.mark.parametrize("width,value,op,error", [
+        (-1, 0, pauli_x(0), InvalidParameterError),
+        (HARD_QUBIT_LIMIT + 1, 0, pauli_x(0), InvalidParameterError),
+        (3, 8, pauli_x(0), InvalidParameterError),
+        (3, 0, pauli_x(3), SizeMismatchError),
+        (HARD_QUBIT_LIMIT, 0, cnot(0, 63), SizeMismatchError),
+        (3, 0, hadamard(1), InvalidParameterError),
+        (3, 0, pauli_z(1), InvalidParameterError),
+    ])
+    def test_refusals_come_before_any_fusing(self, monkeypatch, width, value, op, error):
+        plan = (cnot(0, 1), toffoli(0, 1, 2), op, pauli_x(0))
+        monkeypatch.setattr(engine, "_fuse", None)  # fusing would raise TypeError
+        with pytest.raises(error):
+            run_on_basis(plan, width, value)
+        assert plan not in engine._FUSED
+
+    def test_zero_target_gates_pass_through_unfused(self):
+        one = QuantumOperation("one", (), matrix=np.eye(1))
+        plan = (one, pauli_x(0), cnot(0, 1), one, toffoli(0, 1, 2), one)
+        for value in range(8):
+            expected = value
+            for op in plan:
+                expected = run_on_basis([op], 3, expected)
+            assert run_on_basis(plan, 3, value) == expected
+        minus = QuantumOperation("minus", (), matrix=-np.eye(1))
+        with pytest.raises(InvalidParameterError):
+            run_on_basis((pauli_x(0), minus), 3, 0)
 
 
 class TestSumGate:

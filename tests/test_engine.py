@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from sharq import (
     ClassicalResult,
     SimulationContext,
     cnot,
+    engine,
     hadamard,
     pauli_x,
     retarget,
@@ -23,7 +25,10 @@ from sharq.errors import (
     SizeMismatchError,
     ValueOutOfRangeError,
 )
-from sharq.gates import QuantumOperation
+from sharq.arithmetic import OperationPlan, run_on_basis
+from sharq.gates import QuantumOperation, toffoli
+
+from conftest import random_state
 
 S2 = 1.0 / math.sqrt(2.0)
 
@@ -402,6 +407,80 @@ class TestLocation:
     def test_remote_rejected(self):
         with pytest.raises(InvalidLocationError):
             SimulationContext(seed=0).set_location("qpu.example.com")
+
+
+class TestApplyOperations:
+    """Plans: checked as a whole first, then applied with basis permutations fused."""
+
+    NOT_BIJECTIVE = QuantumOperation("squash", (1, 0), matrix=np.eye(4)[:, [0, 1, 2, 2]])
+    DOUBLER = QuantumOperation("bad", (2,), matrix=np.array([[1, 0], [0, 2.0]]))
+
+    def _random(self, n):
+        ctx = SimulationContext(seed=0, debug=True)
+        reg = ctx.allocate_register(n)
+        ctx._set_state(random_state(np.random.default_rng(n), n))
+        return ctx, reg
+
+    @pytest.mark.parametrize("bad", [NOT_BIJECTIVE, DOUBLER])
+    def test_a_non_unitary_op_anywhere_leaves_the_state_untouched(self, bad):
+        # the 0/1 map dispatches to the permutation kernel but is no bijection
+        plan = (pauli_x(0), cnot(0, 1), toffoli(0, 1, 2), bad, pauli_x(1))
+        ctx, reg = self._random(3)
+        before = ctx._state.copy()
+        for _ in range(2):  # a cache miss, then a hit
+            with pytest.raises(NotUnitaryOperationError, match="'(squash|bad)'"):
+                reg.apply_operations(plan)
+            assert np.array_equal(ctx._state, before)
+
+    def test_a_plan_traced_first_is_still_checked_for_unitarity(self):
+        plan = (pauli_x(0), self.NOT_BIJECTIVE, cnot(1, 0))
+        assert run_on_basis(plan, 2, 0b01) == 0b11  # the tracer takes any 0/1 map
+        ctx, reg = self._random(2)
+        before = ctx._state.copy()
+        with pytest.raises(NotUnitaryOperationError):
+            reg.apply_operations(plan)
+        assert np.array_equal(ctx._state, before)
+
+    def test_a_target_outside_the_view_anywhere_leaves_the_state_untouched(self):
+        plan = (pauli_x(0), cnot(0, 1), hadamard(1), toffoli(0, 1, 3))
+        self._random(4)[1].apply_operations(plan)  # the fused plan is now cached
+        ctx, reg = self._random(3)
+        before = ctx._state.copy()
+        with pytest.raises(SizeMismatchError, match="Toffoli targets index 3"):
+            reg.apply_operations(plan)
+        assert np.array_equal(ctx._state, before)
+
+    def test_runs_of_permutations_fuse_and_barriers_pass_through(self):
+        one = QuantumOperation("one", (), matrix=np.eye(1))
+        plan = OperationPlan((pauli_x(0), cnot(0, 5), toffoli(5, 0, 2), hadamard(3), one,
+                              cnot(3, 4), pauli_x(9), pauli_x(1), cnot(1, 7), pauli_x(8)), ())
+        reg = SimulationContext(seed=0).allocate_register(10)
+        fused, top, classical = engine._fused(plan.ops, reg._check)
+        assert top == 9 and not classical
+        assert [op.targets for op in fused] == [
+            (0, 2, 5), (3,), (), (1, 3, 4, 7, 8, 9)]
+        assert fused[1] is hadamard(3) and fused[2] is one
+        reg.apply_operations(plan.ops)
+        assert engine._fused(plan.ops, None) is engine._fused(plan.ops, None)  # cached
+        assert len(plan) == 10 and plan.inverse().ops[0] is pauli_x(8)  # plans stay unfused
+
+    def test_a_fused_eight_qubit_permutation_moves_slices_in_place(self):
+        # a fused group on scattered targets takes the slice moves, which copy at
+        # most one slice at a time, not the axis move's state-sized temporaries
+        scattered = (0, 2, 5, 6, 9, 11, 12, 15)
+        plan = (*(pauli_x(q) for q in scattered), cnot(2, 9), toffoli(0, 15, 6), cnot(12, 5))
+        ctx = SimulationContext(seed=0, debug=True)
+        reg = ctx.allocate_register(16)
+        (fused,), _, _ = engine._fused(plan, reg._check)
+        assert fused.targets == scattered
+        reg.apply_operations(plan)  # composes the permutation and its cycles once
+        tracemalloc.start()
+        try:
+            reg.apply_operations(plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ctx._state.nbytes / 4
 
 
 class TestDoubleHadamardProperty:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sharq import SimulationContext
+from sharq import SimulationContext, engine
 from sharq.algorithms import circuit_uf, semantic_uf
 from sharq.arithmetic import OperationPlan, add_n_ops, modular_add_ops, run_on_basis
 from sharq.errors import NotUnitaryOperationError
@@ -141,7 +141,9 @@ seeds = st.integers(0, 2**32 - 1)
 def operations(draw, width):
     """An operation of any kernel class, arity 0-4, on random targets of a view.
 
-    Arity 4 reaches the axis move that permutations wider than 3 qubits take."""
+    Permutations of every arity here move slices in place when their targets
+    are scattered; ``test_nine_qubit_permutation_takes_the_axis_move`` covers
+    the axis move of wider ones."""
     arity = draw(st.integers(0, min(4, width)), label="arity")
     targets = tuple(draw(st.permutations(range(width)), label="targets")[:arity])
     kind = draw(st.sampled_from(KINDS), label="kind")
@@ -281,3 +283,92 @@ def test_failed_unitarity_check_leaves_the_state_bit_identical(kind, data):
     with pytest.raises(NotUnitaryOperationError):
         reg.slice(order).apply_operation(op)
     assert np.array_equal(ctx._state, before)
+
+
+def test_nine_qubit_permutation_takes_the_axis_move():
+    # wider than engine._SLICE_MOVE_ARITY on scattered, reordered targets; between
+    # fusable gates it stays a barrier of its own
+    n, physical = 10, (9, 0, 3, 5, 1, 8, 6, 2, 7)
+    rng = np.random.default_rng(9)
+    wide = QuantumOperation("wide", physical, permutation=rng.permutation(1 << 9))
+    ctx = SimulationContext(seed=0, debug=True)
+    reg = ctx.allocate_register(n)
+    ctx._set_state(random_state(rng, n))
+    expected = _oracle(wide, physical, n, ctx._state)
+    reg.apply_operation(wide)
+    assert np.array_equal(ctx._state, expected)
+
+    plan = (cnot(4, 7), pauli_x(0), wide, toffoli(4, 7, 0))
+    fused = engine._fused(plan, reg._check).ops
+    assert [op.targets for op in fused] == [(0, 4, 7), physical, (4, 7, 0)]
+    assert fused[1] is wide and fused[2] is plan[3]  # a lone gate is kept as it is
+    for op in plan:
+        expected = _oracle(op, op.targets, n, expected)
+    reg.apply_operations(plan)
+    assert np.array_equal(ctx._state, expected)
+
+
+# --- fused plans against gate-by-gate application and tracing -----------------
+
+@st.composite
+def layouts(draw):
+    """(context width, exposed order) of a scattered, reversed or adjacent view."""
+    n = draw(st.integers(1, 10), label="n")
+    width = draw(st.integers(1, n), label="width")
+    kind = draw(st.sampled_from(("scattered", "reversed", "adjacent")), label="layout")
+    if kind == "scattered":
+        return n, tuple(draw(st.permutations(range(n)), label="order")[:width])
+    start = draw(st.integers(0, n - width), label="start")
+    order = tuple(range(start, start + width))
+    return n, order[::-1] if kind == "reversed" else order
+
+
+@st.composite
+def zero_one_permutations(draw, width):
+    """A random basis permutation on up to 4 targets, as a map or a 0/1 matrix."""
+    arity = draw(st.integers(1, min(4, width)), label="arity")
+    targets = tuple(draw(st.permutations(range(width)), label="targets")[:arity])
+    images = np.array(draw(st.permutations(range(1 << arity)), label="images"))
+    if draw(st.booleans(), label="as matrix"):
+        return QuantumOperation("matrix01", targets, matrix=np.eye(1 << arity)[:, images])
+    return QuantumOperation("permutation", targets, permutation=images)
+
+
+def classical_plans(width, barriers):
+    """Mostly catalog and random basis permutations; with ``barriers``, also dense,
+    diagonal and zero-target gates between them."""
+    gates = [classical_gates(width), zero_one_permutations(width)]
+    if barriers:
+        gates.append(operations(width))
+    return st.lists(st.one_of(*gates), min_size=1, max_size=30)
+
+
+@PROPERTY
+@given(st.data())
+def test_fused_plans_apply_bit_identically_to_gate_by_gate(data):
+    n, order = data.draw(layouts())
+    ops = data.draw(classical_plans(len(order), barriers=True), label="ops")
+    fused_ctx, reg = _context(data, n)
+    single_ctx = SimulationContext(debug=True)
+    single = single_ctx.allocate_register(n)
+    single_ctx._state = fused_ctx._state.copy()
+
+    reg.slice(order).apply_operations(ops)
+    for op in ops:
+        single.slice(order).apply_operation(op)
+
+    assert np.array_equal(fused_ctx._state, single_ctx._state)
+
+
+@PROPERTY
+@given(st.data())
+def test_fused_traces_equal_gate_by_gate_traces(data):
+    width = data.draw(st.integers(1, 12), label="width")
+    ops = data.draw(classical_plans(width, barriers=False), label="ops")
+    inputs = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=8),
+                       label="inputs")
+    expected = np.array(inputs, dtype=np.int64)
+    for op in ops:
+        expected = run_on_basis([op], width, expected)
+    assert run_on_basis(ops, width, np.array(inputs)).tolist() == expected.tolist()
+    assert [run_on_basis(ops, width, value) for value in inputs] == expected.tolist()
