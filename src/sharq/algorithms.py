@@ -1,5 +1,5 @@
-"""QFT builders, the controlled-multiply oracles, the one-control-qubit Shor
-step, continued-fraction period extraction, and Deutsch's algorithm.
+"""QFT builders, the controlled-multiply oracles, the Shor step on one control
+qubit that is never reset, continued-fraction period extraction, and Deutsch.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from .arithmetic import OperationPlan, _multiply_round, reverse_ops, run_on_basi
 from .engine import RegisterView, SimulationContext
 from .errors import DuplicateIndexesError, InvalidParameterError, SizeMismatchError
 from .errors import OracleCompilationError
-from .gates import QuantumOperation, cnot, hadamard, pauli_x
+from .gates import QuantumOperation, cnot, controlled_u, hadamard, pauli_x, rotation_k
 from .numtheory import bits_to_express, mod_pow
 
 
@@ -40,8 +40,7 @@ def hadamard_all_ops(indices) -> OperationPlan:
 
 
 def _controlled_phase(k: int, control: int, target: int) -> QuantumOperation:
-    m = np.diag([1.0, 1.0, 1.0, np.exp(2j * np.pi / (1 << k))]).astype(complex)
-    return QuantumOperation(f"CR{k}", (control, target), matrix=m)
+    return controlled_u(rotation_k(k), (control,), target)
 
 
 def qft_ops(indices) -> OperationPlan:
@@ -64,8 +63,7 @@ def qft_ops(indices) -> OperationPlan:
 
 def inverse_qft_ops(indices) -> OperationPlan:
     """The reversed QFT plan with every rotation conjugated."""
-    forward = qft_ops(indices)
-    return OperationPlan(tuple(op.inverse() for op in reversed(forward.ops)), forward.result_indices)
+    return qft_ops(indices).inverse()
 
 
 # --- the period-finding oracle ----------------------------------------------
@@ -123,12 +121,13 @@ def shor_quantum_step(ctx: SimulationContext, n_value: int, m: int,
     """Run one period-finding iteration on one recycled control qubit.
 
     Semiclassical phase estimation (Griffiths-Niu, Beauregard) on n+1 qubits:
-    the control, then a work register set to 1. Round i applies H, the oracle
-    for m**(2**(2n-1-i)) mod N, a phase undoing the bits read so far, and H,
-    then reads bit i of the sample off the control (least significant first)
-    and resets it. The work register is read last. (sample, f) is distributed
-    as in the textbook step with an inverse QFT on a 2n-qubit REG1. Pass
-    ``register`` (n+1 qubits, fully collapsed) to reuse qubits across steps.
+    the control, then a work register set to 1. Every round i is four engine
+    calls: H on the control, the oracle for m**(2**(2n-1-i)) mod N, one readout
+    gate, and a measurement reading bit i of the sample (least significant
+    first) off the control, which is never reset. The work register is read
+    last. (sample, f) is distributed as in the textbook step with an inverse QFT
+    on a 2n-qubit REG1. The step leaves ``register`` (n+1 qubits) fully
+    collapsed, the control at the last bit read; pass it back to reuse it.
     ``oracle`` picks ``semantic_uf`` or ``circuit_uf``; both are the same
     permutation, so a seed samples alike through either.
     """
@@ -148,25 +147,24 @@ def shor_quantum_step(ctx: SimulationContext, n_value: int, m: int,
     register.set_from_unsigned(1)
 
     control = register.slice_to(0)
-    measured = 0
+    measured = b = 0  # b: the last bit read, which the control still holds
     for i, multiply in enumerate(multiplies):
         control.apply_operation(hadamard(0))
         register.apply_operation(multiply)
-        if measured:
-            control.apply_operation(_phase(-measured, i + 1))
-        control.apply_operation(hadamard(0))
-        if control.measure().to_unsigned():
-            control.apply_operation(pauli_x(0))
-            measured |= 1 << i
+        # H|1> puts -1 = exp(2*pi*i * 2**i / 2**(i+1)) on the |1> branch, so
+        # adding b << i to the numerator cancels an unreset control
+        control.apply_operation(_readout((b << i) - measured, i + 1))
+        b = control.measure().to_unsigned()
+        measured |= b << i
     f_value = register.slice_from(1).measure().to_unsigned()
     return PeriodSample(measured, 1 << (2 * n), f_value)
 
 
 @lru_cache(maxsize=256)
-def _phase(numerator: int, k: int) -> QuantumOperation:
-    """diag(1, exp(2*pi*i * numerator / 2**k))"""
-    phase = np.exp(2j * np.pi * numerator / (1 << k))
-    return QuantumOperation(f"P({numerator}/2^{k})", (0,), matrix=np.diag([1.0, phase]))
+def _readout(numerator: int, k: int) -> QuantumOperation:
+    """H * diag(1, exp(2*pi*i * numerator / 2**k)): one round's rotation and readout basis."""
+    readout = hadamard().matrix @ np.diag([1.0, np.exp(2j * np.pi * numerator / (1 << k))])
+    return QuantumOperation(f"HP({numerator}/2^{k})", (0,), matrix=readout)
 
 
 # --- classical post-processing ---------------------------------------------

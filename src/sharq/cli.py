@@ -17,13 +17,8 @@ from collections import Counter
 
 import numpy as np
 
-from .engine import HARD_QUBIT_LIMIT, SimulationContext, _measure_trials
-from .errors import (
-    InvalidParameterError,
-    QubitLimitExceededError,
-    ResourceExhaustedError,
-    SharqError,
-)
+from .engine import DEFAULT_QUBIT_CAP, HARD_QUBIT_LIMIT, SimulationContext, _measure_trials
+from .errors import ResourceExhaustedError, SharqError
 from .gates import NAMED_STATES, hadamard, prepare_named_state
 from .shor import shor_factor
 
@@ -62,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="master RNG seed (default: entropy)")
     common.add_argument("--trials", type=_positive_int, default=1000, help="number of trials")
     common.add_argument("--output", choices=("text", "json"), default="text")
-    common.add_argument("--qubit-cap", type=int, default=26,
+    common.add_argument("--qubit-cap", type=int, default=DEFAULT_QUBIT_CAP,
                         help=f"per-context qubit cap (max {HARD_QUBIT_LIMIT})")
 
     parser = _Parser(prog="sharq", description="Quantum register simulator")
@@ -187,9 +182,6 @@ def main(argv=None) -> int:
     except ResourceExhaustedError as exc:
         sys.stderr.write(f"sharq: {exc}\n")
         return EXIT_EXHAUSTED
-    except (InvalidParameterError, QubitLimitExceededError) as exc:
-        sys.stderr.write(f"sharq: {exc}\n")
-        return EXIT_PRECONDITION
     except SharqError as exc:
         sys.stderr.write(f"sharq: {exc}\n")
         return EXIT_PRECONDITION

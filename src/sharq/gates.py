@@ -74,7 +74,10 @@ class QuantumOperation:
             object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
         else:
             object.__setattr__(self, "permutation", np.asarray(self.permutation, dtype=np.int64))
-        dim = len(self.permutation) if self.matrix is None else self.matrix.shape[0]
+        action = self.permutation if self.matrix is None else self.matrix
+        if action.size == 0 or action.ndim != (1 if self.matrix is None else 2):
+            raise InvalidParameterError(f"{self.name}: action is not a non-empty 1-D or 2-D array")
+        dim = len(action)
         k = dim.bit_length() - 1
         if dim != 1 << k or (self.matrix is not None and self.matrix.shape != (dim, dim)):
             raise InvalidParameterError(f"action dimension {dim} is not a square power of two")
@@ -158,7 +161,11 @@ class QuantumOperation:
         return np.argsort(self._basis_images)
 
     def inverse(self) -> "QuantumOperation":
-        """The adjoint, bound to the same targets; self-inverse gates share the instance."""
+        """The adjoint on the same targets, built once; self-inverse gates share the instance."""
+        return self._adjoint
+
+    @cached_property
+    def _adjoint(self) -> "QuantumOperation":
         name = self.name[:-1] if self.name.endswith("†") else self.name + "†"
         if self.matrix is not None:
             adjoint = self.matrix.conj().T

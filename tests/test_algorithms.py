@@ -278,6 +278,27 @@ class TestShorQuantumStep:
             seen.add(sample.measured)
         assert seen == oracle_support
 
+    def test_every_round_is_four_engine_calls(self, monkeypatch):
+        # H, the multiply and the readout gate, then one measurement per
+        # round; the work register is measured once at the end
+        calls = {"_apply": 0, "_measure": 0}
+
+        def counted(name):
+            original = getattr(SimulationContext, name)
+
+            def wrapper(ctx, *args):
+                calls[name] += 1
+                return original(ctx, *args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(SimulationContext, name, counted(name))
+        n = 6  # bits of N=35
+        for seed in range(10):
+            calls.update(_apply=0, _measure=0)
+            shor_quantum_step(SimulationContext(seed=seed), 35, 2)
+            assert calls == {"_apply": 3 * 2 * n, "_measure": 2 * n + 1}, seed
+
     def test_register_reuse(self):
         ctx = SimulationContext(seed=9)
         work = ctx.allocate_register(5)

@@ -100,6 +100,20 @@ class TestCatalogMatrices:
         with pytest.raises(NotUnitaryOperationError):
             op.require_unitary()
 
+    @pytest.mark.parametrize("action", [
+        {"permutation": []}, {"matrix": np.zeros((0, 0))}, {"matrix": 1.0}, {"permutation": 5},
+    ], ids=["empty-permutation", "empty-matrix", "scalar-matrix", "scalar-permutation"])
+    def test_malformed_action_refused(self, action):
+        with pytest.raises(InvalidParameterError, match="non-empty"):
+            QuantumOperation("x", (), **action)
+
+    @pytest.mark.parametrize("op", [
+        rotation_k(4), QuantumOperation("cycle", (0, 1), permutation=[1, 2, 3, 0]),
+    ], ids=["matrix", "permutation"])
+    def test_adjoint_is_built_once(self, op):
+        adjoint = op.inverse()
+        assert adjoint is not op and op.inverse() is adjoint
+
     def test_rotation_k_ladder(self):
         assert np.abs(rotation_k(2).matrix - phase_s().matrix).max() < 1e-12
         assert np.abs(rotation_k(3).matrix - phase_t().matrix).max() < 1e-12
