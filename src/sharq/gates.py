@@ -216,9 +216,10 @@ def retarget(op: QuantumOperation, new_targets) -> QuantumOperation:
 def trace_words(ops, word):
     """Carry basis words (qubit t at bit 61 - t) through basis-permutation gates.
 
-    The one classical tracer, behind ``run_on_basis`` and gate fusion. ``word`` is
-    a Python int, or an int64 array that is updated in place. Every gate must
-    have ``basis_flips`` and targets below 62.
+    The one classical tracer, behind ``run_on_basis``, gate fusion and the
+    sparse path of classical plans (``SimulationContext._permute_support``).
+    ``word`` is a Python int, or an int64 array that is updated in place. Every
+    gate must have ``basis_flips`` and targets below 62.
     """
     array = isinstance(word, np.ndarray)
     for op in ops:

@@ -275,13 +275,19 @@ class TestTallyPath:
 
 class TestConsoleScript:
     def test_entry_point_runs(self):
+        import os
         import subprocess
         import sys
 
+        import sharq
+
+        # the child imports the package this process imported, installed or not
+        package_root = os.path.dirname(os.path.dirname(sharq.__file__))
+        path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
         result = subprocess.run(
             [sys.executable, "-m", "sharq.cli", "coin-toss", "--trials", "3",
              "--seed", "1", "--output", "json"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0
         assert json.loads(result.stdout.strip().splitlines()[-1])["trials"] == 3

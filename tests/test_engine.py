@@ -421,6 +421,12 @@ class TestApplyOperations:
         ctx._set_state(random_state(np.random.default_rng(n), n))
         return ctx, reg
 
+    @staticmethod
+    def _basis(n, value):
+        """A basis state: a support of one, so classical plans take the sparse path."""
+        ctx = SimulationContext(seed=0, debug=True)
+        return ctx, ctx.allocate_register(n).set_from_unsigned(value)
+
     @pytest.mark.parametrize("bad", [NOT_BIJECTIVE, DOUBLER])
     def test_a_non_unitary_op_anywhere_leaves_the_state_untouched(self, bad):
         # the 0/1 map dispatches to the permutation kernel but is no bijection
@@ -450,6 +456,52 @@ class TestApplyOperations:
             reg.apply_operations(plan)
         assert np.array_equal(ctx._state, before)
 
+    def test_a_non_bijective_op_in_a_classical_plan_leaves_a_basis_state_untouched(self):
+        plan = (pauli_x(0), cnot(0, 1), toffoli(0, 1, 2), self.NOT_BIJECTIVE, pauli_x(1))
+        assert all(op._kernel == "perm" for op in plan)
+        ctx, reg = self._basis(3, 0b101)
+        before = ctx._state.copy()
+        for _ in range(2):
+            with pytest.raises(NotUnitaryOperationError, match="'squash'"):
+                reg.apply_operations(plan)
+            assert np.array_equal(ctx._state, before)
+
+    def test_a_target_outside_the_view_in_a_classical_plan_leaves_a_basis_state_untouched(self):
+        plan = (pauli_x(0), cnot(0, 1), toffoli(0, 1, 3))
+        self._basis(4, 0)[1].apply_operations(plan)  # the fused plan is now cached
+        assert engine._fused(plan, None).classical
+        for ctx, view in (self._basis(3, 0b110), self._basis(6, 0b011010)):
+            view = view if len(view) == 3 else view.slice((5, 1, 3))
+            before = ctx._state.copy()
+            with pytest.raises(SizeMismatchError, match="Toffoli targets index 3"):
+                view.apply_operations(plan)
+            assert np.array_equal(ctx._state, before)
+
+    def test_a_sparse_classical_plan_moves_only_its_support(self):
+        # adjacent targets: one op at a time, the (a, 2**k, b) gather would build a
+        # new state-sized array per fused op
+        plan = (*(pauli_x(q) for q in range(8)), cnot(0, 9), toffoli(1, 9, 4), cnot(7, 2))
+        ctx = SimulationContext(seed=0, debug=True)
+        reg = ctx.allocate_register(20)
+        reg.apply_operations([hadamard(q) for q in (3, 11, 19)])  # 8 nonzero amplitudes
+        reference = SimulationContext(debug=True)
+        one_by_one = reference.allocate_register(20)
+        reference._state = ctx._state.copy()
+        for op in plan:
+            one_by_one.apply_operation(op)
+        reg.apply_operations(plan)  # composes the fused permutations once
+        reg.apply_operations(OperationPlan(plan, ()).inverse().ops)
+        state = ctx._state
+        ctx._apply = None  # the sparse path makes no per-op pass
+        tracemalloc.start()
+        try:
+            reg.apply_operations(plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ctx._state is state and np.array_equal(state, reference._state)
+        assert peak < state.nbytes / 8  # the bool mask of the support count is nbytes / 16
+
     def test_runs_of_permutations_fuse_and_barriers_pass_through(self):
         one = QuantumOperation("one", (), matrix=np.eye(1))
         plan = OperationPlan((pauli_x(0), cnot(0, 5), toffoli(5, 0, 2), hadamard(3), one,
@@ -466,11 +518,11 @@ class TestApplyOperations:
 
     def test_a_fused_eight_qubit_permutation_moves_slices_in_place(self):
         # a fused group on scattered targets takes the slice moves, which copy at
-        # most one slice at a time, not the axis move's state-sized temporaries
+        # most one slice at a time, not the axis move's state-sized temporaries;
+        # a full-support state keeps the plan off the sparse path
         scattered = (0, 2, 5, 6, 9, 11, 12, 15)
         plan = (*(pauli_x(q) for q in scattered), cnot(2, 9), toffoli(0, 15, 6), cnot(12, 5))
-        ctx = SimulationContext(seed=0, debug=True)
-        reg = ctx.allocate_register(16)
+        ctx, reg = self._random(16)
         (fused,), _, _ = engine._fused(plan, reg._check)
         assert fused.targets == scattered
         reg.apply_operations(plan)  # composes the permutation and its cycles once

@@ -372,3 +372,32 @@ def test_fused_traces_equal_gate_by_gate_traces(data):
         expected = run_on_basis([op], width, expected)
     assert run_on_basis(ops, width, np.array(inputs)).tolist() == expected.tolist()
     assert [run_on_basis(ops, width, value) for value in inputs] == expected.tolist()
+
+
+@PROPERTY
+@given(st.data())
+def test_classical_plans_on_sparse_states_apply_bit_identically_on_both_paths(data):
+    n, order = data.draw(layouts())
+    ops = data.draw(classical_plans(len(order), barriers=False), label="ops")
+    # supports from one amplitude to past the share where the per-op passes take over
+    limit = int((1 << n) * engine._SUPPORT_SHARE)
+    size = data.draw(st.integers(1, min(1 << n, 2 * limit + 2)), label="support")
+    rng = np.random.default_rng(data.draw(seeds, label="state"))
+    state = np.zeros(1 << n, dtype=complex)
+    state[rng.choice(1 << n, size, replace=False)] = rng.normal(size=size) + 1j * rng.normal(size=size)
+    ctx = SimulationContext(debug=True)
+    reg = ctx.allocate_register(n)
+    ctx._set_state(state)
+    single_ctx = SimulationContext(debug=True)
+    single = single_ctx.allocate_register(n)
+    single_ctx._state = ctx._state.copy()
+    passes = []
+    apply = ctx._apply
+    ctx._apply = lambda op, physical: passes.append(op) or apply(op, physical)
+
+    reg.slice(order).apply_operations(ops)
+    for op in ops:
+        single.slice(order).apply_operation(op)
+
+    assert np.array_equal(ctx._state, single_ctx._state)
+    assert (not passes) == (size <= limit)  # the support size alone picks the path
