@@ -9,10 +9,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arithmetic import OperationPlan, _multiply_round, reverse_ops, run_on_basis
+from .arithmetic import OperationPlan, _check_distinct, _multiply_round, reverse_ops, run_on_basis
 from .engine import RegisterView, SimulationContext
-from .errors import DuplicateIndexesError, InvalidParameterError, SizeMismatchError
-from .errors import OracleCompilationError
+from .errors import InvalidParameterError, OracleCompilationError, SizeMismatchError
 from .gates import QuantumOperation, cnot, controlled_u, hadamard, pauli_x, rotation_k
 from .numtheory import bits_to_express, mod_pow
 
@@ -34,8 +33,7 @@ class PeriodSample:
 def hadamard_all_ops(indices) -> OperationPlan:
     """One Hadamard per index; from |0...0> this is the uniform superposition."""
     indices = [int(i) for i in indices]
-    if len(set(indices)) != len(indices):
-        raise DuplicateIndexesError(f"indices must be unique, got {indices}")
+    _check_distinct(indices)
     return OperationPlan(tuple(hadamard(i) for i in indices), tuple(indices))
 
 
@@ -50,8 +48,7 @@ def qft_ops(indices) -> OperationPlan:
     and 1/sqrt(2^n) scaling; for one qubit it is just the Hadamard.
     """
     indices = [int(i) for i in indices]
-    if len(set(indices)) != len(indices):
-        raise DuplicateIndexesError(f"indices must be unique, got {indices}")
+    _check_distinct(indices)
     ops: list[QuantumOperation] = []
     for j, target in enumerate(indices):
         ops.append(hadamard(target))

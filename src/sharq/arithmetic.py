@@ -23,7 +23,7 @@ from .errors import (
     InvalidParameterError,
     SizeMismatchError,
 )
-from .engine import _fused
+from .engine import _as_int, _fused
 from .gates import HARD_QUBIT_LIMIT, QuantumOperation, cnot, pauli_x, toffoli, trace_words
 
 
@@ -61,7 +61,7 @@ def run_on_basis(ops, width: int, value):
     before the trace; runs of gates are then traced as the fused permutations
     the engine applies.
     """
-    values = np.asarray(value)
+    values, width = np.asarray(value), _as_int(width, "trace width")
     if not 0 <= width <= HARD_QUBIT_LIMIT:
         raise InvalidParameterError(f"cannot trace {width} qubits; the limit is {HARD_QUBIT_LIMIT}")
     if values.dtype.kind not in "iu" or ((values < 0) | (values >> width != 0)).any():
@@ -74,7 +74,7 @@ def run_on_basis(ops, width: int, value):
                 raise SizeMismatchError(f"{op.name} targets qubit {t} of a {width}-qubit register")
 
     ops = tuple(ops)
-    plan = _fused(ops, check)
+    plan = _fused(ops)
     if plan.top >= width or not plan.classical:
         for op in ops:
             check(op)  # raises for the first gate that cannot be traced

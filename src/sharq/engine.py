@@ -20,9 +20,11 @@ target axes last and back. ``_layout`` is the one place that maps targets to
 axes, for gates, marginals, collapse, register resets and inspection alike.
 
 A plan (``RegisterView.apply_operations``, and ``run_on_basis`` for traces) is
-checked as a whole, then run with each run of consecutive basis permutations
-fused into one exact permutation on at most ``_SLICE_MOVE_ARITY`` qubits. A plan
-of basis permutations alone, on a state whose nonzero amplitudes are at most
+run with each run of consecutive basis permutations fused into one exact
+permutation on at most ``_SLICE_MOVE_ARITY`` qubits. ``_fused`` keeps the 64 most
+recently used fused plans; each caller checks a plan as a whole by the facts
+cached with it before any amplitude changes. A nonempty plan of basis
+permutations alone, on a state whose nonzero amplitudes are at most
 ``_SUPPORT_SHARE`` = 1/16 of it, does not pass over the state once per fused op:
 ``_permute_support`` traces the nonzero indices through the fused ops as basis
 words and moves each nonzero amplitude once, in place. The choice rests only on
@@ -31,6 +33,7 @@ the support size, and either way the state comes out bit-identical.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -64,6 +67,14 @@ _CLASSICAL_ATOL = 1e-9
 _ALLOCATION_FAILURES = (MemoryError, ValueError)
 
 
+def _as_int(value, what: str) -> int:
+    """``value`` as an int, if ``operator.index`` takes it (ints, bools, numpy integers)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParameterError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _unallocatable(n_qubits: int) -> QubitLimitExceededError:
     return QubitLimitExceededError(
         f"a {n_qubits}-qubit amplitude array needs {16 << n_qubits} bytes, "
@@ -84,9 +95,6 @@ _SLICE_MOVE_ARITY = 8
 # 22-qubit adder, whose support arrays outgrow the cache. At 1/16 it cost at most
 # about a third of the passes on all three.
 _SUPPORT_SHARE = 1 / 16
-
-# Fused plans kept, keyed on the ops tuple; the oldest entry goes first.
-_FUSED_ENTRIES = 64
 
 # On an (a, 2**k, b) view with short columns, broadcasting M over a would be a
 # small product per leading index; up to this width the gate is instead one
@@ -170,16 +178,17 @@ def _fuse(ops: tuple[QuantumOperation, ...]) -> tuple[QuantumOperation, ...]:
     """Greedily merge consecutive basis permutations while their targets span at
     most ``_SLICE_MOVE_ARITY`` qubits.
 
-    Dense and diagonal gates, zero-target gates and permutations that fail the
-    unitarity check are barriers and pass through unchanged. Moving amplitudes
-    is exact, so the fused plan gives bit-identical states and traces.
+    Dense and diagonal gates, zero-target gates, permutations that fail the
+    unitarity check and gates on a qubit past the basis word (62 and up) are
+    barriers and pass through unchanged. Moving amplitudes is exact, so the
+    fused plan gives bit-identical states and traces.
     """
     fused: list[QuantumOperation] = []
     group: list[QuantumOperation] = []
     union: set[int] = set()
     for op in ops:
         joins = (0 < op.arity <= _SLICE_MOVE_ARITY and op._kernel == "perm"
-                 and op._action_is_unitary)
+                 and op._action_is_unitary and max(op.targets) < HARD_QUBIT_LIMIT)
         if not (joins and len(union.union(op.targets)) <= _SLICE_MOVE_ARITY):
             if group:
                 fused.append(_compose(group, union))
@@ -197,34 +206,21 @@ def _fuse(ops: tuple[QuantumOperation, ...]) -> tuple[QuantumOperation, ...]:
 class _FusedPlan(NamedTuple):
     ops: tuple[QuantumOperation, ...]  # what a plan's gates fuse to
     top: int  # the highest target of any gate, -1 for none
-    classical: bool  # every gate is a basis permutation
+    classical: bool  # the plan has gates, and every one is a basis permutation
 
 
-_FUSED: dict[tuple[QuantumOperation, ...], _FusedPlan] = {}
-
-
-def _fused(ops: tuple[QuantumOperation, ...], check) -> _FusedPlan:
-    """The fused form of a plan, from a bounded cache keyed on ``ops``.
+@lru_cache(maxsize=64)
+def _fused(ops: tuple[QuantumOperation, ...]) -> _FusedPlan:
+    """The fused form of a plan and the facts its callers check it by.
 
     Operations hash by identity and catalog gates are cached instances, so a
-    rebuilt plan hits. On a miss ``check`` runs on every op before anything is
-    fused or stored. A hit runs no per-gate code: callers compare ``top`` with
-    their width, read ``classical`` or check the (few) fused ops themselves.
+    rebuilt plan hits. Nothing is checked here: ``top < width`` implies every
+    target check, a gate that fails the unitarity check stays a barrier of its
+    own in ``ops``, and ``classical`` means every gate has ``basis_flips``.
+    Fusing a plan that a caller will refuse cannot raise, and is never applied.
     """
-    plan = _FUSED.get(ops)
-    if plan is None:
-        for op in ops:
-            check(op)
-        plan = _FusedPlan(_fuse(ops), max((max(op.targets, default=-1) for op in ops), default=-1),
-                          all(op._kernel == "perm" for op in ops))
-        if len(_FUSED) >= _FUSED_ENTRIES:
-            del _FUSED[next(iter(_FUSED))]
-        _FUSED[ops] = plan
-    return plan
-
-
-# clearing every cache of this module (for a cold-cache timing) clears this one too
-_fused.cache_clear = _FUSED.clear
+    return _FusedPlan(_fuse(ops), max((max(op.targets, default=-1) for op in ops), default=-1),
+                      bool(ops) and all(op._kernel == "perm" for op in ops))
 
 
 def trial_seed(master_seed: int, trial_index: int) -> np.random.SeedSequence:
@@ -263,11 +259,12 @@ class SimulationContext:
     """
 
     def __init__(self, seed=None, qubit_cap: int = DEFAULT_QUBIT_CAP, debug: bool = False):
+        qubit_cap = _as_int(qubit_cap, "qubit cap")
         if not 0 < qubit_cap <= HARD_QUBIT_LIMIT:
             raise QubitLimitExceededError(
                 f"qubit cap must be in [1, {HARD_QUBIT_LIMIT}], got {qubit_cap}"
             )
-        self._qubit_cap = int(qubit_cap)
+        self._qubit_cap = qubit_cap
         self._count = 0
         self._state = np.array([1.0 + 0j])
         self._location = "localhost"
@@ -302,6 +299,7 @@ class SimulationContext:
         within the cap whose array cannot be allocated is refused the same
         way; either refusal leaves the context unchanged.
         """
+        n_qubits = _as_int(n_qubits, "qubit count")
         if n_qubits < 0:
             raise InvalidParameterError("cannot allocate a negative number of qubits")
         self._require_room(n_qubits)
@@ -564,7 +562,7 @@ class RegisterView:
         All targeted qubits must already be in collapsed basis states. The Nots
         are applied together, in one pass over the state.
         """
-        width = len(self)
+        value, width = _as_int(value, "register value"), len(self)
         if not 0 <= value < (1 << width):
             raise ValueOutOfRangeError(f"{value} does not fit in {width} qubits")
         current = self.context._classical_bits(self._exposed)
@@ -608,12 +606,12 @@ class RegisterView:
         (``SimulationContext._permute_support``).
         """
         ops = tuple(ops)
-        plan = _fused(ops, self._check)
+        plan = _fused(ops)
         if plan.top >= len(self):
             for op in ops:
                 self._check(op)  # raises for the first op that does not fit
         for op in plan.ops:
-            op.require_unitary()
+            op.require_unitary()  # every gate that can fail this is in ``plan.ops``
         if plan.classical and self.context._permute_support(plan.ops, self._exposed[:plan.top + 1]):
             return self
         for op in plan.ops:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .engine import SimulationContext
 from .errors import InvalidParameterError, ResourceExhaustedError
-from .numtheory import (  # noqa: F401  (re-exported driver utilities)
+from .numtheory import (
     bits_to_express,
     gcd,
     is_prime,

@@ -94,13 +94,21 @@ class TestRunOnBasis:
         (HARD_QUBIT_LIMIT, 0, cnot(0, 63), SizeMismatchError),
         (3, 0, hadamard(1), InvalidParameterError),
         (3, 0, pauli_z(1), InvalidParameterError),
+        (3, 0, toffoli(0, 1, 1 << 63), SizeMismatchError),  # a target past int64
     ])
-    def test_refusals_come_before_any_fusing(self, monkeypatch, width, value, op, error):
+    def test_refusals_come_before_any_fusing(self, width, value, op, error):
+        # once the inputs pass, a plan refused for a gate is fused and cached but
+        # never traced, and the miss and the hit refuse it alike
         plan = (cnot(0, 1), toffoli(0, 1, 2), op, pauli_x(0))
-        monkeypatch.setattr(engine, "_fuse", None)  # fusing would raise TypeError
-        with pytest.raises(error):
-            run_on_basis(plan, width, value)
-        assert plan not in engine._FUSED
+        engine._fused.cache_clear()
+        refusals = []
+        for _ in range(2):
+            with pytest.raises(error) as refused:
+                run_on_basis(plan, width, value)
+            refusals.append(str(refused.value))
+        assert refusals[0] == refusals[1]
+        inputs_fit = 0 <= width <= HARD_QUBIT_LIMIT and value >> width == 0
+        assert engine._fused.cache_info().hits == inputs_fit
 
     def test_zero_target_gates_pass_through_unfused(self):
         one = QuantumOperation("one", (), matrix=np.eye(1))

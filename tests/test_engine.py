@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -19,13 +20,14 @@ from sharq.errors import (
     DuplicateIndexesError,
     IndexOutOfRangeError,
     InvalidLocationError,
+    InvalidParameterError,
     NotClassicalStateError,
     NotUnitaryOperationError,
     QubitLimitExceededError,
     SizeMismatchError,
     ValueOutOfRangeError,
 )
-from sharq.arithmetic import OperationPlan, run_on_basis
+from sharq.arithmetic import OperationPlan, reverse_ops, run_on_basis
 from sharq.gates import QuantumOperation, toffoli
 
 from conftest import random_state
@@ -106,6 +108,20 @@ class TestAllocation:
         assert np.allclose(ctx._state, np.kron([S2, 0, 0, S2], [1, 0]))
         # the pair stays separable from the appended qubit
         assert np.allclose(pair.peek_amplitudes(), [S2, 0, 0, S2])
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: SimulationContext(qubit_cap=x),
+    lambda x: SimulationContext(seed=0).allocate_register(x),
+    lambda x: SimulationContext(seed=0).allocate_register(3).set_from_unsigned(x),
+    lambda x: run_on_basis((pauli_x(0),), x, 1),
+], ids=["qubit_cap", "allocate_register", "set_from_unsigned", "run_on_basis"])
+def test_sizes_and_values_must_be_integers(call):
+    for integer in (3, True, np.int64(2), np.uint8(3)):
+        call(integer)
+    for other in (2.5, 2.0, "3", None, np.float64(3)):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            call(other)
 
 
 class TestSlicing:
@@ -469,7 +485,7 @@ class TestApplyOperations:
     def test_a_target_outside_the_view_in_a_classical_plan_leaves_a_basis_state_untouched(self):
         plan = (pauli_x(0), cnot(0, 1), toffoli(0, 1, 3))
         self._basis(4, 0)[1].apply_operations(plan)  # the fused plan is now cached
-        assert engine._fused(plan, None).classical
+        assert engine._fused(plan).classical
         for ctx, view in (self._basis(3, 0b110), self._basis(6, 0b011010)):
             view = view if len(view) == 3 else view.slice((5, 1, 3))
             before = ctx._state.copy()
@@ -502,18 +518,41 @@ class TestApplyOperations:
         assert ctx._state is state and np.array_equal(state, reference._state)
         assert peak < state.nbytes / 8  # the bool mask of the support count is nbytes / 16
 
+    def test_an_empty_plan_touches_nothing(self, monkeypatch):
+        ctx, reg = self._basis(6, 0b101101)
+        state, before = ctx._state, ctx._state.copy()
+        monkeypatch.setattr(ctx, "_permute_support", None)  # would count the support
+        monkeypatch.setattr(ctx, "_apply", None)
+        reg.apply_operations(reverse_ops([3]).ops)  # one qubit: no swaps
+        assert ctx._state is state and np.array_equal(state, before)
+        assert run_on_basis((), 6, 0b101101) == 0b101101
+
+    def test_a_plan_in_use_outlives_single_use_plans(self, monkeypatch):
+        # a least-recently-used bound keeps the hot plan, traced between 72 plans
+        # that are each traced once; oldest-first eviction would drop it
+        composed = []
+        compose = engine._compose
+        monkeypatch.setattr(engine, "_compose",
+                            lambda group, union: composed.append(group) or compose(group, union))
+        hot = (pauli_x(0), cnot(0, 1), toffoli(0, 1, 2))
+        engine._fused.cache_clear()
+        for a, b in itertools.permutations(range(3, 12), 2):
+            assert run_on_basis(hot, 12, 0) == 0b111 << 9
+            run_on_basis((cnot(a, b), pauli_x(a)), 12, 0)
+        assert sum(group == list(hot) for group in composed) == 1
+
     def test_runs_of_permutations_fuse_and_barriers_pass_through(self):
         one = QuantumOperation("one", (), matrix=np.eye(1))
         plan = OperationPlan((pauli_x(0), cnot(0, 5), toffoli(5, 0, 2), hadamard(3), one,
                               cnot(3, 4), pauli_x(9), pauli_x(1), cnot(1, 7), pauli_x(8)), ())
         reg = SimulationContext(seed=0).allocate_register(10)
-        fused, top, classical = engine._fused(plan.ops, reg._check)
+        fused, top, classical = engine._fused(plan.ops)
         assert top == 9 and not classical
         assert [op.targets for op in fused] == [
             (0, 2, 5), (3,), (), (1, 3, 4, 7, 8, 9)]
         assert fused[1] is hadamard(3) and fused[2] is one
         reg.apply_operations(plan.ops)
-        assert engine._fused(plan.ops, None) is engine._fused(plan.ops, None)  # cached
+        assert engine._fused(plan.ops) is engine._fused(plan.ops)  # cached
         assert len(plan) == 10 and plan.inverse().ops[0] is pauli_x(8)  # plans stay unfused
 
     def test_a_fused_eight_qubit_permutation_moves_slices_in_place(self):
@@ -523,7 +562,7 @@ class TestApplyOperations:
         scattered = (0, 2, 5, 6, 9, 11, 12, 15)
         plan = (*(pauli_x(q) for q in scattered), cnot(2, 9), toffoli(0, 15, 6), cnot(12, 5))
         ctx, reg = self._random(16)
-        (fused,), _, _ = engine._fused(plan, reg._check)
+        (fused,), _, _ = engine._fused(plan)
         assert fused.targets == scattered
         reg.apply_operations(plan)  # composes the permutation and its cycles once
         tracemalloc.start()

@@ -299,7 +299,7 @@ def test_nine_qubit_permutation_takes_the_axis_move():
     assert np.array_equal(ctx._state, expected)
 
     plan = (cnot(4, 7), pauli_x(0), wide, toffoli(4, 7, 0))
-    fused = engine._fused(plan, reg._check).ops
+    fused = engine._fused(plan).ops
     assert [op.targets for op in fused] == [(0, 4, 7), physical, (4, 7, 0)]
     assert fused[1] is wide and fused[2] is plan[3]  # a lone gate is kept as it is
     for op in plan:
