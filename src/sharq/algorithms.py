@@ -9,9 +9,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arithmetic import OperationPlan, _check_distinct, _multiply_round, reverse_ops, run_on_basis
+from .arithmetic import OperationPlan, _multiply_round, reverse_ops, run_on_basis
 from .engine import RegisterView, SimulationContext
-from .errors import InvalidParameterError, OracleCompilationError, SizeMismatchError
+from .errors import (InvalidParameterError, OracleCompilationError, SizeMismatchError,
+                     as_indices, as_int)
 from .gates import QuantumOperation, cnot, controlled_u, hadamard, pauli_x, rotation_k
 from .numtheory import bits_to_express, mod_pow
 
@@ -32,8 +33,7 @@ class PeriodSample:
 
 def hadamard_all_ops(indices) -> OperationPlan:
     """One Hadamard per index; from |0...0> this is the uniform superposition."""
-    indices = [int(i) for i in indices]
-    _check_distinct(indices)
+    (indices,) = as_indices(indices)
     return OperationPlan(tuple(hadamard(i) for i in indices), tuple(indices))
 
 
@@ -47,8 +47,7 @@ def qft_ops(indices) -> OperationPlan:
     The full plan matrix equals the DFT matrix with omega = exp(2*pi*i/2^n)
     and 1/sqrt(2^n) scaling; for one qubit it is just the Hadamard.
     """
-    indices = [int(i) for i in indices]
-    _check_distinct(indices)
+    (indices,) = as_indices(indices)
     ops: list[QuantumOperation] = []
     for j, target in enumerate(indices):
         ops.append(hadamard(target))
@@ -73,10 +72,11 @@ def _multiply_oracle(name: str, images: np.ndarray, n: int) -> QuantumOperation:
     return QuantumOperation(name, tuple(range(n + 1)), permutation=perm)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32, typed=True)
 def semantic_uf(m: int, modulus: int) -> QuantumOperation:
     """Controlled multiply |c>|y> -> |c>|m**c * y mod modulus> on the control
     then n work qubits; y >= modulus is left fixed."""
+    m, modulus = as_int(m, "m"), as_int(modulus, "modulus")
     if modulus < 2:
         raise InvalidParameterError(f"modulus must exceed 1, got {modulus}")
     if math.gcd(m, modulus) != 1:
@@ -86,7 +86,7 @@ def semantic_uf(m: int, modulus: int) -> QuantumOperation:
                             bits_to_express(modulus))
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32, typed=True)
 def circuit_uf(m: int, modulus: int) -> QuantumOperation:
     """The oracle of ``semantic_uf`` compiled from one VBE multiply round.
 
@@ -94,6 +94,7 @@ def circuit_uf(m: int, modulus: int) -> QuantumOperation:
     with the modulus register holding N and the other 3n+2 ancillas at 0. It
     must give back all but y as it found them, and y too when c = 0.
     """
+    m, modulus = as_int(m, "m"), as_int(modulus, "modulus")
     n = bits_to_express(modulus)
     width, work = 5 * n + 3, 4 * n + 2  # y sits at bits work .. work+n-1, c above it
     ancillas = range(n + 1, width)      # modulus register, temp, multiplier scratch
@@ -128,6 +129,7 @@ def shor_quantum_step(ctx: SimulationContext, n_value: int, m: int,
     ``oracle`` picks ``semantic_uf`` or ``circuit_uf``; both are the same
     permutation, so a seed samples alike through either.
     """
+    n_value, m = as_int(n_value, "N"), as_int(m, "m")
     if math.gcd(m, n_value) != 1:
         raise InvalidParameterError(f"m={m} shares a factor with N={n_value}")
     build = {"semantic": semantic_uf, "circuit": circuit_uf}.get(oracle)
@@ -218,7 +220,7 @@ def deutsch(ctx: SimulationContext, oracle) -> str:
     as the 2-qubit permutation |x>|y> -> |x>|y XOR f(x)> built from CNot
     and/or X gates.
     """
-    f0, f1 = int(oracle(0)), int(oracle(1))
+    f0, f1 = as_int(oracle(0), "oracle output"), as_int(oracle(1), "oracle output")
     if f0 not in (0, 1) or f1 not in (0, 1):
         raise InvalidParameterError("oracle must return bits")
     reg = ctx.allocate_register(2)

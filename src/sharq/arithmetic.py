@@ -18,12 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DuplicateIndexesError,
-    InvalidParameterError,
-    SizeMismatchError,
-)
-from .engine import _as_int, _fused
+from .engine import _fused
+from .errors import InvalidParameterError, SizeMismatchError, as_indices, as_int
 from .gates import HARD_QUBIT_LIMIT, QuantumOperation, cnot, pauli_x, toffoli, trace_words
 
 
@@ -42,15 +38,6 @@ class OperationPlan:
         return len(self.ops)
 
 
-def _check_distinct(*index_groups):
-    seen = set()
-    for group in index_groups:
-        for i in group:
-            if i in seen:
-                raise DuplicateIndexesError(f"index {i} is specified more than once")
-            seen.add(i)
-
-
 def run_on_basis(ops, width: int, value):
     """Trace a classical reversible circuit on basis states.
 
@@ -61,17 +48,17 @@ def run_on_basis(ops, width: int, value):
     before the trace; runs of gates are then traced as the fused permutations
     the engine applies.
     """
-    values, width = np.asarray(value), _as_int(width, "trace width")
+    values, width = np.asarray(value), as_int(width, "trace width")
     if not 0 <= width <= HARD_QUBIT_LIMIT:
         raise InvalidParameterError(f"cannot trace {width} qubits; the limit is {HARD_QUBIT_LIMIT}")
     if values.dtype.kind not in "iu" or ((values < 0) | (values >> width != 0)).any():
         raise InvalidParameterError(f"{value} does not fit in {width} bits")
 
     def check(op):
-        op.basis_flips  # refuses a gate that is not a basis permutation
         for t in op.targets:
             if t >= width:
                 raise SizeMismatchError(f"{op.name} targets qubit {t} of a {width}-qubit register")
+        op.basis_flips  # refuses a gate that is not a basis permutation
 
     ops = tuple(ops)
     plan = _fused(ops)
@@ -80,7 +67,7 @@ def run_on_basis(ops, width: int, value):
             check(op)  # raises for the first gate that cannot be traced
     pad = HARD_QUBIT_LIMIT - width  # qubit t at bit 61 - t, for every width
     if values.ndim == 0:
-        return trace_words(plan.ops, int(values) << pad) >> pad
+        return trace_words(plan.ops, values.item() << pad) >> pad
     return trace_words(plan.ops, values.astype(np.int64) << pad) >> pad
 
 
@@ -88,19 +75,22 @@ def run_on_basis(ops, width: int, value):
 
 def sum_ops(carry: int, x: int, y: int) -> OperationPlan:
     """y <- carry XOR x XOR y; carry and x unchanged."""
-    _check_distinct((carry, x, y))
-    return OperationPlan((cnot(carry, y), cnot(x, y)), (y,))
+    carry, x, y = as_indices((carry, x, y))[0]
+    return OperationPlan(_sum(carry, x, y), (y,))
+
+
+def _sum(carry, x, y):
+    return cnot(carry, y), cnot(x, y)
 
 
 def carry_ops(carry: int, x: int, y: int, ancilla: int) -> OperationPlan:
     """y <- x XOR y; ancilla accumulates the carry (majority) term."""
-    _check_distinct((carry, x, y, ancilla))
-    ops = (
-        toffoli(x, y, ancilla),
-        cnot(x, y),
-        toffoli(carry, y, ancilla),
-    )
-    return OperationPlan(ops, (y, ancilla))
+    carry, x, y, ancilla = as_indices((carry, x, y, ancilla))[0]
+    return OperationPlan(_carry(carry, x, y, ancilla), (y, ancilla))
+
+
+def _carry(carry, x, y, ancilla):
+    return toffoli(x, y, ancilla), cnot(x, y), toffoli(carry, y, ancilla)
 
 
 def carry_inverse_ops(carry: int, x: int, y: int, ancilla: int) -> OperationPlan:
@@ -117,32 +107,28 @@ def add_n_ops(x_indices, y_indices, ancilla_indices) -> OperationPlan:
     X is unchanged; ancillae must be |0> at application time, all but the
     carry-out are restored. The inverse plan performs subtraction.
     """
-    if x_indices is None or y_indices is None or ancilla_indices is None:
-        raise TypeError("index lists must not be None")
-    x = [int(i) for i in x_indices]
-    y = [int(i) for i in y_indices]
-    anc = [int(i) for i in ancilla_indices]
+    x, y, anc = as_indices(x_indices, y_indices, ancilla_indices)
     if len(x) != len(y):
         raise SizeMismatchError("X and Y registers must be the same width")
     if len(anc) != len(x) + 1:
         raise SizeMismatchError("need exactly one more ancilla than X/Y qubits")
-    _check_distinct(x, y, anc)
 
     n = len(x)
-    # little-endian rails; carries[i] feeds bit i, carries[n] is the carry-out
+    # little-endian rails; carries[i] feeds bit i, carries[n] is the carry-out;
+    # the indices are checked, so the gates come from the unchecked builders
     xs = x[::-1]
     ys = y[::-1]
-    carries = anc[:0:-1] + [anc[0]]
+    carries = (*anc[:0:-1], anc[0])
 
     ops: list[QuantumOperation] = []
     for i in range(n):
-        ops.extend(carry_ops(carries[i], xs[i], ys[i], carries[i + 1]).ops)
+        ops.extend(_carry(carries[i], xs[i], ys[i], carries[i + 1]))
     ops.append(cnot(xs[n - 1], ys[n - 1]))
-    ops.extend(sum_ops(carries[n - 1], xs[n - 1], ys[n - 1]).ops)
+    ops.extend(_sum(carries[n - 1], xs[n - 1], ys[n - 1]))
     # one fewer inverse carry than carries: walk back down restoring ancillae
     for i in range(n - 2, -1, -1):
-        ops.extend(carry_inverse_ops(carries[i], xs[i], ys[i], carries[i + 1]).ops)
-        ops.extend(sum_ops(carries[i], xs[i], ys[i]).ops)
+        ops.extend(reversed(_carry(carries[i], xs[i], ys[i], carries[i + 1])))
+        ops.extend(_sum(carries[i], xs[i], ys[i]))
     return OperationPlan(tuple(ops), (anc[0], *y))
 
 
@@ -156,23 +142,19 @@ def modular_add_ops(x_indices, y_indices, modulus_indices, scratch_indices,
     restored; ``scratch_indices`` is n+1 zeroed qubits (overflow bit plus the
     carry chain) and ``flag`` one zeroed qubit, all restored to |0>.
     """
-    x = [int(i) for i in x_indices]
-    y = [int(i) for i in y_indices]
-    n_reg = [int(i) for i in modulus_indices]
-    scratch = [int(i) for i in scratch_indices]
-    flag = int(flag)
-    n = len(x)
+    x, y, n_reg, scratch, (flag,) = as_indices(
+        x_indices, y_indices, modulus_indices, scratch_indices, (flag,))
+    n, modulus = len(x), as_int(modulus, "modulus")
     if not (len(y) == n and len(n_reg) == n):
         raise SizeMismatchError("X, Y, and modulus registers must share one width")
     if len(scratch) != n + 1:
         raise SizeMismatchError("modular add needs n+1 scratch qubits (overflow + carries)")
     if modulus < 1 or modulus >= (1 << n):
         raise InvalidParameterError(f"modulus {modulus} does not fit in {n} bits")
-    _check_distinct(x, y, n_reg, scratch, [flag])
 
-    overflow, carries = scratch[0], scratch[1:]
-    add_x = add_n_ops(x, y, [overflow] + carries)
-    add_modulus = add_n_ops(n_reg, y, [overflow] + carries)
+    overflow = scratch[0]
+    add_x = add_n_ops(x, y, scratch)
+    add_modulus = add_n_ops(n_reg, y, scratch)
     # CNots that zero the modulus register when the flag is set
     reset_modulus = tuple(
         cnot(flag, n_reg[i]) for i in range(n) if (modulus >> (n - 1 - i)) & 1
@@ -208,12 +190,9 @@ def controlled_modular_multiply_ops(control: int, x_indices, y_indices,
     ``scratch_indices`` is 2n+2 zeroed qubits: n addend, n+1 modular-add
     scratch, 1 flag.
     """
-    x = [int(i) for i in x_indices]
-    y = [int(i) for i in y_indices]
-    n_reg = [int(i) for i in modulus_indices]
-    scratch = [int(i) for i in scratch_indices]
-    control = int(control)
-    n = len(x)
+    (control,), x, y, n_reg, scratch = as_indices(
+        (control,), x_indices, y_indices, modulus_indices, scratch_indices)
+    n, multiplier, modulus = len(x), as_int(multiplier, "multiplier"), as_int(modulus, "modulus")
     if math.gcd(multiplier, modulus) != 1:
         raise InvalidParameterError(
             f"multiplier {multiplier} shares a factor with modulus {modulus}"
@@ -222,7 +201,6 @@ def controlled_modular_multiply_ops(control: int, x_indices, y_indices,
         raise SizeMismatchError("X, Y, and modulus registers must share one width")
     if len(scratch) != 2 * n + 2:
         raise SizeMismatchError("controlled multiply needs 2n+2 scratch qubits")
-    _check_distinct([control], x, y, n_reg, scratch)
 
     addend = scratch[:n]
     adder_scratch = scratch[n:2 * n + 1]
@@ -259,17 +237,14 @@ def modular_exponentiation_ops(reg1_indices, reg2_indices, ancilla_indices,
     2n+2 controlled-multiplier scratch. Cascades controlled multiplications
     by base**(2^j) mod modulus, conditioned on REG1 bit j.
     """
-    reg1 = [int(i) for i in reg1_indices]
-    reg2 = [int(i) for i in reg2_indices]
-    anc = [int(i) for i in ancilla_indices]
-    n = len(reg2)
+    reg1, reg2, anc = as_indices(reg1_indices, reg2_indices, ancilla_indices)
+    n, base, modulus = len(reg2), as_int(base, "base"), as_int(modulus, "modulus")
     if math.gcd(base, modulus) != 1:
         raise InvalidParameterError(f"base {base} shares a factor with modulus {modulus}")
     if len(reg1) != 2 * n:
         raise SizeMismatchError("REG1 must be twice as wide as REG2")
     if len(anc) != 4 * n + 2:
         raise SizeMismatchError("modular exponentiation needs 4n+2 ancilla qubits")
-    _check_distinct(reg1, reg2, anc)
 
     n_reg = anc[:n]
     temp = anc[n:2 * n]
@@ -309,8 +284,7 @@ def reverse_ops(indices) -> OperationPlan:
     The middle qubit of an odd-length list is untouched; a single qubit
     yields an empty plan.
     """
-    indices = [int(i) for i in indices]
-    _check_distinct(indices)
+    (indices,) = as_indices(indices)
     ops: list[QuantumOperation] = []
     for i in range(len(indices) // 2):
         a, b = indices[i], indices[len(indices) - 1 - i]

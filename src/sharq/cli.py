@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_seed(seed) -> int:
     if seed is not None:
-        return int(seed)
+        return seed
     return int(np.random.SeedSequence().generate_state(1)[0])
 
 

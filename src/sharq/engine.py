@@ -33,7 +33,6 @@ the support size, and either way the state comes out bit-identical.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -42,7 +41,6 @@ import numpy as np
 
 from .errors import (
     DebugOnlyViolationError,
-    DuplicateIndexesError,
     IndexOutOfRangeError,
     InvalidLocationError,
     InvalidParameterError,
@@ -50,6 +48,8 @@ from .errors import (
     QubitLimitExceededError,
     SizeMismatchError,
     ValueOutOfRangeError,
+    as_indices,
+    as_int,
 )
 from .gates import HARD_QUBIT_LIMIT, QuantumOperation, trace_words
 
@@ -65,14 +65,6 @@ _CLASSICAL_ATOL = 1e-9
 # What numpy raises when it cannot build an array: MemoryError when the pages
 # cannot be reserved, ValueError ("array is too big") past what it can address.
 _ALLOCATION_FAILURES = (MemoryError, ValueError)
-
-
-def _as_int(value, what: str) -> int:
-    """``value`` as an int, if ``operator.index`` takes it (ints, bools, numpy integers)."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidParameterError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _unallocatable(n_qubits: int) -> QubitLimitExceededError:
@@ -225,7 +217,8 @@ def _fused(ops: tuple[QuantumOperation, ...]) -> _FusedPlan:
 
 def trial_seed(master_seed: int, trial_index: int) -> np.random.SeedSequence:
     """Stable per-trial seed so batch results don't depend on execution order."""
-    return np.random.SeedSequence(entropy=(int(master_seed), int(trial_index)))
+    return np.random.SeedSequence(entropy=(as_int(master_seed, "seed"),
+                                           as_int(trial_index, "trial index")))
 
 
 @dataclass(frozen=True)
@@ -259,7 +252,7 @@ class SimulationContext:
     """
 
     def __init__(self, seed=None, qubit_cap: int = DEFAULT_QUBIT_CAP, debug: bool = False):
-        qubit_cap = _as_int(qubit_cap, "qubit cap")
+        qubit_cap = as_int(qubit_cap, "qubit cap")
         if not 0 < qubit_cap <= HARD_QUBIT_LIMIT:
             raise QubitLimitExceededError(
                 f"qubit cap must be in [1, {HARD_QUBIT_LIMIT}], got {qubit_cap}"
@@ -299,7 +292,7 @@ class SimulationContext:
         within the cap whose array cannot be allocated is refused the same
         way; either refusal leaves the context unchanged.
         """
-        n_qubits = _as_int(n_qubits, "qubit count")
+        n_qubits = as_int(n_qubits, "qubit count")
         if n_qubits < 0:
             raise InvalidParameterError("cannot allocate a negative number of qubits")
         self._require_room(n_qubits)
@@ -516,28 +509,29 @@ class RegisterView:
 
     def slice(self, indices) -> "RegisterView":
         """New view of the selected exposed indices, in the given order."""
-        indices = [int(i) for i in indices]
+        (indices,) = as_indices(indices)
         for i in indices:
             if not 0 <= i < len(self._exposed):
                 raise IndexOutOfRangeError(f"index {i} out of range for {len(self)} qubits")
-        if len(set(indices)) != len(indices):
-            raise DuplicateIndexesError(f"slice indices must be unique, got {indices}")
         return RegisterView(self.context, tuple(self._exposed[i] for i in indices))
 
     def slice_to(self, index: int) -> "RegisterView":
         """Qubits 0 through ``index`` inclusive."""
+        index = as_int(index, "index")
         if not 0 <= index < len(self):
             raise IndexOutOfRangeError(f"index {index} out of range for {len(self)} qubits")
         return self.slice(range(index + 1))
 
     def slice_from(self, index: int) -> "RegisterView":
         """Qubits ``index`` through the end."""
+        index = as_int(index, "index")
         if not 0 <= index < len(self):
             raise IndexOutOfRangeError(f"index {index} out of range for {len(self)} qubits")
         return self.slice(range(index, len(self)))
 
     def slice_range(self, start: int, stop: int) -> "RegisterView":
         """Qubits ``start`` through ``stop`` inclusive."""
+        start, stop = as_int(start, "index"), as_int(stop, "index")
         if not 0 <= start <= stop < len(self):
             raise IndexOutOfRangeError(f"bad range [{start}, {stop}] for {len(self)} qubits")
         return self.slice(range(start, stop + 1))
@@ -562,7 +556,7 @@ class RegisterView:
         All targeted qubits must already be in collapsed basis states. The Nots
         are applied together, in one pass over the state.
         """
-        value, width = _as_int(value, "register value"), len(self)
+        value, width = as_int(value, "register value"), len(self)
         if not 0 <= value < (1 << width):
             raise ValueOutOfRangeError(f"{value} does not fit in {width} qubits")
         current = self.context._classical_bits(self._exposed)
@@ -625,17 +619,8 @@ class RegisterView:
 
         Collapse propagates to every view sharing the measured qubits.
         """
-        if subset is None:
-            physical = self._exposed
-        else:
-            subset = [int(i) for i in subset]
-            for i in subset:
-                if not 0 <= i < len(self):
-                    raise IndexOutOfRangeError(f"index {i} out of range for {len(self)} qubits")
-            if len(set(subset)) != len(subset):
-                raise DuplicateIndexesError(f"measurement indices must be unique, got {subset}")
-            physical = tuple(self._exposed[i] for i in subset)
-        return ClassicalResult(self.context._measure(physical))
+        view = self if subset is None else self.slice(subset)
+        return ClassicalResult(self.context._measure(view._exposed))
 
     # -- debug-only inspection ---------------------------------------------
 

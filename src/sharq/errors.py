@@ -1,4 +1,8 @@
-"""Exception types raised by the simulation."""
+"""Exception types raised by the simulation.
+
+``as_int`` and ``as_indices`` parse every integer argument and qubit index, refusing floats.
+"""
+import operator
 
 
 class SharqError(Exception):
@@ -63,3 +67,21 @@ class SemanticOracleNotMaterializableError(SharqError):
 
 class ResourceExhaustedError(SharqError):
     """The retry budget for a probabilistic procedure ran out."""
+
+
+def as_int(value, what: str) -> int:
+    """``value`` as an int, if ``operator.index`` takes it (ints, bools, numpy integers)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParameterError(f"{what} must be an integer, got {value!r}") from None
+
+
+def as_indices(*groups) -> tuple[tuple[int, ...], ...]:
+    """Each group of qubit indices as a tuple of ints; no index may repeat across the groups."""
+    parsed = tuple(tuple(as_int(i, "qubit index") for i in group) for group in groups)
+    flat = [i for group in parsed for i in group]
+    if len(set(flat)) != len(flat):
+        repeated = next(i for n, i in enumerate(flat) if i in flat[:n])
+        raise DuplicateIndexesError(f"index {repeated} is specified more than once")
+    return parsed

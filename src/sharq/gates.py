@@ -19,12 +19,13 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    DuplicateIndexesError,
     InvalidParameterError,
     NotUnitaryOperationError,
     QubitLimitExceededError,
     SemanticOracleNotMaterializableError,
     SizeMismatchError,
+    as_indices,
+    as_int,
 )
 
 # Basis labels are int64 words, so no state or basis trace is wider than
@@ -69,7 +70,7 @@ class QuantumOperation:
     def __post_init__(self):
         if (self.matrix is None) == (self.permutation is None):
             raise InvalidParameterError("operation needs exactly one of matrix/permutation")
-        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
+        object.__setattr__(self, "targets", as_indices(self.targets)[0])
         if self.matrix is not None:
             object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
         else:
@@ -85,8 +86,6 @@ class QuantumOperation:
             raise SizeMismatchError(
                 f"{self.name}: {k}-qubit action needs {k} targets, got {len(self.targets)}"
             )
-        if len(set(self.targets)) != len(self.targets):
-            raise DuplicateIndexesError(f"{self.name}: targets must be unique, got {self.targets}")
         if any(t < 0 for t in self.targets):
             raise InvalidParameterError(f"{self.name}: negative target index")
 
@@ -158,7 +157,11 @@ class QuantumOperation:
 
     @cached_property
     def _permutation_inverse(self) -> np.ndarray:
-        return np.argsort(self._basis_images)
+        """The inverse basis map, by one scatter; read only after ``require_unitary`` passed."""
+        images = self._basis_images
+        inverse = np.empty_like(images)
+        inverse[images] = np.arange(len(images))
+        return inverse
 
     def inverse(self) -> "QuantumOperation":
         """The adjoint on the same targets, built once; self-inverse gates share the instance."""
@@ -166,6 +169,7 @@ class QuantumOperation:
 
     @cached_property
     def _adjoint(self) -> "QuantumOperation":
+        self.require_unitary()  # a non-bijection's inverse map would be a bijection
         name = self.name[:-1] if self.name.endswith("†") else self.name + "†"
         if self.matrix is not None:
             adjoint = self.matrix.conj().T
@@ -179,11 +183,6 @@ class QuantumOperation:
 
     def retarget(self, new_targets) -> "QuantumOperation":
         """Same action on different targets; the original is unmodified."""
-        new_targets = tuple(int(t) for t in new_targets)
-        if len(new_targets) != self.arity:
-            raise SizeMismatchError(
-                f"{self.name}: expected {self.arity} targets, got {len(new_targets)}"
-            )
         return replace(self, targets=new_targets)
 
     @cached_property
@@ -241,44 +240,45 @@ class GateSpec:
     parameter: float | int | None = None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def hadamard(target: int = 0) -> QuantumOperation:
     return QuantumOperation("H", (target,), matrix=_H)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def pauli_x(target: int = 0) -> QuantumOperation:
     return QuantumOperation("X", (target,), matrix=_X)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def pauli_y(target: int = 0) -> QuantumOperation:
     return QuantumOperation("Y", (target,), matrix=_Y)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def pauli_z(target: int = 0) -> QuantumOperation:
     return QuantumOperation("Z", (target,), matrix=_Z)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def phase_s(target: int = 0) -> QuantumOperation:
     return QuantumOperation("S", (target,), matrix=_S)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def phase_t(target: int = 0) -> QuantumOperation:
     return QuantumOperation("T", (target,), matrix=_T)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def identity_gate(target: int = 0) -> QuantumOperation:
     return QuantumOperation("I", (target,), matrix=_I)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def rotation_k(k: int, target: int = 0) -> QuantumOperation:
     """Phase rotation by 2*pi/2**k; R_2 is S and R_3 is T."""
+    k = as_int(k, "R_k parameter")
     if k < 1:
         raise InvalidParameterError(f"R_k needs k >= 1, got {k}")
     m = np.array([[1, 0], [0, np.exp(2j * np.pi / (1 << k))]], dtype=complex)
@@ -316,32 +316,32 @@ def single_qubit_gate(spec: GateSpec, target: int = 0) -> QuantumOperation:
         if spec.parameter is None:
             raise InvalidParameterError(f"{spec.kind} requires a parameter")
         if spec.kind == "R_k":
-            return rotation_k(int(spec.parameter), target)
+            return rotation_k(spec.parameter, target)
         return _SPEC_PARAM[spec.kind](float(spec.parameter), target)
     raise InvalidParameterError(f"unknown gate kind {spec.kind!r}")
 
 
 # --- multi-qubit catalog --------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def cnot(control: int = 0, target: int = 1) -> QuantumOperation:
     """Flips ``target`` iff ``control`` is |1>."""
     return QuantumOperation("CNot", (control, target), matrix=_CNOT)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def swap(a: int = 0, b: int = 1) -> QuantumOperation:
     return QuantumOperation("Swap", (a, b), matrix=_SWAP)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def toffoli(control1: int = 0, control2: int = 1, target: int = 2) -> QuantumOperation:
     m = np.eye(8, dtype=complex)
     m[6:, 6:] = _X
     return QuantumOperation("Toffoli", (control1, control2, target), matrix=m)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def fredkin(control: int = 0, a: int = 1, b: int = 2) -> QuantumOperation:
     """Controlled swap of ``a`` and ``b``; preserves the number of |1>s."""
     m = np.eye(8, dtype=complex)
@@ -355,7 +355,7 @@ def controlled_u(u, controls, target: int) -> QuantumOperation:
     ``u`` may be a 1-qubit QuantumOperation or a bare 2x2 matrix. For one
     control the matrix is the block form [[I, 0], [0, U]].
     """
-    controls = tuple(int(c) for c in controls)
+    controls = tuple(controls)
     if not controls:
         raise InvalidParameterError("controlled_u needs at least one control")
     if isinstance(u, QuantumOperation):
@@ -374,7 +374,7 @@ def controlled_u(u, controls, target: int) -> QuantumOperation:
 
 def walsh(targets) -> QuantumOperation:
     """Hadamard tensored over every target as a single operation."""
-    targets = tuple(int(t) for t in targets)
+    targets = tuple(targets)
     if len(targets) > linalg.MAX_MATRIX_QUBITS:
         raise QubitLimitExceededError(f"Walsh over {len(targets)} qubits is too wide to materialize")
     m = np.array([[1.0]], dtype=complex)
@@ -391,6 +391,7 @@ def expand_to_full_matrix(op: QuantumOperation, n_qubits: int) -> np.ndarray:
     Built by explicit index arithmetic so it stays an independent oracle for
     the direct state-vector application path.
     """
+    n_qubits = as_int(n_qubits, "qubit count")
     if n_qubits > linalg.MAX_MATRIX_QUBITS:
         raise QubitLimitExceededError(
             f"full-matrix expansion is capped at {linalg.MAX_MATRIX_QUBITS} qubits, got {n_qubits}"

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotSquareError, QubitLimitExceededError
+from .errors import DimensionMismatchError, NotSquareError, QubitLimitExceededError, as_int
 
 # Tolerances: unitarity checks and state comparisons accumulate round-off
 # differently, so they get separate defaults.
@@ -75,6 +75,7 @@ def approx_equal(a, b, tol: float = STATE_TOL) -> bool:
 
 def identity(n_qubits: int) -> np.ndarray:
     """Identity operator on ``n_qubits`` qubits (2**n x 2**n); n=0 gives [[1]]."""
+    n_qubits = as_int(n_qubits, "qubit count")
     if n_qubits < 0:
         raise QubitLimitExceededError("qubit count must be non-negative")
     if n_qubits > MAX_MATRIX_QUBITS:

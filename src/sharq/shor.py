@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .engine import SimulationContext
-from .errors import InvalidParameterError, ResourceExhaustedError
+from .errors import InvalidParameterError, ResourceExhaustedError, as_int
 from .numtheory import (
     bits_to_express,
     gcd,
@@ -63,8 +63,9 @@ def shor_factor(ctx: SimulationContext, n_value: int, force_m: int | None = None
     """
     from .algorithms import extract_period, shor_quantum_step
 
+    n_value = as_int(n_value, "N")
     _screen(n_value)
-    if force_m is not None and not 1 < force_m < n_value:
+    if force_m is not None and not 1 < (force_m := as_int(force_m, "m")) < n_value:
         raise InvalidParameterError(f"forced m must satisfy 1 < m < N, got {force_m}")
 
     n_bits = bits_to_express(n_value)

@@ -95,6 +95,7 @@ class TestRunOnBasis:
         (3, 0, hadamard(1), InvalidParameterError),
         (3, 0, pauli_z(1), InvalidParameterError),
         (3, 0, toffoli(0, 1, 1 << 63), SizeMismatchError),  # a target past int64
+        (3, 0, toffoli(0, 1, 1 << 64), SizeMismatchError),  # a target past uint64
     ])
     def test_refusals_come_before_any_fusing(self, width, value, op, error):
         # once the inputs pass, a plan refused for a gate is fused and cached but

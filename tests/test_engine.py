@@ -9,11 +9,29 @@ import sharq
 from sharq import (
     ClassicalResult,
     SimulationContext,
+    add_n_ops,
+    bits_to_express,
     cnot,
+    controlled_modular_multiply_ops,
+    controlled_u,
+    deutsch,
     engine,
+    expand_to_full_matrix,
+    gcd,
     hadamard,
+    hadamard_all_ops,
+    is_prime,
+    is_prime_power,
+    linalg,
+    mod_pow,
+    modular_add_ops,
+    modular_exponentiation_ops,
     pauli_x,
+    qft_ops,
     retarget,
+    rotation_k,
+    shor_quantum_step,
+    walsh,
 )
 from sharq.errors import (
     DebugOnlyViolationError,
@@ -27,8 +45,10 @@ from sharq.errors import (
     SizeMismatchError,
     ValueOutOfRangeError,
 )
+from sharq.algorithms import circuit_uf, semantic_uf
 from sharq.arithmetic import OperationPlan, reverse_ops, run_on_basis
 from sharq.gates import QuantumOperation, toffoli
+from sharq.shor import shor_factor
 
 from conftest import random_state
 
@@ -110,18 +130,92 @@ class TestAllocation:
         assert np.allclose(pair.peek_amplitudes(), [S2, 0, 0, S2])
 
 
-@pytest.mark.parametrize("call", [
-    lambda x: SimulationContext(qubit_cap=x),
-    lambda x: SimulationContext(seed=0).allocate_register(x),
-    lambda x: SimulationContext(seed=0).allocate_register(3).set_from_unsigned(x),
-    lambda x: run_on_basis((pauli_x(0),), x, 1),
-], ids=["qubit_cap", "allocate_register", "set_from_unsigned", "run_on_basis"])
-def test_sizes_and_values_must_be_integers(call):
-    for integer in (3, True, np.int64(2), np.uint8(3)):
-        call(integer)
-    for other in (2.5, 2.0, "3", None, np.float64(3)):
+def _register(width=4):
+    return SimulationContext(seed=0).allocate_register(width)
+
+
+def _gates(plan):
+    """A plan as comparable data: its gates' names and targets, and its result indices."""
+    return [(op.name, op.targets) for op in plan.ops], plan.result_indices
+
+
+_MODADD = (range(2), range(2, 4), range(4, 6), range(6, 9))  # x, y, modulus, scratch at n = 2
+_CMM = (range(1, 3), range(3, 5), range(5, 7), range(7, 13))  # x, y, modulus, scratch at n = 2
+_MODEXP = (range(4), range(4, 6), range(6, 16))  # REG1, REG2, ancillas at n = 2
+
+
+@pytest.mark.parametrize("call,value", [
+    (lambda x: SimulationContext(qubit_cap=x).qubit_cap, 1),
+    (lambda x: _register(x).exposed, 1),
+    (lambda x: _register(3).set_from_unsigned(x).measure().bits, 1),
+    (lambda x: run_on_basis((pauli_x(0),), x, 1), 1),
+    (lambda x: _register().slice_to(x).exposed, 2),
+    (lambda x: _register().slice_from(x).exposed, 2),
+    (lambda x: _register().slice_range(0, x).exposed, 2),
+    (lambda x: hadamard(x).targets, 3),
+    (lambda x: rotation_k(x).matrix.tolist(), 3),
+    (lambda x: expand_to_full_matrix(pauli_x(0), x).tolist(), 2),
+    (lambda x: linalg.identity(x).tolist(), 2),
+    (lambda x: _gates(modular_add_ops(*_MODADD, 9, x)), 3),
+    (lambda x: _gates(modular_add_ops(*_MODADD, x, 3)), 9),
+    (lambda x: _gates(controlled_modular_multiply_ops(x, *_CMM, 2, 3)), 0),
+    (lambda x: _gates(controlled_modular_multiply_ops(0, *_CMM, x, 3)), 2),
+    (lambda x: _gates(controlled_modular_multiply_ops(0, *_CMM, 2, x)), 3),
+    (lambda x: _gates(modular_exponentiation_ops(*_MODEXP, x, 3)), 2),
+    (lambda x: _gates(modular_exponentiation_ops(*_MODEXP, 2, x)), 3),
+    (lambda x: semantic_uf(x, 15).permutation.tolist(), 7),
+    (lambda x: circuit_uf(x, 15).permutation.tolist(), 7),
+    (lambda x: shor_quantum_step(SimulationContext(seed=1), 15, x), 7),
+    (lambda x: shor_quantum_step(SimulationContext(seed=1), x, 7), 15),
+    (lambda x: shor_factor(SimulationContext(seed=1), x), 15),
+    (lambda x: bits_to_express(x), 15),
+    (lambda x: gcd(x, 15), 6),
+    (lambda x: mod_pow(x, 2, 15), 7),
+    (lambda x: is_prime(x), 7),
+    (lambda x: is_prime_power(x), 9),
+    (lambda x: deutsch(SimulationContext(seed=0), lambda bit: x if bit else 0), 1),
+], ids=["qubit_cap", "allocate_register", "set_from_unsigned", "run_on_basis", "slice_to",
+        "slice_from", "slice_range", "hadamard", "rotation_k", "expand_to_full_matrix",
+        "identity", "modadd-modulus", "modadd-flag", "cmm-control", "cmm-multiplier",
+        "cmm-modulus", "modexp-base", "modexp-modulus", "semantic_uf", "circuit_uf", "step-m",
+        "step-N", "factor-N", "bits_to_express", "gcd", "mod_pow", "is_prime", "is_prime_power",
+        "deutsch-oracle"])
+def test_sizes_and_values_must_be_integers(call, value):
+    # what operator.index takes passes as the same int; anything else is refused
+    expected = call(value)
+    for same in [np.int64(value), np.uint8(value)] + [True] * (value == 1):
+        assert call(same) == expected
+    for other in (value + 0.5, float(value), "3", None, np.float64(value)):
         with pytest.raises(InvalidParameterError, match="must be an integer"):
             call(other)
+
+
+@pytest.mark.parametrize("call,indices", [
+    (lambda ix: _register().slice(ix).exposed, [2, 0]),
+    (lambda ix: _register().measure(ix).bits, [2, 0]),
+    (lambda ix: QuantumOperation("op", ix, matrix=np.eye(4)).targets, [2, 0]),
+    (lambda ix: retarget(cnot(), ix).targets, [2, 0]),
+    (lambda ix: controlled_u(pauli_x(), ix, 3).targets, [2, 0]),
+    (lambda ix: walsh(ix).targets, [2, 0]),
+    (lambda ix: _gates(hadamard_all_ops(ix)), [2, 0]),
+    (lambda ix: _gates(qft_ops(ix)), [2, 0, 1]),
+    (lambda ix: _gates(reverse_ops(ix)), [2, 0, 1]),
+    (lambda ix: _gates(add_n_ops(ix, [4, 5], [6, 7, 8])), [1, 0]),
+    (lambda ix: _gates(modular_add_ops(ix, *_MODADD[1:], 9, 3)), [1, 0]),
+    (lambda ix: _gates(controlled_modular_multiply_ops(0, ix, *_CMM[1:], 2, 3)), [2, 1]),
+    (lambda ix: _gates(modular_exponentiation_ops(ix, *_MODEXP[1:], 2, 3)), [3, 1, 2, 0]),
+], ids=["slice", "measure", "QuantumOperation", "retarget", "controlled_u", "walsh",
+        "hadamard_all_ops", "qft_ops", "reverse_ops", "add_n_ops", "modular_add_ops",
+        "controlled_modular_multiply_ops", "modular_exponentiation_ops"])
+def test_indices_must_be_distinct_integers(call, indices):
+    expected = call(indices)
+    for kind in (np.int64, np.uint8):
+        assert call([kind(i) for i in indices]) == expected
+    for other in (indices[0] + 0.5, float(indices[0]), np.float64(indices[0])):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            call([other, *indices[1:]])
+    with pytest.raises(DuplicateIndexesError):
+        call([indices[0]] * len(indices))
 
 
 class TestSlicing:

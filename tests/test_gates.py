@@ -114,6 +114,16 @@ class TestCatalogMatrices:
         adjoint = op.inverse()
         assert adjoint is not op and op.inverse() is adjoint
 
+    def test_inverse_refuses_a_non_unitary_action(self):
+        # the inverse map of a non-bijection is still a bijection, which would then apply
+        op = QuantumOperation("bad", (0, 1), permutation=[0, 0, 1, 2])
+        for _ in range(2):
+            with pytest.raises(NotUnitaryOperationError):
+                op.inverse()
+        images = np.random.default_rng(0).permutation(64)
+        inverse = QuantumOperation("perm", range(6), permutation=images).inverse()
+        assert np.array_equal(inverse.permutation[images], np.arange(64))
+
     def test_rotation_k_ladder(self):
         assert np.abs(rotation_k(2).matrix - phase_s().matrix).max() < 1e-12
         assert np.abs(rotation_k(3).matrix - phase_t().matrix).max() < 1e-12
@@ -143,6 +153,13 @@ class TestGateSpec:
     def test_parameterized_kinds(self):
         assert np.allclose(single_qubit_gate(GateSpec("R_k", 2)).matrix, phase_s().matrix)
         assert np.allclose(single_qubit_gate(GateSpec("Rz", 0.5)).matrix, rz(0.5).matrix)
+
+    def test_r_k_parameter_must_be_an_integer(self):
+        assert np.array_equal(single_qubit_gate(GateSpec("R_k", np.uint8(2))).matrix,
+                              rotation_k(2).matrix)
+        for other in (2.7, 2.0, np.float64(2)):
+            with pytest.raises(InvalidParameterError, match="must be an integer"):
+                single_qubit_gate(GateSpec("R_k", other))
 
     def test_parameter_presence_enforced(self):
         with pytest.raises(InvalidParameterError):

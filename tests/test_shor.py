@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from sharq import SimulationContext, algorithms
@@ -77,6 +78,13 @@ class TestPreconditions:
             shor_factor(SimulationContext(seed=0), 15, force_m=15)
         with pytest.raises(InvalidParameterError):
             shor_factor(SimulationContext(seed=0), 15, force_m=1)
+
+    def test_forced_m_must_be_an_integer(self):
+        expected = shor_factor(SimulationContext(seed=0), 15, force_m=7)
+        assert shor_factor(SimulationContext(seed=0), 15, force_m=np.int64(7)) == expected
+        for other in (7.5, 7.0, np.float64(7)):
+            with pytest.raises(InvalidParameterError, match="must be an integer"):
+                shor_factor(SimulationContext(seed=0), 15, force_m=other)
 
 
 class TestFactoring:
