@@ -26,9 +26,12 @@ recently used fused plans; each caller checks a plan as a whole by the facts
 cached with it before any amplitude changes. A nonempty plan of basis
 permutations alone, on a state whose nonzero amplitudes are at most
 ``_SUPPORT_SHARE`` = 1/16 of it, does not pass over the state once per fused op:
-``_permute_support`` traces the nonzero indices through the fused ops as basis
-words and moves each nonzero amplitude once, in place. The choice rests only on
-the support size, and either way the state comes out bit-identical.
+``_permute_support`` finds the support in one cast to bool, traces the nonzero
+indices through the fused ops as basis words and moves each nonzero amplitude
+once, in place. Bits move between flat indices, basis words and sub-indices one
+run of adjacent qubits at a time (``gates.bit_runs``, cached per view in
+``_layout`` and per operation). The choice rests only on the support size, and
+either way the state comes out bit-identical, the sign of a zero aside.
 """
 from __future__ import annotations
 
@@ -51,7 +54,7 @@ from .errors import (
     as_indices,
     as_int,
 )
-from .gates import HARD_QUBIT_LIMIT, QuantumOperation, trace_words
+from .gates import HARD_QUBIT_LIMIT, QuantumOperation, bit_runs, trace_words
 
 DEFAULT_QUBIT_CAP = 26
 
@@ -81,11 +84,14 @@ _SLICE_MOVE_ARITY = 8
 
 # A classical plan moves only the nonzero amplitudes while they are at most this
 # share of the state (``SimulationContext._permute_support``); denser states take
-# one pass per fused op. The support path's cost grows with the support, the op
-# count and the op arity, and it broke even with those passes at about 3/8 of the
-# state on the 18-qubit modular adder and multiplier plans but at about 1/6 on the
-# 22-qubit adder, whose support arrays outgrow the cache. At 1/16 it cost at most
-# about a third of the passes on all three.
+# one pass per fused op. The support path's cost grows with the support and the
+# number of bit runs per op. Measured on random supports (2-core Xeon, numpy 2.4,
+# median of 3-5 applies), it costs at 1/16 about 0.07 of the passes on the
+# 18-qubit modular adder, 0.05 on the 18-qubit multiplier and 0.16 on the 22-qubit
+# adder, and breaks even past 1/2 on the first two and at about 2/5 on the third.
+# The share stays at 1/16 although those break-evens allow more: its index arrays
+# take about 64 bytes per nonzero amplitude, a quarter of the state's bytes at
+# 1/16 but as much as the state itself at 1/4, where the adder's gain is < 2x.
 _SUPPORT_SHARE = 1 / 16
 
 # On an (a, 2**k, b) view with short columns, broadcasting M over a would be a
@@ -103,11 +109,13 @@ class _Layout(NamedTuple):
     block: tuple[int, int] | None  # (a, b) when the state is an (a, 2**k, b) array
     kept: tuple[int, ...]  # puts the target axes left after summing ``rest`` in target order
     mask: tuple[int, ...]  # ``shape`` with every merged axis of length 1
+    runs: tuple[tuple[int, int, int], ...]  # ``bit_runs`` of the targets' bits in a flat index
 
 
 @lru_cache(maxsize=1024)
 def _layout(n_qubits: int, physical: tuple[int, ...]) -> _Layout:
-    """The one map from target qubits to axes, for gates, marginals, collapse and peeks.
+    """The one map from target qubits to axes and bits, for gates, marginals,
+    collapse, peeks and the sparse path.
 
     Qubits stay in order; a run of non-target qubits becomes one merged axis.
     ``block`` is set when the targets are adjacent and ascending.
@@ -135,7 +143,8 @@ def _layout(n_qubits: int, physical: tuple[int, ...]) -> _Layout:
     axes = tuple(axis_of[q] for q in physical)
     kept = tuple(sorted(axes).index(axis) for axis in axes)
     mask = tuple(1 if axis in rest else 2 for axis in range(len(shape)))
-    return _Layout(tuple(shape), axes, tuple(rest), block, kept, mask)
+    runs = bit_runs([n_qubits - 1 - q for q in physical])
+    return _Layout(tuple(shape), axes, tuple(rest), block, kept, mask, runs)
 
 
 def _selector(ndim: int, axes: tuple[int, ...], sub_index: int) -> tuple:
@@ -153,16 +162,22 @@ def _selector(ndim: int, axes: tuple[int, ...], sub_index: int) -> tuple:
 def _compose(group: list[QuantumOperation], union: set[int]) -> QuantumOperation:
     """One permutation on the sorted ``union`` that acts as ``group`` run in order.
 
-    Every local input is traced through the group at once; a lone gate is kept.
+    Every local input is scattered into a basis word and traced through the
+    group at once, and each traced word's bits are gathered back into its
+    image; a lone gate is kept.
     """
     if len(group) == 1:
         return group[0]
     qubits = tuple(sorted(union))
-    k = len(qubits)
-    bits = (np.arange(1 << k, dtype=np.int64)[:, None] >> np.arange(k - 1, -1, -1)) & 1
-    words = (bits << (HARD_QUBIT_LIMIT - 1 - np.array(qubits))).sum(axis=1)
-    # the words ascend with the sub-index, and the group maps them onto themselves
-    images = np.searchsorted(words, trace_words(group, words.copy()))
+    runs = bit_runs([HARD_QUBIT_LIMIT - 1 - q for q in qubits])
+    local = np.arange(1 << len(qubits), dtype=np.int64)
+    words = np.zeros_like(local)
+    for shift, mask, place in runs:
+        words |= ((local >> place) & mask) << shift
+    traced = trace_words(group, words)
+    images = np.zeros_like(local)
+    for shift, mask, place in runs:
+        images |= ((traced >> shift) & mask) << place
     return QuantumOperation(f"Fused[{len(group)}]", qubits, permutation=images)
 
 
@@ -375,23 +390,27 @@ class SimulationContext:
         of the state is nonzero. Otherwise the support's flat indices become
         register-local basis words (view qubit t at bit 61 - t), ``trace_words``
         carries them through ``ops``, and each amplitude moves once to the index
-        its flipped bits name. Every op must already have passed its checks.
+        its flipped bits name. The view's bits move between the two one run of
+        adjacent qubits at a time (``_Layout.runs``). Every op must already have
+        passed its checks.
         """
         state = self._state
         # one pass over the amplitudes: a bool mask is fast to count and to index,
-        # where a complex array is slow to do either
-        nonzero = state != 0
+        # where a complex array is slow to do either. The cast is the mask
+        # ``state != 0`` (NaN counts, -0.0 does not) at about a third of its cost.
+        nonzero = state.astype(bool)
         if np.count_nonzero(nonzero) > state.size * _SUPPORT_SHARE:
             return False
         support = np.flatnonzero(nonzero)
-        shifts = [self._count - 1 - q for q in physical]  # each view qubit's bit in a flat index
+        runs = _layout(self._count, physical).runs
+        pad = HARD_QUBIT_LIMIT - len(physical)  # a sub-index's bit k - 1 - t is word bit 61 - t
         words = np.zeros(len(support), dtype=np.int64)
-        for t, shift in enumerate(shifts):
-            words |= ((support >> shift) & 1) << (HARD_QUBIT_LIMIT - 1 - t)
+        for shift, mask, place in runs:
+            words |= ((support >> shift) & mask) << (place + pad)
         flips = words ^ trace_words(ops, words.copy())
         moved = support.copy()
-        for t, shift in enumerate(shifts):
-            moved ^= ((flips >> (HARD_QUBIT_LIMIT - 1 - t)) & 1) << shift
+        for shift, mask, place in runs:
+            moved ^= ((flips >> (place + pad)) & mask) << shift
         values = state[support]
         state[support] = 0
         state[moved] = values

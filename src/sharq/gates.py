@@ -198,8 +198,8 @@ class QuantumOperation:
             raise InvalidParameterError(f"{self.name} is not a classical basis permutation")
         changed = images ^ np.arange(self.dimension)
         flips = np.zeros(self.dimension, dtype=np.int64)
-        for j, t in enumerate(self.targets):
-            flips |= ((changed >> (self.arity - 1 - j)) & 1) << (HARD_QUBIT_LIMIT - 1 - t)
+        for shift, mask, place in self._word_runs:
+            flips |= ((changed >> place) & mask) << shift
         return flips
 
     @cached_property
@@ -207,9 +207,34 @@ class QuantumOperation:
         """``basis_flips`` without a copy, read as Python ints, for tracing one int word."""
         return memoryview(self.basis_flips)
 
+    @cached_property
+    def _word_runs(self) -> tuple[tuple[int, int, int], ...]:
+        """``bit_runs`` of the targets' bits in a basis word (qubit t at bit 61 - t)."""
+        return bit_runs([HARD_QUBIT_LIMIT - 1 - t for t in self.targets])
+
 
 def retarget(op: QuantumOperation, new_targets) -> QuantumOperation:
     return op.retarget(new_targets)
+
+
+def bit_runs(shifts) -> tuple[tuple[int, int, int], ...]:
+    """The ordered bit positions ``shifts`` as runs of adjacent bits.
+
+    Bit ``shifts[j]`` of a word is bit ``k - 1 - j`` of its k-bit big-endian
+    sub-index. Each run is ``(shift, mask, place)``, so a run of adjacent qubits
+    moves in one step: ``sub |= ((word >> shift) & mask) << place`` gathers it and
+    ``word |= ((sub >> place) & mask) << shift`` scatters it back. Positions
+    that fall by one from each to the next form a run, as the bits of adjacent
+    ascending qubits do.
+    """
+    runs, k = [], len(shifts)
+    for j, shift in enumerate(shifts):
+        if runs and shift == runs[-1][0] - 1:
+            _, mask, place = runs[-1]
+            runs[-1] = (shift, (mask << 1) | 1, place - 1)
+        else:
+            runs.append((shift, 1, k - 1 - j))
+    return tuple(runs)
 
 
 def trace_words(ops, word):
@@ -218,13 +243,14 @@ def trace_words(ops, word):
     The one classical tracer, behind ``run_on_basis``, gate fusion and the
     sparse path of classical plans (``SimulationContext._permute_support``).
     ``word`` is a Python int, or an int64 array that is updated in place. Every
-    gate must have ``basis_flips`` and targets below 62.
+    gate must have ``basis_flips`` and targets below 62. A gate's sub-index is
+    gathered one run of adjacent targets at a time (``bit_runs``).
     """
     array = isinstance(word, np.ndarray)
     for op in ops:
         sub = 0
-        for t in op.targets:
-            sub = (sub << 1) | ((word >> (HARD_QUBIT_LIMIT - 1 - t)) & 1)
+        for shift, mask, place in op._word_runs:
+            sub |= ((word >> shift) & mask) << place
         # a Python int stays one, several times faster than an int64 scalar
         word ^= (op.basis_flips if array else op._basis_flip_view)[sub]
     return word
@@ -392,6 +418,8 @@ def expand_to_full_matrix(op: QuantumOperation, n_qubits: int) -> np.ndarray:
     the direct state-vector application path.
     """
     n_qubits = as_int(n_qubits, "qubit count")
+    if n_qubits < 0:
+        raise InvalidParameterError(f"cannot expand onto a negative number of qubits, got {n_qubits}")
     if n_qubits > linalg.MAX_MATRIX_QUBITS:
         raise QubitLimitExceededError(
             f"full-matrix expansion is capped at {linalg.MAX_MATRIX_QUBITS} qubits, got {n_qubits}"

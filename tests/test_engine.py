@@ -612,6 +612,38 @@ class TestApplyOperations:
         assert ctx._state is state and np.array_equal(state, reference._state)
         assert peak < state.nbytes / 8  # the bool mask of the support count is nbytes / 16
 
+    def test_the_sparse_support_is_exactly_the_nonzero_amplitudes(self):
+        # signed zeros are no support and a subnormal amplitude is: at the support
+        # limit, counting one zero more would take the per-op passes, and leaving
+        # the subnormal behind would break the state
+        n = 12
+        limit = int((1 << n) * engine._SUPPORT_SHARE)
+        rng = np.random.default_rng(12)
+        slots = rng.permutation(1 << n)
+        state = np.zeros(1 << n, dtype=complex)
+        state[slots[:limit]] = rng.normal(size=limit) + 1j * rng.normal(size=limit)
+        state[slots[:3]] = 5e-324, 5e-324j, -5e-324
+        state[slots[limit:limit + 8]] = -0.0
+        state[slots[limit + 8:limit + 16]] = complex(0, -0.0)
+        state[slots[limit + 16:limit + 24]] = complex(-0.0, -0.0)
+        assert np.count_nonzero(state != 0) == limit
+        plan = (pauli_x(0), cnot(0, 3), toffoli(5, 0, 8), cnot(8, 2), pauli_x(7), toffoli(1, 6, 4))
+        contexts = []
+        for _ in range(2):
+            ctx = SimulationContext(debug=True)
+            ctx.allocate_register(3)
+            view = ctx.allocate_register(n - 3).slice((4, 0, 8, 1, 6, 2, 7, 3, 5))
+            ctx._state = state.copy()
+            contexts.append((ctx, view))
+        (ctx, view), (reference, one_by_one) = contexts
+        passes = []
+        ctx._apply = lambda op, physical: passes.append(op)
+        view.apply_operations(plan)
+        for op in plan:
+            one_by_one.apply_operation(op)
+        assert not passes
+        assert np.array_equal(ctx._state, reference._state)
+
     def test_an_empty_plan_touches_nothing(self, monkeypatch):
         ctx, reg = self._basis(6, 0b101101)
         state, before = ctx._state, ctx._state.copy()

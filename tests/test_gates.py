@@ -337,6 +337,12 @@ class TestExpansion:
         with pytest.raises(SizeMismatchError):
             expand_to_full_matrix(cnot(0, 3), 3)
 
+    def test_a_negative_width_is_refused_before_any_shift(self):
+        one = QuantumOperation("one", (), matrix=np.eye(1))  # no target to check against the width
+        with pytest.raises(InvalidParameterError, match="negative"):
+            expand_to_full_matrix(one, -1)
+        assert np.array_equal(expand_to_full_matrix(one, 0), np.eye(1))
+
     def test_permutation_ops_do_not_materialize(self):
         op = QuantumOperation("perm", (0, 1), permutation=np.array([1, 0, 3, 2]))
         with pytest.raises(SemanticOracleNotMaterializableError):

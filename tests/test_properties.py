@@ -16,13 +16,16 @@ from sharq.algorithms import circuit_uf, semantic_uf
 from sharq.arithmetic import OperationPlan, add_n_ops, modular_add_ops, run_on_basis
 from sharq.errors import NotUnitaryOperationError
 from sharq.gates import (
+    HARD_QUBIT_LIMIT,
     QuantumOperation,
+    bit_runs,
     cnot,
     expand_to_full_matrix,
     fredkin,
     pauli_x,
     swap,
     toffoli,
+    trace_words,
 )
 
 from conftest import bits_of, put_bits, random_state
@@ -401,3 +404,89 @@ def test_classical_plans_on_sparse_states_apply_bit_identically_on_both_paths(da
 
     assert np.array_equal(ctx._state, single_ctx._state)
     assert (not passes) == (size <= limit)  # the support size alone picks the path
+
+
+# --- bit runs against per-bit gathers and traces -------------------------------
+
+@st.composite
+def target_tuples(draw):
+    """Distinct targets in a basis word: scattered, adjacent either way, one, or none."""
+    kind = draw(st.sampled_from(("scattered", "ascending", "descending", "single", "empty")),
+                label="kind")
+    if kind == "empty":
+        return ()
+    if kind == "single":
+        return (draw(st.integers(0, HARD_QUBIT_LIMIT - 1), label="target"),)
+    k = draw(st.integers(2, 8), label="k")
+    if kind == "scattered":
+        return tuple(draw(st.permutations(range(HARD_QUBIT_LIMIT)), label="targets")[:k])
+    start = draw(st.integers(0, HARD_QUBIT_LIMIT - k), label="start")
+    targets = tuple(range(start, start + k))
+    return targets if kind == "ascending" else targets[::-1]
+
+
+def _bitwise_gather(word, shifts):
+    """The big-endian sub-index of ``shifts``, one bit at a time."""
+    sub = 0
+    for shift in shifts:
+        sub = (sub << 1) | ((word >> shift) & 1)
+    return sub
+
+
+def _run_gather(word, runs):
+    sub = word & 0  # an array of zeros for an array, also with no runs
+    for shift, mask, place in runs:
+        sub |= ((word >> shift) & mask) << place
+    return sub
+
+
+def _run_scatter(sub, runs):
+    word = sub & 0
+    for shift, mask, place in runs:
+        word |= ((sub >> place) & mask) << shift
+    return word
+
+
+def _bitwise_trace(ops, word: int) -> int:
+    """Each gate's image of its targets written back one bit at a time, from
+    ``_basis_images`` alone."""
+    for op in ops:
+        shifts = [HARD_QUBIT_LIMIT - 1 - t for t in op.targets]
+        image = int(op._basis_images[_bitwise_gather(word, shifts)])
+        for j, shift in enumerate(shifts):
+            bit = (image >> (op.arity - 1 - j)) & 1
+            word = (word & ~(1 << shift)) | (bit << shift)
+    return word
+
+
+words = st.lists(st.integers(0, (1 << HARD_QUBIT_LIMIT) - 1), min_size=1, max_size=8)
+
+
+@PROPERTY
+@given(target_tuples(), words)
+def test_run_gathers_and_scatters_equal_per_bit_ones(targets, values):
+    shifts = [HARD_QUBIT_LIMIT - 1 - t for t in targets]
+    runs = bit_runs(shifts)
+    assert sum(mask.bit_length() for _, mask, _ in runs) == len(targets)
+    array = np.array(values, dtype=np.int64)
+    gathered = [_bitwise_gather(value, shifts) for value in values]
+    assert [_run_gather(value, runs) for value in values] == gathered
+    assert np.array_equal(_run_gather(array, runs), gathered)
+    on_targets = sum(1 << shift for shift in shifts)
+    for value, sub in zip(values, gathered):
+        assert _run_scatter(sub, runs) == value & on_targets
+        assert _run_gather(_run_scatter(sub, runs), runs) == sub
+    assert np.array_equal(_run_gather(_run_scatter(np.array(gathered, dtype=np.int64), runs), runs),
+                          gathered)
+
+
+@PROPERTY
+@given(st.data())
+def test_traced_words_equal_per_bit_traces_of_the_unfused_gates(data):
+    width = data.draw(st.integers(1, 12), label="width")
+    ops = data.draw(classical_plans(width, barriers=False), label="ops")
+    values = data.draw(words, label="words")
+    expected = [_bitwise_trace(ops, value) for value in values]
+    for plan in (ops, engine._fused(tuple(ops)).ops):
+        assert [trace_words(plan, value) for value in values] == expected
+        assert trace_words(plan, np.array(values, dtype=np.int64)).tolist() == expected
