@@ -10,9 +10,9 @@ from functools import lru_cache
 import numpy as np
 
 from .arithmetic import OperationPlan, _multiply_round, reverse_ops, run_on_basis
-from .engine import RegisterView, SimulationContext
-from .errors import (InvalidParameterError, OracleCompilationError, SizeMismatchError,
-                     as_indices, as_int)
+from .engine import _ALLOCATION_FAILURES, RegisterView, SimulationContext
+from .errors import (InvalidParameterError, OracleCompilationError, QubitLimitExceededError,
+                     SizeMismatchError, as_indices, as_int)
 from .gates import QuantumOperation, cnot, controlled_u, hadamard, pauli_x, rotation_k
 from .numtheory import bits_to_express, mod_pow
 
@@ -81,9 +81,13 @@ def semantic_uf(m: int, modulus: int) -> QuantumOperation:
         raise InvalidParameterError(f"modulus must exceed 1, got {modulus}")
     if math.gcd(m, modulus) != 1:
         raise InvalidParameterError(f"base {m} shares a factor with modulus {modulus}")
-    y = np.arange(modulus, dtype=np.int64)
-    return _multiply_oracle(f"Uf[{m}*y mod {modulus}]", y * (m % modulus) % modulus,
-                            bits_to_express(modulus))
+    n = bits_to_express(modulus)
+    try:
+        y = np.arange(modulus, dtype=np.int64)
+        return _multiply_oracle(f"Uf[{m}*y mod {modulus}]", y * (m % modulus) % modulus, n)
+    except (*_ALLOCATION_FAILURES, OverflowError) as exc:  # past int64 for N >= 2**63
+        raise QubitLimitExceededError(f"the {n + 1}-qubit oracle for {m}*y mod {modulus} needs "
+                                      f"a {2 << n}-entry table, which cannot be allocated") from exc
 
 
 @lru_cache(maxsize=32, typed=True)

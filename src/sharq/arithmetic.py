@@ -206,6 +206,7 @@ def controlled_modular_multiply_ops(control: int, x_indices, y_indices,
     adder_scratch = scratch[n:2 * n + 1]
     flag = scratch[2 * n + 1]
 
+    add = modular_add_ops(addend, y, n_reg, adder_scratch, flag, modulus).ops  # the same every bit
     ops: list[QuantumOperation] = []
     for j in range(n):  # j is the bit position, least significant first
         constant = (multiplier << j) % modulus
@@ -216,7 +217,7 @@ def controlled_modular_multiply_ops(control: int, x_indices, y_indices,
             if (constant >> (n - 1 - i)) & 1
         )
         ops.extend(load)
-        ops.extend(modular_add_ops(addend, y, n_reg, adder_scratch, flag, modulus).ops)
+        ops.extend(add)
         ops.extend(load)  # unload the classical addend
     # pass-through: copy X into the zeroed output when the control is 0
     ops.append(pauli_x(control))

@@ -36,28 +36,27 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _non_negative_int(text: str) -> int:
-    # numpy seeds its generators only from non-negative integers
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _bounded_int(low: int, high: int | None = None):
+    """An argparse type: an integer at least ``low`` and, if given, at most ``high``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
+        return value
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=_non_negative_int, default=None,
+    # numpy seeds its generators only from non-negative integers
+    common.add_argument("--seed", type=_bounded_int(0), default=None,
                         help="master RNG seed (default: entropy)")
-    common.add_argument("--trials", type=_positive_int, default=1000, help="number of trials")
+    common.add_argument("--trials", type=_bounded_int(1), default=1000, help="number of trials")
     common.add_argument("--output", choices=("text", "json"), default="text")
-    common.add_argument("--qubit-cap", type=int, default=DEFAULT_QUBIT_CAP,
+    common.add_argument("--qubit-cap", type=_bounded_int(1, HARD_QUBIT_LIMIT),
+                        default=DEFAULT_QUBIT_CAP,
                         help=f"per-context qubit cap (max {HARD_QUBIT_LIMIT})")
 
     parser = _Parser(prog="sharq", description="Quantum register simulator")
@@ -174,9 +173,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if not 1 <= args.qubit_cap <= HARD_QUBIT_LIMIT:
-        sys.stderr.write(f"sharq: error: --qubit-cap must be in [1, {HARD_QUBIT_LIMIT}]\n")
-        return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
     except ResourceExhaustedError as exc:

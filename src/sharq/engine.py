@@ -418,9 +418,8 @@ class SimulationContext:
 
     # -- measurement -----------------------------------------------------
 
-    def _marginal_probabilities(self, physical: tuple[int, ...]) -> np.ndarray:
-        """Outcome probabilities of ``physical``, big-endian in the given order."""
-        layout = _layout(self._count, physical)
+    def _marginal_probabilities(self, layout: _Layout) -> np.ndarray:
+        """Outcome probabilities of the targets of ``layout``, big-endian in target order."""
         probs = np.abs(self._state.reshape(layout.shape))
         probs *= probs
         if layout.rest:
@@ -432,7 +431,7 @@ class SimulationContext:
         if k == 0:
             return ()
         layout = _layout(self._count, physical)
-        marginal = self._marginal_probabilities(physical)
+        marginal = self._marginal_probabilities(layout)
         # the floor as a product with 0/1, which keeps every other weight exact
         weights = marginal * (marginal >= PROBABILITY_FLOOR)
         # inverse-CDF sampling; cheaper than Generator.choice for small supports
@@ -453,15 +452,15 @@ class SimulationContext:
 
         Raises NotClassicalStateError naming the first qubit in superposition.
         """
-        marginal = self._marginal_probabilities(physical)
+        marginal = self._marginal_probabilities(_layout(self._count, physical))
         top = int(np.argmax(marginal))
         k = len(physical)
         if marginal[top] >= 1.0 - _CLASSICAL_ATOL:
             return [(top >> (k - 1 - i)) & 1 for i in range(k)]
         # not jointly one basis state: look for the first qubit in superposition
         bits = []
-        for qubit in physical:
-            p_one = self._marginal_probabilities((qubit,))[1]
+        for i, qubit in enumerate(physical):
+            p_one = marginal.reshape(1 << i, 2, -1)[:, 1].sum()
             if _CLASSICAL_ATOL < p_one < 1.0 - _CLASSICAL_ATOL:
                 raise NotClassicalStateError(
                     f"physical qubit {qubit} is in superposition; initialize only classical qubits"
@@ -539,24 +538,24 @@ class RegisterView:
         index = as_int(index, "index")
         if not 0 <= index < len(self):
             raise IndexOutOfRangeError(f"index {index} out of range for {len(self)} qubits")
-        return self.slice(range(index + 1))
+        return RegisterView(self.context, self._exposed[:index + 1])
 
     def slice_from(self, index: int) -> "RegisterView":
         """Qubits ``index`` through the end."""
         index = as_int(index, "index")
         if not 0 <= index < len(self):
             raise IndexOutOfRangeError(f"index {index} out of range for {len(self)} qubits")
-        return self.slice(range(index, len(self)))
+        return RegisterView(self.context, self._exposed[index:])
 
     def slice_range(self, start: int, stop: int) -> "RegisterView":
         """Qubits ``start`` through ``stop`` inclusive."""
         start, stop = as_int(start, "index"), as_int(stop, "index")
         if not 0 <= start <= stop < len(self):
             raise IndexOutOfRangeError(f"bad range [{start}, {stop}] for {len(self)} qubits")
-        return self.slice(range(start, stop + 1))
+        return RegisterView(self.context, self._exposed[start:stop + 1])
 
     def slice_reverse(self) -> "RegisterView":
-        return self.slice(range(len(self) - 1, -1, -1))
+        return RegisterView(self.context, self._exposed[::-1])
 
     def slice_subset(self, indices) -> "RegisterView":
         return self.slice(indices)
@@ -590,25 +589,19 @@ class RegisterView:
     # -- operations ---------------------------------------------------------
 
     def _physical(self, op: QuantumOperation) -> tuple[int, ...]:
-        """The physical qubits ``op`` acts on; refuses targets outside this view."""
-        if op.arity > len(self):
+        """The physical qubits ``op`` acts on; refuses targets outside this view.
+        Targets are distinct and non-negative, so indexing alone checks them."""
+        try:
+            return tuple([self._exposed[t] for t in op.targets])
+        except IndexError:
+            t = next(t for t in op.targets if t >= len(self))
             raise SizeMismatchError(
-                f"{op.name} needs {op.arity} qubits but the register has {len(self)}"
-            )
-        for t in op.targets:
-            if t >= len(self):
-                raise SizeMismatchError(
-                    f"{op.name} targets index {t}, outside this {len(self)}-qubit register"
-                )
-        return tuple(self._exposed[t] for t in op.targets)
+                f"{op.name} targets index {t}, outside this {len(self)}-qubit register"
+            ) from None
 
     def apply_operation(self, op: QuantumOperation) -> "RegisterView":
         self.context._apply(op, self._physical(op))
         return self
-
-    def _check(self, op: QuantumOperation):
-        self._physical(op)
-        op.require_unitary()
 
     def apply_operations(self, ops) -> "RegisterView":
         """Apply ``ops`` in order, with runs of basis permutations fused.
@@ -621,14 +614,15 @@ class RegisterView:
         ops = tuple(ops)
         plan = _fused(ops)
         if plan.top >= len(self):
-            for op in ops:
-                self._check(op)  # raises for the first op that does not fit
+            for op in ops:  # raises for the first op that does not fit
+                self._physical(op)
+                op.require_unitary()
         for op in plan.ops:
             op.require_unitary()  # every gate that can fail this is in ``plan.ops``
         if plan.classical and self.context._permute_support(plan.ops, self._exposed[:plan.top + 1]):
             return self
         for op in plan.ops:
-            self.context._apply(op, tuple(self._exposed[t] for t in op.targets))
+            self.context._apply(op, self._physical(op))
         return self
 
     # -- measurement ----------------------------------------------------------

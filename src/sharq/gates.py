@@ -21,7 +21,6 @@ from . import linalg
 from .errors import (
     InvalidParameterError,
     NotUnitaryOperationError,
-    QubitLimitExceededError,
     SemanticOracleNotMaterializableError,
     SizeMismatchError,
     as_indices,
@@ -307,7 +306,7 @@ def rotation_k(k: int, target: int = 0) -> QuantumOperation:
     k = as_int(k, "R_k parameter")
     if k < 1:
         raise InvalidParameterError(f"R_k needs k >= 1, got {k}")
-    m = np.array([[1, 0], [0, np.exp(2j * np.pi / (1 << k))]], dtype=complex)
+    m = np.array([[1, 0], [0, np.exp(2j * np.pi * 2.0**-k)]], dtype=complex)
     return QuantumOperation(f"R{k}", (target,), matrix=m)
 
 
@@ -392,6 +391,7 @@ def controlled_u(u, controls, target: int) -> QuantumOperation:
         sub, uname = linalg.as_matrix(u), "U"
         if sub.shape != (2, 2):
             raise InvalidParameterError("controlled_u requires a 2x2 matrix")
+    linalg.require_dense(len(controls) + 1, f"C{uname}")
     dim = 1 << (len(controls) + 1)
     m = np.eye(dim, dtype=complex)
     m[dim - 2:, dim - 2:] = sub
@@ -401,8 +401,7 @@ def controlled_u(u, controls, target: int) -> QuantumOperation:
 def walsh(targets) -> QuantumOperation:
     """Hadamard tensored over every target as a single operation."""
     targets = tuple(targets)
-    if len(targets) > linalg.MAX_MATRIX_QUBITS:
-        raise QubitLimitExceededError(f"Walsh over {len(targets)} qubits is too wide to materialize")
+    linalg.require_dense(len(targets), "Walsh")
     m = np.array([[1.0]], dtype=complex)
     for _ in targets:
         m = np.kron(m, _H)
@@ -420,10 +419,7 @@ def expand_to_full_matrix(op: QuantumOperation, n_qubits: int) -> np.ndarray:
     n_qubits = as_int(n_qubits, "qubit count")
     if n_qubits < 0:
         raise InvalidParameterError(f"cannot expand onto a negative number of qubits, got {n_qubits}")
-    if n_qubits > linalg.MAX_MATRIX_QUBITS:
-        raise QubitLimitExceededError(
-            f"full-matrix expansion is capped at {linalg.MAX_MATRIX_QUBITS} qubits, got {n_qubits}"
-        )
+    linalg.require_dense(n_qubits, "full-matrix expansion")
     if op.matrix is None:
         raise SemanticOracleNotMaterializableError(
             f"{op.name} is a semantic oracle with no dense matrix"

@@ -21,6 +21,14 @@ STATE_TOL = 1e-9
 MAX_MATRIX_QUBITS = 10
 
 
+def require_dense(n_qubits: int, what: str):
+    """Refuse a dense matrix on more than ``MAX_MATRIX_QUBITS`` qubits before it is built."""
+    if n_qubits > MAX_MATRIX_QUBITS:
+        raise QubitLimitExceededError(
+            f"{what} on {n_qubits} qubits exceeds the dense-matrix cap of {MAX_MATRIX_QUBITS}"
+        )
+
+
 def as_matrix(a) -> np.ndarray:
     """Coerce to a 2-D complex array without copying when possible."""
     m = np.asarray(a, dtype=complex)
@@ -78,9 +86,5 @@ def identity(n_qubits: int) -> np.ndarray:
     n_qubits = as_int(n_qubits, "qubit count")
     if n_qubits < 0:
         raise QubitLimitExceededError("qubit count must be non-negative")
-    if n_qubits > MAX_MATRIX_QUBITS:
-        raise QubitLimitExceededError(
-            f"identity on {n_qubits} qubits exceeds the dense-matrix cap of "
-            f"{MAX_MATRIX_QUBITS}"
-        )
+    require_dense(n_qubits, "identity")
     return np.eye(1 << n_qubits, dtype=complex)

@@ -18,7 +18,13 @@ from sharq.algorithms import (
     shor_quantum_step,
 )
 from sharq.arithmetic import _multiply_round, run_on_basis
-from sharq.errors import DuplicateIndexesError, InvalidParameterError, OracleCompilationError
+from sharq.errors import (
+    DuplicateIndexesError,
+    InvalidParameterError,
+    OracleCompilationError,
+    QubitLimitExceededError,
+    SizeMismatchError,
+)
 from sharq.gates import QuantumOperation, expand_to_full_matrix
 
 
@@ -182,6 +188,17 @@ class TestSemanticUf:
     def test_shared_factor_rejected(self):
         with pytest.raises(InvalidParameterError):
             semantic_uf(5, 15)
+
+    def test_modulus_must_exceed_one(self):
+        with pytest.raises(InvalidParameterError, match="exceed 1"):
+            semantic_uf(2, 1)
+
+    @pytest.mark.parametrize("modulus", [2**47 + 1, 2**60 + 1, 2**63 + 1],
+                             ids=["past-address-space", "past-array-size", "past-int64"])
+    def test_a_table_too_large_to_build_is_refused(self, modulus):
+        # 2**47 int64 entries are 1 PiB, past the 128 TiB address space, so none is allocated
+        with pytest.raises(QubitLimitExceededError, match="cannot be allocated"):
+            semantic_uf(2, modulus)
 
     def test_applies_through_shuffled_views(self):
         # the oracle's targets are view-relative, so a permuted layout of the
@@ -379,6 +396,20 @@ class TestShorQuantumStep:
         with pytest.raises(InvalidParameterError):
             shor_quantum_step(ctx, 15, 5)
 
+    def test_unknown_oracle_refused(self):
+        ctx = SimulationContext(seed=0)
+        with pytest.raises(InvalidParameterError, match="oracle must be"):
+            shor_quantum_step(ctx, 15, 7, oracle="table")
+        assert ctx.physical_count == 0
+
+    def test_register_of_the_wrong_width_refused(self, debug_ctx):
+        ctx = debug_ctx()
+        work = ctx.allocate_register(4).set_from_unsigned(5)
+        before = ctx._state.copy()
+        with pytest.raises(SizeMismatchError, match="5 qubits"):
+            shor_quantum_step(ctx, 15, 7, register=work)
+        assert np.array_equal(ctx._state, before)
+
 
 class TestExtractPeriod:
     def test_convergent_denominators(self):
@@ -444,3 +475,9 @@ class TestDeutsch:
         for seed in range(10):
             ctx = SimulationContext(seed=seed)
             assert deutsch(ctx, oracle) == expected
+
+    def test_oracle_must_return_bits(self):
+        ctx = SimulationContext(seed=0)
+        with pytest.raises(InvalidParameterError, match="bits"):
+            deutsch(ctx, lambda x: 2 * x)
+        assert ctx.physical_count == 0

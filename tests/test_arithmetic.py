@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sharq import SimulationContext, engine
+from sharq import SimulationContext, arithmetic, engine
 from sharq.arithmetic import (
     add_n_ops,
     carry_inverse_ops,
@@ -345,6 +345,31 @@ class TestControlledModularMultiply:
             controlled_modular_multiply_ops(0, [1, 2, 3], [4, 5, 6], [7, 8, 9],
                                             range(10, 18), 5, 15)
 
+    @pytest.mark.parametrize("registers, match", [
+        (([1, 2, 3], [4, 5], [7, 8, 9], range(10, 18)), "share one width"),
+        (([1, 2], [4, 5, 6], [7, 8, 9], range(10, 18)), "share one width"),
+        (([1, 2, 3], [4, 5, 6], [7, 8], range(10, 18)), "share one width"),
+        (([1, 2, 3], [4, 5, 6], [7, 8, 9], range(10, 17)), r"2n\+2 scratch"),
+    ], ids=["y", "x", "modulus", "scratch"])
+    def test_width_validation(self, registers, match):
+        with pytest.raises(SizeMismatchError, match=match):
+            controlled_modular_multiply_ops(0, *registers, 3, 5)
+
+    def test_the_adder_is_built_once_per_multiply(self, monkeypatch):
+        calls = []
+        original = arithmetic.modular_add_ops
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(arithmetic, "modular_add_ops", counting)
+        plan = controlled_modular_multiply_ops(0, [1, 2, 3], [4, 5, 6], [7, 8, 9],
+                                               range(10, 18), 3, 5)
+        assert len(calls) == 1
+        adder = original(*calls[0]).ops
+        assert sum(plan.ops[i:i + len(adder)] == adder for i in range(len(plan.ops))) == 3
+
     def test_engine_route_on_superposed_control(self, debug_ctx):
         # control (|0> + |1>)/sqrt(2) with a=4: the output register becomes
         # entangled with the control, holding 4 on one branch, 3*4 mod 5 = 2
@@ -427,6 +452,11 @@ class TestModularExponentiation:
             modular_exponentiation_ops(range(6), range(6, 9), range(9, 23), 5, 15)
         with pytest.raises(SizeMismatchError):
             modular_exponentiation_ops(range(5), range(5, 8), range(8, 22), 2, 5)
+
+    @pytest.mark.parametrize("ancillas", [range(9, 22), range(9, 24)], ids=["short", "long"])
+    def test_ancilla_count_validation(self, ancillas):
+        with pytest.raises(SizeMismatchError, match=r"4n\+2 ancilla"):
+            modular_exponentiation_ops(range(6), range(6, 9), ancillas, 2, 5)
 
 
 class TestReversal:

@@ -182,6 +182,16 @@ class TestGlobalFlags:
         code, _, _ = run_cli(capsys, "entangle", "--trials", "0")
         assert code == 1
 
+    @pytest.mark.parametrize("cap", ["0", "63", "-1", "x"])
+    def test_a_bad_qubit_cap_is_a_usage_error(self, capsys, cap):
+        code, out, err = run_cli(capsys, "coin-toss", "--qubit-cap", cap, "--trials", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("usage:") and "--qubit-cap" in err
+
+    def test_the_hard_qubit_limit_is_a_valid_cap(self, capsys):
+        code, _, _ = run_cli(capsys, "coin-toss", "--qubit-cap", "62", "--trials", "1")
+        assert code == 0
+
     def test_missing_command(self, capsys):
         code, _, _ = run_cli(capsys)
         assert code == 1

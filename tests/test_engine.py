@@ -118,6 +118,12 @@ class TestAllocation:
         with pytest.raises(QubitLimitExceededError):
             SimulationContext(qubit_cap=63)
 
+    def test_negative_count_refused(self):
+        ctx = SimulationContext(seed=0)
+        with pytest.raises(InvalidParameterError, match="negative"):
+            ctx.allocate_register(-1)
+        assert ctx.physical_count == 0
+
     def test_allocation_into_entangled_context(self, debug_ctx):
         # appending qubits must leave existing entanglement untouched
         ctx = debug_ctx()
@@ -249,6 +255,26 @@ class TestSlicing:
         with pytest.raises(SizeMismatchError):
             view.slice_reorder([0, 1])
 
+    @pytest.mark.parametrize("call", [
+        lambda view: view.slice_to(3), lambda view: view.slice_to(-1),
+        lambda view: view.slice_from(3), lambda view: view.slice_from(-1),
+        lambda view: view.slice_range(0, 3), lambda view: view.slice_range(-1, 1),
+        lambda view: view.slice_range(2, 1),
+    ], ids=["to-past-end", "to-negative", "from-past-end", "from-negative",
+            "range-past-end", "range-negative", "range-reversed"])
+    def test_wrappers_refuse_indices_outside_the_view(self, call):
+        # the wrappers slice the exposed tuple directly, so their own range check is the guard
+        view = SimulationContext(seed=0).allocate_register(3)
+        with pytest.raises(IndexOutOfRangeError):
+            call(view)
+
+    def test_wrappers_refuse_any_index_of_an_empty_view(self):
+        empty = SimulationContext(seed=0).allocate_register(0)
+        for call in (empty.slice_to, empty.slice_from, lambda i: empty.slice_range(i, i)):
+            with pytest.raises(IndexOutOfRangeError):
+                call(0)
+        assert empty.slice_reverse().exposed == ()
+
     def test_slices_compose(self):
         ctx = SimulationContext(seed=0)
         view = ctx.allocate_register(4)
@@ -334,6 +360,37 @@ class TestSetFromUnsigned:
         reg.slice([3, 2, 1, 0]).set_from_unsigned(0b0110)
         assert reg.measure().to_bitstring() == "0110"
 
+    @pytest.mark.parametrize("p_one, reading", [
+        ((6e-10, 6e-10), 0b00), ((6e-10, 1 - 6e-10), 0b01), ((1 - 6e-10, 6e-10), 0b10),
+    ], ids=["00", "01", "10"])
+    def test_reads_a_nearly_classical_product_state_qubit_by_qubit(self, debug_ctx, p_one,
+                                                                     reading):
+        # no basis state reaches 1 - 1e-9, so each qubit is read off the joint marginal
+        ctx = debug_ctx()
+        reg = ctx.allocate_register(2)
+        qubits = [np.array([math.sqrt(1 - p), math.sqrt(p)]) for p in p_one]
+        ctx._set_state(np.kron(*qubits))
+        before = ctx._state.copy()
+        reg.set_from_unsigned(reading)
+        assert np.array_equal(ctx._state, before)  # every qubit already reads its bit
+        reg.set_from_unsigned(reading ^ 0b11)
+        assert np.allclose(ctx._state, np.kron(*(q[::-1] for q in qubits)))
+
+    def test_a_refused_read_takes_one_marginal(self, monkeypatch):
+        calls = []
+        original = SimulationContext._marginal_probabilities
+
+        def counting(ctx, layout):
+            calls.append(layout)
+            return original(ctx, layout)
+
+        monkeypatch.setattr(SimulationContext, "_marginal_probabilities", counting)
+        ctx = SimulationContext(seed=0)
+        reg = ctx.allocate_register(6).apply_operation(hadamard(5))
+        with pytest.raises(NotClassicalStateError, match="physical qubit 5 "):
+            reg.set_from_unsigned(0)
+        assert len(calls) == 1
+
 
 class TestApplyOperation:
     def test_hadamard_makes_even_superposition(self, debug_ctx):
@@ -366,6 +423,17 @@ class TestApplyOperation:
         big = ctx.allocate_register(2)
         with pytest.raises(SizeMismatchError):
             big.apply_operation(cnot(0, 2))
+
+    def test_a_gate_wider_than_the_view_names_its_first_target_outside(self, debug_ctx):
+        ctx = debug_ctx()
+        reg = ctx.allocate_register(4).slice([3, 1])
+        reg.apply_operation(hadamard(0))
+        before = ctx._state.copy()
+        for apply in (reg.apply_operation, lambda op: reg.apply_operations([op])):
+            with pytest.raises(SizeMismatchError,
+                               match="Toffoli targets index 3, outside this 2-qubit register"):
+                apply(toffoli(1, 3, 2))
+        assert np.array_equal(ctx._state, before)
 
     def test_non_unitary_rejected_and_state_untouched(self, debug_ctx):
         ctx = debug_ctx()
@@ -441,6 +509,15 @@ class TestMeasurement:
             reg.measure([2])
         with pytest.raises(DuplicateIndexesError):
             reg.measure([0, 0])
+
+    def test_an_empty_subset_reads_nothing_and_draws_nothing(self, debug_ctx):
+        ctx = debug_ctx(seed=5)
+        reg = ctx.allocate_register(2).apply_operation(hadamard(0))
+        before, draws = ctx._state.copy(), ctx.rng.bit_generator.state
+        result = reg.measure([])
+        assert result.bits == () and result.to_bitstring() == "" and result.to_unsigned() == 0
+        assert ctx.rng.bit_generator.state == draws
+        assert np.array_equal(ctx._state, before)
 
     def test_normalization_preserved_through_random_program(self, debug_ctx):
         rng = np.random.default_rng(8)

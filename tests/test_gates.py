@@ -107,6 +107,18 @@ class TestCatalogMatrices:
         with pytest.raises(InvalidParameterError, match="non-empty"):
             QuantumOperation("x", (), **action)
 
+    @pytest.mark.parametrize("targets, action, match", [
+        ((0,), {"matrix": np.eye(2), "permutation": [0, 1]}, "exactly one"),
+        ((0,), {}, "exactly one"),
+        ((0, 1), {"matrix": np.eye(3)}, "power of two"),
+        ((0, 1), {"permutation": [0, 2, 1]}, "power of two"),
+        ((0, 1), {"matrix": np.ones((4, 2))}, "power of two"),
+        ((-1,), {"matrix": np.eye(2)}, "negative target"),
+    ], ids=["both", "neither", "3x3", "length-3", "not-square", "negative-target"])
+    def test_ill_formed_operation_refused(self, targets, action, match):
+        with pytest.raises(InvalidParameterError, match=match):
+            QuantumOperation("x", targets, **action)
+
     @pytest.mark.parametrize("op", [
         rotation_k(4), QuantumOperation("cycle", (0, 1), permutation=[1, 2, 3, 0]),
     ], ids=["matrix", "permutation"])
@@ -131,6 +143,18 @@ class TestCatalogMatrices:
     def test_rotation_k_rejects_bad_k(self):
         with pytest.raises(InvalidParameterError):
             rotation_k(0)
+
+    def test_rotation_k_phase_at_every_k(self):
+        # the phase 2*pi * 2**-k has the bits of 2*pi / 2**k wherever 2**k is a float,
+        # and past that it is a valid near-identity gate, not an OverflowError
+        for k in range(1, 1024):
+            old = np.array([[1, 0], [0, np.exp(2j * np.pi / (1 << k))]], dtype=complex)
+            assert rotation_k(k).matrix.tobytes() == old.tobytes()
+        for k in (1024, 5000):
+            for op in (rotation_k(k), single_qubit_gate(GateSpec("R_k", k))):
+                assert op.name == f"R{k}"
+                op.require_unitary()
+                assert np.abs(op.matrix - np.eye(2)).max() <= 2 * np.pi * 2.0**-k
 
     def test_zero_angle_rotations_are_identity(self):
         for gate in (rx, ry, rz):
@@ -286,6 +310,19 @@ class TestControlledU:
         with pytest.raises(InvalidParameterError):
             controlled_u(pauli_x(), [], 0)
 
+    def test_needs_a_one_qubit_matrix(self):
+        with pytest.raises(InvalidParameterError, match="1-qubit"):
+            controlled_u(cnot(), [2], 3)
+        with pytest.raises(InvalidParameterError, match="2x2"):
+            controlled_u(np.eye(3), [0], 1)
+
+    def test_dense_matrix_cap(self):
+        # 40 controls would ask numpy for a 2**41 x 2**41 matrix
+        assert controlled_u(pauli_x(), range(9), 9).arity == linalg.MAX_MATRIX_QUBITS
+        for controls in (10, 40):
+            with pytest.raises(QubitLimitExceededError, match="dense-matrix cap"):
+                controlled_u(pauli_x(), range(controls), controls)
+
 
 class TestRetarget:
     def test_returns_new_operation(self):
@@ -409,6 +446,19 @@ class TestWalsh:
             walsh(range(11))
         with pytest.raises(QubitLimitExceededError):
             linalg.identity(11)
+
+    def test_one_cap_serves_every_dense_builder(self, monkeypatch):
+        monkeypatch.setattr(linalg, "MAX_MATRIX_QUBITS", 3)
+        builders = {
+            "walsh": lambda n: walsh(range(n)).matrix,
+            "expand_to_full_matrix": lambda n: expand_to_full_matrix(hadamard(0), n),
+            "identity": linalg.identity,
+            "controlled_u": lambda n: controlled_u(pauli_x(), range(n - 1), n - 1).matrix,
+        }
+        for name, build in builders.items():
+            assert build(3).shape == (8, 8), name
+            with pytest.raises(QubitLimitExceededError, match="dense-matrix cap of 3"):
+                build(4)
 
 
 class TestDualPath:

@@ -16,6 +16,12 @@ CNOT = np.array(
 )
 
 
+class TestAsMatrix:
+    def test_refuses_an_array_of_more_than_two_dimensions(self):
+        with pytest.raises(DimensionMismatchError, match="ndim=3"):
+            linalg.as_matrix(np.zeros((2, 2, 2)))
+
+
 class TestMultiply:
     def test_not_flips_zero_ket(self):
         ket0 = np.array([[1.0], [0.0]], dtype=complex)

@@ -4,7 +4,14 @@ import pytest
 from sharq import SimulationContext, algorithms
 from sharq.algorithms import PeriodSample
 from sharq.errors import InvalidParameterError, ResourceExhaustedError
-from sharq.numtheory import bits_to_express, gcd, is_prime, is_prime_power, mod_pow
+from sharq.numtheory import (
+    bits_to_express,
+    gcd,
+    is_prime,
+    is_prime_power,
+    mod_pow,
+    smallest_prime_factor,
+)
 from sharq.shor import MAX_ITERATIONS, shor_factor
 
 # f(x) = 8^x mod 15 from the worked factoring trace
@@ -65,6 +72,11 @@ class TestPrimality:
         assert is_prime_power(32)
         assert not is_prime_power(15)
         assert not is_prime_power(21)
+
+    def test_smallest_prime_factor_needs_two_or_more(self):
+        assert [smallest_prime_factor(v) for v in (2, 9, 91, 97)] == [2, 3, 7, 97]
+        with pytest.raises(InvalidParameterError, match=">= 2"):
+            smallest_prime_factor(1)
 
 
 class TestPreconditions:
@@ -164,6 +176,29 @@ class TestFactoring:
         ctx = SimulationContext(seed=1)
         with pytest.raises(ResourceExhaustedError):
             shor_factor(ctx, 15, force_m=14)
+
+    def test_odd_period_is_rejected(self):
+        # seed 10 draws m=16 first, and 16 has order 3 mod 21
+        outcome = shor_factor(SimulationContext(seed=10), 21)
+        first = outcome.trace[0]
+        assert (first.iteration, first.m, first.status, first.period) == (1, 16, "odd-period", 3)
+        assert outcome.factors == (3, 7)
+
+    def test_a_period_whose_root_is_one_finds_no_factor(self, monkeypatch):
+        # 8 is a multiple of the order 4 of 7 mod 15, so the root 7**4 mod 15 is 1
+        # and both gcds are trivial; the next iteration extracts the true period
+        periods = [8]
+        extract = algorithms.extract_period
+        monkeypatch.setattr(algorithms, "extract_period",
+                            lambda *args: periods.pop() if periods else extract(*args))
+        outcome = shor_factor(SimulationContext(seed=0), 15, force_m=7)
+        assert [(r.status, r.period) for r in outcome.trace] == [("no-factor", 8), ("factored", 4)]
+        assert outcome.factors == (3, 5)
+
+    def test_budget_exhaustion_on_odd_periods(self):
+        # 4 has order 3 mod 21: every iteration is an odd-period rejection
+        with pytest.raises(ResourceExhaustedError, match=f"within {MAX_ITERATIONS} iterations"):
+            shor_factor(SimulationContext(seed=1), 21, force_m=4)
 
     @pytest.mark.parametrize("oracle", ["semantic", "circuit"])
     def test_qubit_reuse_stays_under_cap(self, oracle):
