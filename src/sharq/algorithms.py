@@ -117,6 +117,14 @@ def circuit_uf(m: int, modulus: int) -> QuantumOperation:
 
 # --- the quantum step of factoring --------------------------------------------
 
+def _oracle_family(oracle: str):
+    """``semantic_uf`` or ``circuit_uf`` by name, looked up in this module when called."""
+    families = {"semantic": semantic_uf, "circuit": circuit_uf}
+    if not isinstance(oracle, str) or oracle not in families:
+        raise InvalidParameterError(f"oracle must be 'semantic' or 'circuit', got {oracle!r}")
+    return families[oracle]
+
+
 def shor_quantum_step(ctx: SimulationContext, n_value: int, m: int,
                       oracle: str = "semantic",
                       register: RegisterView | None = None) -> PeriodSample:
@@ -136,9 +144,7 @@ def shor_quantum_step(ctx: SimulationContext, n_value: int, m: int,
     n_value, m = as_int(n_value, "N"), as_int(m, "m")
     if math.gcd(m, n_value) != 1:
         raise InvalidParameterError(f"m={m} shares a factor with N={n_value}")
-    build = {"semantic": semantic_uf, "circuit": circuit_uf}.get(oracle)
-    if build is None:
-        raise InvalidParameterError(f"oracle must be 'semantic' or 'circuit', got {oracle!r}")
+    build = _oracle_family(oracle)
     n = bits_to_express(n_value)
 
     if register is None:

@@ -22,9 +22,9 @@ axes, for gates, marginals, collapse, register resets and inspection alike.
 A plan (``RegisterView.apply_operations``, and ``run_on_basis`` for traces) is
 run with each run of consecutive basis permutations fused into one exact
 permutation on at most ``_SLICE_MOVE_ARITY`` qubits. ``_fused`` keeps the 64 most
-recently used fused plans; each caller checks a plan as a whole by the facts
-cached with it before any amplitude changes. A nonempty plan of basis
-permutations alone, on a state whose nonzero amplitudes are at most
+recently used fused plans and the facts each caller checks a plan by, once and
+before any amplitude changes; fusion and the kernels trust them. A nonempty
+plan of basis permutations alone, on a state whose nonzero amplitudes are at most
 ``_SUPPORT_SHARE`` = 1/16 of it, does not pass over the state once per fused op:
 ``_permute_support`` finds the support in one cast to bool, traces the nonzero
 indices through the fused ops as basis words and moves each nonzero amplitude
@@ -185,17 +185,15 @@ def _fuse(ops: tuple[QuantumOperation, ...]) -> tuple[QuantumOperation, ...]:
     """Greedily merge consecutive basis permutations while their targets span at
     most ``_SLICE_MOVE_ARITY`` qubits.
 
-    Dense and diagonal gates, zero-target gates, permutations that fail the
-    unitarity check and gates on a qubit past the basis word (62 and up) are
-    barriers and pass through unchanged. Moving amplitudes is exact, so the
-    fused plan gives bit-identical states and traces.
+    Gates join by structure alone: dense and diagonal gates and zero-target
+    gates are barriers and pass through unchanged. Moving amplitudes is exact,
+    so the fused plan gives bit-identical states and traces.
     """
     fused: list[QuantumOperation] = []
     group: list[QuantumOperation] = []
     union: set[int] = set()
     for op in ops:
-        joins = (0 < op.arity <= _SLICE_MOVE_ARITY and op._kernel == "perm"
-                 and op._action_is_unitary and max(op.targets) < HARD_QUBIT_LIMIT)
+        joins = 0 < op.arity <= _SLICE_MOVE_ARITY and op._kernel == "perm"
         if not (joins and len(union.union(op.targets)) <= _SLICE_MOVE_ARITY):
             if group:
                 fused.append(_compose(group, union))
@@ -214,6 +212,7 @@ class _FusedPlan(NamedTuple):
     ops: tuple[QuantumOperation, ...]  # what a plan's gates fuse to
     top: int  # the highest target of any gate, -1 for none
     classical: bool  # the plan has gates, and every one is a basis permutation
+    unitary: bool  # every gate passes its unitarity check
 
 
 @lru_cache(maxsize=64)
@@ -222,18 +221,23 @@ def _fused(ops: tuple[QuantumOperation, ...]) -> _FusedPlan:
 
     Operations hash by identity and catalog gates are cached instances, so a
     rebuilt plan hits. Nothing is checked here: ``top < width`` implies every
-    target check, a gate that fails the unitarity check stays a barrier of its
-    own in ``ops``, and ``classical`` means every gate has ``basis_flips``.
-    Fusing a plan that a caller will refuse cannot raise, and is never applied.
+    target check, ``unitary`` every unitarity check, and ``classical`` means
+    every gate has ``basis_flips``. Each caller refuses a plan by them before
+    using it; one past the basis word (``top`` of 62 or more) is left unfused.
     """
-    return _FusedPlan(_fuse(ops), max((max(op.targets, default=-1) for op in ops), default=-1),
-                      bool(ops) and all(op._kernel == "perm" for op in ops))
+    top = max((max(op.targets, default=-1) for op in ops), default=-1)
+    return _FusedPlan(_fuse(ops) if top < HARD_QUBIT_LIMIT else ops, top,
+                      bool(ops) and all(op._kernel == "perm" for op in ops),
+                      all(op._action_is_unitary for op in ops))
 
 
 def trial_seed(master_seed: int, trial_index: int) -> np.random.SeedSequence:
     """Stable per-trial seed so batch results don't depend on execution order."""
-    return np.random.SeedSequence(entropy=(as_int(master_seed, "seed"),
-                                           as_int(trial_index, "trial index")))
+    master_seed, trial_index = as_int(master_seed, "seed"), as_int(trial_index, "trial index")
+    if master_seed < 0 or trial_index < 0:
+        raise InvalidParameterError(
+            f"seed and trial index must be >= 0, got {master_seed} and {trial_index}")
+    return np.random.SeedSequence(entropy=(master_seed, trial_index))
 
 
 @dataclass(frozen=True)
@@ -277,7 +281,10 @@ class SimulationContext:
         self._state = np.array([1.0 + 0j])
         self._location = "localhost"
         self.debug = bool(debug)
-        self.rng = np.random.default_rng(seed)
+        try:
+            self.rng = np.random.default_rng(seed)
+        except (TypeError, ValueError) as exc:  # what numpy raises for a seed it refuses
+            raise InvalidParameterError(f"cannot seed a generator with {seed!r}: {exc}") from None
 
     # -- basic accessors ----------------------------------------------
 
@@ -326,7 +333,7 @@ class SimulationContext:
             )
 
     def _allocate_with_amplitudes(self, amplitudes: np.ndarray, n_qubits: int) -> "RegisterView":
-        self._require_room(n_qubits)
+        """Append ``amplitudes`` as ``n_qubits`` new qubits; the caller has checked the room."""
         first = self._count
         if n_qubits:
             if first == 0:
@@ -344,9 +351,7 @@ class SimulationContext:
     # -- state transformation ------------------------------------------
 
     def _apply(self, op: QuantumOperation, physical_targets: tuple[int, ...]):
-        # Unitarity is enforced before any amplitude is touched, so a failed
-        # check leaves the vector bit-identical.
-        op.require_unitary()
+        """Apply ``op`` on ``physical_targets``; the caller has checked it."""
         layout = _layout(self._count, physical_targets)
         ndim, axes = len(layout.shape), layout.axes
         psi = self._state.reshape(layout.shape)
@@ -391,8 +396,7 @@ class SimulationContext:
         register-local basis words (view qubit t at bit 61 - t), ``trace_words``
         carries them through ``ops``, and each amplitude moves once to the index
         its flipped bits name. The view's bits move between the two one run of
-        adjacent qubits at a time (``_Layout.runs``). Every op must already have
-        passed its checks.
+        adjacent qubits at a time (``_Layout.runs``). The caller has checked ``ops``.
         """
         state = self._state
         # one pass over the amplitudes: a bool mask is fast to count and to index,
@@ -600,7 +604,9 @@ class RegisterView:
             ) from None
 
     def apply_operation(self, op: QuantumOperation) -> "RegisterView":
-        self.context._apply(op, self._physical(op))
+        physical = self._physical(op)
+        op.require_unitary()
+        self.context._apply(op, physical)
         return self
 
     def apply_operations(self, ops) -> "RegisterView":
@@ -613,12 +619,10 @@ class RegisterView:
         """
         ops = tuple(ops)
         plan = _fused(ops)
-        if plan.top >= len(self):
-            for op in ops:  # raises for the first op that does not fit
+        if plan.top >= len(self) or not plan.unitary:
+            for op in ops:  # raises for the first op that does not fit or is not unitary
                 self._physical(op)
                 op.require_unitary()
-        for op in plan.ops:
-            op.require_unitary()  # every gate that can fail this is in ``plan.ops``
         if plan.classical and self.context._permute_support(plan.ops, self._exposed[:plan.top + 1]):
             return self
         for op in plan.ops:

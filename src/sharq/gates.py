@@ -469,6 +469,7 @@ def prepare_named_state(ctx, name: str):
     if key not in NAMED_STATES:
         raise InvalidParameterError(f"unknown named state {name!r}; expected one of {NAMED_STATES}")
     if key == "w":
+        ctx._require_room(3)
         return ctx._allocate_with_amplitudes(_W_AMPLITUDES.copy(), 3)
     if key == "ghz":
         reg = ctx.allocate_register(3)

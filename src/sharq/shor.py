@@ -40,11 +40,14 @@ class FactoringOutcome:
     trace: tuple[IterationRecord, ...]
 
 
-def _screen(n_value: int):
+def _screen(ctx: SimulationContext, n_value: int):
     if n_value % 2 == 0:
         raise InvalidParameterError(f"N must be odd, got the even number {n_value}")
     if n_value < SMALLEST_SUPPORTED:
         raise InvalidParameterError(f"N must be at least {SMALLEST_SUPPORTED}, got {n_value}")
+    # the step's register is refused as allocate_register would refuse it, before
+    # the trial divisions of the primality tests and before any draw
+    ctx._require_room(bits_to_express(n_value) + 1)
     if is_prime(n_value):
         raise InvalidParameterError(f"N must be composite, got the prime {n_value}")
     if is_prime_power(n_value):
@@ -61,12 +64,13 @@ def shor_factor(ctx: SimulationContext, n_value: int, force_m: int | None = None
     deterministically. ``oracle`` selects the semantic oracle (default) or the
     one compiled from the gate-built circuit; every step reuses one n+1 qubit register.
     """
-    from .algorithms import extract_period, shor_quantum_step
+    from .algorithms import _oracle_family, extract_period, shor_quantum_step
 
     n_value = as_int(n_value, "N")
-    _screen(n_value)
+    _screen(ctx, n_value)
     if force_m is not None and not 1 < (force_m := as_int(force_m, "m")) < n_value:
         raise InvalidParameterError(f"forced m must satisfy 1 < m < N, got {force_m}")
+    _oracle_family(oracle)  # refused before a lucky gcd could end the loop unchecked
 
     n_bits = bits_to_express(n_value)
     work = None

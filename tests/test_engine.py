@@ -582,6 +582,41 @@ class TestPeek:
         assert np.allclose(reg.slice([1]).peek_amplitudes(), [S2, S2])
 
 
+class TestSetState:
+    def test_a_vector_of_the_wrong_length_is_refused(self, debug_ctx):
+        ctx = debug_ctx()
+        ctx.allocate_register(2)
+        with pytest.raises(SizeMismatchError, match=r"2\*\*2 amplitudes"):
+            ctx._set_state([1, 0])
+
+    def test_an_all_zero_vector_is_refused(self, debug_ctx):
+        ctx = debug_ctx()
+        ctx.allocate_register(2)
+        before = ctx._state.copy()
+        with pytest.raises(InvalidParameterError, match="zero state"):
+            ctx._set_state(np.zeros(4))
+        assert np.array_equal(ctx._state, before)
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3), [1, -2], 1.5, "7"])
+    def test_a_seed_numpy_refuses_is_an_invalid_parameter(self, seed):
+        with pytest.raises(InvalidParameterError, match="cannot seed a generator"):
+            SimulationContext(seed=seed)
+
+    @pytest.mark.parametrize("master_seed, trial_index", [(-1, 0), (0, -1)])
+    def test_a_negative_trial_seed_is_an_invalid_parameter(self, master_seed, trial_index):
+        with pytest.raises(InvalidParameterError, match="must be >= 0"):
+            engine.trial_seed(master_seed, trial_index)
+
+    def test_every_seed_numpy_takes_still_seeds(self):
+        draws = [SimulationContext(seed=seed).rng.random()
+                 for seed in (7, np.uint8(7), 2**70, [7, 8], np.random.SeedSequence(7))]
+        assert draws[0] == draws[1] == draws[4] and len(set(draws)) == 3
+        assert 0 <= SimulationContext(seed=None).rng.random() < 1
+        assert engine.trial_seed(0, 0).entropy == (0, 0)
+
+
 class TestLocation:
     def test_get(self):
         assert SimulationContext(seed=0).get_location() == "localhost"
@@ -642,6 +677,31 @@ class TestApplyOperations:
         with pytest.raises(SizeMismatchError, match="Toffoli targets index 3"):
             reg.apply_operations(plan)
         assert np.array_equal(ctx._state, before)
+
+    def test_a_plan_past_the_basis_word_is_left_unfused_and_refused(self):
+        plan = (pauli_x(0), cnot(0, 1), toffoli(0, 1, 62), pauli_x(2))
+        fused = engine._fused(plan)
+        assert fused.ops is plan and fused.top == 62 and fused.classical and fused.unitary
+        ctx, reg = self._basis(3, 0b101)
+        before = ctx._state.copy()
+        with pytest.raises(SizeMismatchError,
+                           match="Toffoli targets index 62, outside this 3-qubit register"):
+            reg.apply_operations(plan)
+        assert np.array_equal(ctx._state, before)
+        for width in (3, 62):
+            with pytest.raises(SizeMismatchError,
+                               match=f"Toffoli targets qubit 62 of a {width}-qubit register"):
+                run_on_basis(plan, width, 0)
+
+    def test_a_non_bijective_op_fuses_and_traces_as_gate_by_gate(self):
+        # fusion joins gates by structure alone; the plan's unitary fact refuses it
+        plan = (pauli_x(0), self.NOT_BIJECTIVE, cnot(1, 0), toffoli(0, 1, 2))
+        fused = engine._fused(plan)
+        assert len(fused.ops) == 1 and fused.classical and not fused.unitary
+        words = np.arange(8)
+        for op in plan:
+            words = run_on_basis((op,), 3, words)
+        assert np.array_equal(run_on_basis(plan, 3, np.arange(8)), words)
 
     def test_a_non_bijective_op_in_a_classical_plan_leaves_a_basis_state_untouched(self):
         plan = (pauli_x(0), cnot(0, 1), toffoli(0, 1, 2), self.NOT_BIJECTIVE, pauli_x(1))
@@ -749,7 +809,7 @@ class TestApplyOperations:
         plan = OperationPlan((pauli_x(0), cnot(0, 5), toffoli(5, 0, 2), hadamard(3), one,
                               cnot(3, 4), pauli_x(9), pauli_x(1), cnot(1, 7), pauli_x(8)), ())
         reg = SimulationContext(seed=0).allocate_register(10)
-        fused, top, classical = engine._fused(plan.ops)
+        fused, top, classical, unitary = engine._fused(plan.ops)
         assert top == 9 and not classical
         assert [op.targets for op in fused] == [
             (0, 2, 5), (3,), (), (1, 3, 4, 7, 8, 9)]
@@ -765,7 +825,7 @@ class TestApplyOperations:
         scattered = (0, 2, 5, 6, 9, 11, 12, 15)
         plan = (*(pauli_x(q) for q in scattered), cnot(2, 9), toffoli(0, 15, 6), cnot(12, 5))
         ctx, reg = self._random(16)
-        (fused,), _, _ = engine._fused(plan)
+        (fused,), _, _, _ = engine._fused(plan)
         assert fused.targets == scattered
         reg.apply_operations(plan)  # composes the permutation and its cycles once
         tracemalloc.start()

@@ -17,6 +17,11 @@ CNOT = np.array(
 
 
 class TestAsMatrix:
+    def test_a_vector_becomes_a_column(self):
+        column = linalg.as_matrix([1, 2j])
+        assert column.shape == (2, 1) and column.dtype == complex
+        assert np.array_equal(column[:, 0], [1, 2j])
+
     def test_refuses_an_array_of_more_than_two_dimensions(self):
         with pytest.raises(DimensionMismatchError, match="ndim=3"):
             linalg.as_matrix(np.zeros((2, 2, 2)))

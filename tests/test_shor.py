@@ -1,9 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 
 from sharq import SimulationContext, algorithms
 from sharq.algorithms import PeriodSample
-from sharq.errors import InvalidParameterError, ResourceExhaustedError
+from sharq.errors import InvalidParameterError, QubitLimitExceededError, ResourceExhaustedError
 from sharq.numtheory import (
     bits_to_express,
     gcd,
@@ -73,6 +75,9 @@ class TestPrimality:
         assert not is_prime_power(15)
         assert not is_prime_power(21)
 
+    def test_nothing_below_two_is_a_prime_power(self):
+        assert not any(is_prime_power(v) for v in (1, 0, -8))
+
     def test_smallest_prime_factor_needs_two_or_more(self):
         assert [smallest_prime_factor(v) for v in (2, 9, 91, 97)] == [2, 3, 7, 97]
         with pytest.raises(InvalidParameterError, match=">= 2"):
@@ -90,6 +95,24 @@ class TestPreconditions:
             shor_factor(SimulationContext(seed=0), 15, force_m=15)
         with pytest.raises(InvalidParameterError):
             shor_factor(SimulationContext(seed=0), 15, force_m=1)
+
+    @pytest.mark.parametrize("n_value", [2**80 + 1, 2**61 - 1])
+    def test_an_n_past_the_room_is_refused_before_screening_or_drawing(self, n_value):
+        # 2**80 + 1 would reach numpy's int64 draw; the prime 2**61 - 1 would spend
+        # about 90 s in trial division before being refused as prime
+        ctx = SimulationContext(seed=1)
+        start = time.perf_counter()
+        with pytest.raises(QubitLimitExceededError, match=f"allocating {n_value.bit_length() + 1} qubits"):
+            shor_factor(ctx, n_value)
+        assert time.perf_counter() - start < 0.1
+        assert ctx.physical_count == 0
+
+    @pytest.mark.parametrize("oracle", ["bogus", ["semantic"], None])
+    def test_an_unknown_oracle_is_refused_even_when_a_gcd_would_end_the_loop(self, oracle):
+        # m = 5 shares a factor with 15, so the step that checks the name never runs
+        for m in (5, 7):
+            with pytest.raises(InvalidParameterError, match="oracle must be 'semantic' or 'circuit'"):
+                shor_factor(SimulationContext(seed=0), 15, force_m=m, oracle=oracle)
 
     def test_forced_m_must_be_an_integer(self):
         expected = shor_factor(SimulationContext(seed=0), 15, force_m=7)
