@@ -210,15 +210,12 @@ def extract_period(samples, m: int, n_value: int) -> int | None:
                 candidates.add(d)
             if d > 1 and 2 * d <= n_value:
                 candidates.add(2 * d)
-    validated = sorted(d for d in candidates if mod_pow(m, d, n_value) == 1)
-    if validated:
-        return validated[0]
-    pool = sorted(candidates)
-    combined = {math.lcm(a, b) for a in pool for b in pool if a < b}
-    validated = sorted(
-        d for d in combined if d <= n_value and mod_pow(m, d, n_value) == 1
-    )
-    return validated[0] if validated else None
+    period = min((d for d in candidates if mod_pow(m, d, n_value) == 1), default=None)
+    if period is not None:
+        return period
+    combined = {math.lcm(a, b) for a in candidates for b in candidates if a < b}
+    return min((d for d in combined if d <= n_value and mod_pow(m, d, n_value) == 1),
+               default=None)
 
 
 # --- Deutsch's algorithm ---------------------------------------------------

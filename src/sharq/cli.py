@@ -133,26 +133,20 @@ def cmd_factor(args) -> int:
     start = time.perf_counter()
     outcome = shor_factor(ctx, args.n, force_m=args.force_m, oracle=args.oracle)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
+    for record in outcome.trace:
+        row = {"iteration": record.iteration, "m": record.m, "status": record.status,
+               "sample": None if record.sample is None else record.sample.measured,
+               "period": record.period}
+        if args.output == "json":
+            print(json.dumps(row))
+        else:
+            details = "".join(f" {key}={row[key]}" for key in ("sample", "period")
+                              if row[key] is not None)
+            print(f"iteration {row['iteration']}: m={row['m']} {row['status']}{details}")
     if args.output == "json":
-        for record in outcome.trace:
-            print(json.dumps({
-                "iteration": record.iteration,
-                "m": record.m,
-                "status": record.status,
-                "sample": None if record.sample is None else record.sample.measured,
-                "period": record.period,
-            }))
-        print(json.dumps({
-            "n": outcome.n_value,
-            "factors": list(outcome.factors),
-            "seed": seed,
-            "elapsed_ms": elapsed_ms,
-        }))
+        print(json.dumps({"n": outcome.n_value, "factors": list(outcome.factors),
+                          "seed": seed, "elapsed_ms": elapsed_ms}))
     else:
-        for record in outcome.trace:
-            detail = "" if record.period is None else f" period={record.period}"
-            sample = "" if record.sample is None else f" sample={record.sample.measured}"
-            print(f"iteration {record.iteration}: m={record.m} {record.status}{sample}{detail}")
         p, q = outcome.factors
         print(f"{outcome.n_value} = {p} x {q}")
         print(f"seed={seed} elapsed_ms={elapsed_ms}")

@@ -451,26 +451,26 @@ class SimulationContext:
         psi *= mask
         return bits
 
-    def _classical_bits(self, physical: tuple[int, ...]) -> list[int]:
-        """Bits of the basis state ``physical`` are collapsed to, from one marginal.
+    def _classical_value(self, physical: tuple[int, ...]) -> int:
+        """The basis word, big-endian in ``physical`` order, that those qubits
+        are collapsed to, read from one marginal.
 
         Raises NotClassicalStateError naming the first qubit in superposition.
         """
         marginal = self._marginal_probabilities(_layout(self._count, physical))
         top = int(np.argmax(marginal))
-        k = len(physical)
         if marginal[top] >= 1.0 - _CLASSICAL_ATOL:
-            return [(top >> (k - 1 - i)) & 1 for i in range(k)]
+            return top
         # not jointly one basis state: look for the first qubit in superposition
-        bits = []
+        value = 0
         for i, qubit in enumerate(physical):
             p_one = marginal.reshape(1 << i, 2, -1)[:, 1].sum()
             if _CLASSICAL_ATOL < p_one < 1.0 - _CLASSICAL_ATOL:
                 raise NotClassicalStateError(
                     f"physical qubit {qubit} is in superposition; initialize only classical qubits"
                 )
-            bits.append(int(p_one >= 1.0 - _CLASSICAL_ATOL))
-        return bits
+            value = value << 1 | int(p_one >= 1.0 - _CLASSICAL_ATOL)
+        return value
 
     def _flip(self, physical: tuple[int, ...]):
         """Not on every qubit of ``physical`` at once: one copy with their axes reversed.
@@ -479,10 +479,7 @@ class SimulationContext:
         which is exactly what Not does; the copy keeps the state contiguous.
         """
         layout = _layout(self._count, physical)
-        index = [slice(None)] * len(layout.shape)
-        for axis in layout.axes:
-            index[axis] = slice(None, None, -1)
-        flipped = self._state.reshape(layout.shape)[tuple(index)]
+        flipped = np.flip(self._state.reshape(layout.shape), layout.axes)
         self._state = np.ascontiguousarray(flipped).reshape(-1)
 
     # -- debug-only inspection -------------------------------------------
@@ -539,17 +536,11 @@ class RegisterView:
 
     def slice_to(self, index: int) -> "RegisterView":
         """Qubits 0 through ``index`` inclusive."""
-        index = as_int(index, "index")
-        if not 0 <= index < len(self):
-            raise IndexOutOfRangeError(f"index {index} out of range for {len(self)} qubits")
-        return RegisterView(self.context, self._exposed[:index + 1])
+        return self.slice_range(0, index)
 
     def slice_from(self, index: int) -> "RegisterView":
         """Qubits ``index`` through the end."""
-        index = as_int(index, "index")
-        if not 0 <= index < len(self):
-            raise IndexOutOfRangeError(f"index {index} out of range for {len(self)} qubits")
-        return RegisterView(self.context, self._exposed[index:])
+        return self.slice_range(index, len(self) - 1)
 
     def slice_range(self, start: int, stop: int) -> "RegisterView":
         """Qubits ``start`` through ``stop`` inclusive."""
@@ -581,11 +572,8 @@ class RegisterView:
         value, width = as_int(value, "register value"), len(self)
         if not 0 <= value < (1 << width):
             raise ValueOutOfRangeError(f"{value} does not fit in {width} qubits")
-        current = self.context._classical_bits(self._exposed)
-        differing = tuple(
-            qubit for i, (qubit, have) in enumerate(zip(self._exposed, current))
-            if have != (value >> (width - 1 - i)) & 1
-        )
+        flips = value ^ self.context._classical_value(self._exposed)
+        differing = tuple(q for i, q in enumerate(self._exposed) if flips >> (width - 1 - i) & 1)
         if differing:
             self.context._flip(differing)
         return self

@@ -70,11 +70,12 @@ class QuantumOperation:
         if (self.matrix is None) == (self.permutation is None):
             raise InvalidParameterError("operation needs exactly one of matrix/permutation")
         object.__setattr__(self, "targets", as_indices(self.targets)[0])
-        if self.matrix is not None:
-            object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
-        else:
-            object.__setattr__(self, "permutation", np.asarray(self.permutation, dtype=np.int64))
-        action = self.permutation if self.matrix is None else self.matrix
+        field, dtype = ("matrix", complex) if self.permutation is None else ("permutation", np.int64)
+        action = np.asarray(getattr(self, field), dtype=dtype)
+        if action.flags.writeable:  # every cached fact assumes the action never changes
+            action = action.copy()
+            action.flags.writeable = False
+        object.__setattr__(self, field, action)
         if action.size == 0 or action.ndim != (1 if self.matrix is None else 2):
             raise InvalidParameterError(f"{self.name}: action is not a non-empty 1-D or 2-D array")
         dim = len(action)
@@ -160,6 +161,7 @@ class QuantumOperation:
         images = self._basis_images
         inverse = np.empty_like(images)
         inverse[images] = np.arange(len(images))
+        inverse.flags.writeable = False  # kept as the adjoint's action without a copy
         return inverse
 
     def inverse(self) -> "QuantumOperation":

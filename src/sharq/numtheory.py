@@ -32,22 +32,50 @@ def bits_to_express(value: int) -> int:
     return value.bit_length()
 
 
-def smallest_prime_factor(value: int) -> int:
-    value = as_int(value, "value")
-    if value < 2:
-        raise InvalidParameterError(f"need an integer >= 2, got {value}")
-    if value % 2 == 0:
-        return 2
-    d = 3
-    while d * d <= value:
-        if value % d == 0:
-            return d
-        d += 2
-    return value
+# Miller-Rabin to these bases, the first 13 primes, is exact below ψ13 =
+# 3317044064679887385961981 (Sorenson and Webster, arXiv:1509.00864). The first
+# twelve are not enough: ψ12 = 318665857834031151167461 passes every base up to 37.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(value: int) -> bool:
-    return as_int(value, "value") >= 2 and smallest_prime_factor(value) == value
+    """Whether ``value`` is prime, by Miller-Rabin to the first 13 primes as bases.
+
+    Exact below 3.3e24, which holds every N a simulated register can hold
+    (under 2**62), in microseconds to about a millisecond. Past that bound the
+    answer is a strong probable-prime test's: a composite that passes every
+    base would be called prime.
+    """
+    value = as_int(value, "value")
+    if value < 2:
+        return False
+    for p in _WITNESSES:
+        if value % p == 0:
+            return value == p
+    s = ((value - 1) & -(value - 1)).bit_length() - 1  # value - 1 == d * 2**s, d odd
+    d = (value - 1) >> s
+    for a in _WITNESSES:
+        x = pow(a, d, value)
+        if x == 1 or x == value - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % value
+            if x == value - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _integer_root(value: int, k: int) -> int:
+    """floor(value ** (1/k)) for value >= 1, by Newton's method on ints (floats
+    are not exact past 2**53)."""
+    root = 1 << -(-value.bit_length() // k)  # 2**ceil(bits/k), at least the root
+    while True:
+        step = ((k - 1) * root + value // root ** (k - 1)) // k
+        if step >= root:
+            return root
+        root = step
 
 
 def is_prime_power(value: int) -> bool:
@@ -55,7 +83,9 @@ def is_prime_power(value: int) -> bool:
     value = as_int(value, "value")
     if value < 2:
         return False
-    p = smallest_prime_factor(value)
-    while value % p == 0:
-        value //= p
-    return value == 1
+    # the largest k with an exact k-th root (k = 1 always has one) leaves a root
+    # that is no perfect power itself
+    for k in range(value.bit_length() - 1, 0, -1):
+        root = _integer_root(value, k)
+        if root ** k == value:
+            return is_prime(root)

@@ -46,7 +46,7 @@ def _screen(ctx: SimulationContext, n_value: int):
     if n_value < SMALLEST_SUPPORTED:
         raise InvalidParameterError(f"N must be at least {SMALLEST_SUPPORTED}, got {n_value}")
     # the step's register is refused as allocate_register would refuse it, before
-    # the trial divisions of the primality tests and before any draw
+    # the primality tests and before any draw
     ctx._require_room(bits_to_express(n_value) + 1)
     if is_prime(n_value):
         raise InvalidParameterError(f"N must be composite, got the prime {n_value}")
@@ -54,6 +54,23 @@ def _screen(ctx: SimulationContext, n_value: int):
         raise InvalidParameterError(
             f"N must not be a prime power, got {n_value} (use classical root extraction)"
         )
+
+
+def _judge(m: int, period: int | None, n_value: int) -> tuple[str, int | None]:
+    """The status of a quantum step whose period for base ``m`` came out as ``period``
+    (None: a degenerate sample), and the factor of ``n_value`` it gives if "factored"."""
+    if period is None:
+        return "degenerate-sample", None
+    if period % 2:
+        return "odd-period", None
+    root = mod_pow(m, period // 2, n_value)
+    if (root + 1) % n_value == 0:
+        return "trivial-root", None
+    for candidate in (gcd(root - 1, n_value), gcd(root + 1, n_value)):
+        if 1 < candidate < n_value:
+            return "factored", candidate
+    # root == 1 (mod N): the extracted period was a multiple of the order
+    return "no-factor", None
 
 
 def shor_factor(ctx: SimulationContext, n_value: int, force_m: int | None = None,
@@ -76,13 +93,7 @@ def shor_factor(ctx: SimulationContext, n_value: int, force_m: int | None = None
     work = None
     tried: set[int] = set()
     trace: list[IterationRecord] = []
-
-    def finish(m, status, sample=None, period=None, factor=None):
-        trace.append(IterationRecord(len(trace) + 1, m, status, sample, period))
-        p, q = sorted((factor, n_value // factor))
-        return FactoringOutcome(n_value, (p, q), tuple(trace))
-
-    for _ in range(MAX_ITERATIONS):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         if force_m is not None:
             m = force_m
         else:
@@ -93,29 +104,17 @@ def shor_factor(ctx: SimulationContext, n_value: int, force_m: int | None = None
                 m = int(ctx.rng.integers(2, n_value))
             tried.add(m)
 
-        lucky = gcd(m, n_value)
-        if lucky != 1:
-            return finish(m, "gcd-shortcut", factor=lucky)
-
-        if work is None:
-            work = ctx.allocate_register(n_bits + 1)
-        sample = shor_quantum_step(ctx, n_value, m, oracle=oracle, register=work)
-        period = extract_period([sample], m, n_value)
-        if period is None:
-            trace.append(IterationRecord(len(trace) + 1, m, "degenerate-sample", sample))
-            continue
-        if period % 2:
-            trace.append(IterationRecord(len(trace) + 1, m, "odd-period", sample, period))
-            continue
-        root = mod_pow(m, period // 2, n_value)
-        if (root + 1) % n_value == 0:
-            trace.append(IterationRecord(len(trace) + 1, m, "trivial-root", sample, period))
-            continue
-        for candidate in (gcd(root - 1, n_value), gcd(root + 1, n_value)):
-            if 1 < candidate < n_value:
-                return finish(m, "factored", sample, period, candidate)
-        # root == 1 (mod N): the extracted period was a multiple of the order
-        trace.append(IterationRecord(len(trace) + 1, m, "no-factor", sample, period))
+        status, factor, sample, period = "gcd-shortcut", gcd(m, n_value), None, None
+        if factor == 1:
+            if work is None:
+                work = ctx.allocate_register(n_bits + 1)
+            sample = shor_quantum_step(ctx, n_value, m, oracle=oracle, register=work)
+            period = extract_period([sample], m, n_value)
+            status, factor = _judge(m, period, n_value)
+        trace.append(IterationRecord(iteration, m, status, sample, period))
+        if factor is not None:
+            p, q = sorted((factor, n_value // factor))
+            return FactoringOutcome(n_value, (p, q), tuple(trace))
 
     raise ResourceExhaustedError(
         f"no factor of {n_value} found within {MAX_ITERATIONS} iterations"

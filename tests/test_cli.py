@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -114,6 +115,11 @@ class TestFactor:
         code, _, _ = run_cli(capsys, "factor", "17")
         assert code == 2
 
+    def test_a_wide_prime_is_a_precondition_failure(self, capsys):
+        code, out, err = run_cli(capsys, "factor", str(2**61 - 1), "--qubit-cap", "62")
+        assert code == 2
+        assert out == "" and "prime" in err
+
     def test_resource_exhaustion_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "factor", "15", "--force-m", "14", "--seed", "1")
         assert code == 3
@@ -137,6 +143,29 @@ class TestFactor:
         assert code == 0
         _, summary = parse_json_lines(out)
         assert summary["factors"] == [3, 5]
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("factor", "21", "--seed", "3"), [
+            "iteration 1: m=17 trivial-root sample=342 period=6",
+            "iteration 2: m=3 gcd-shortcut",
+            "21 = 3 x 7",
+            "seed=3 elapsed_ms=*",
+        ]),
+        (("factor", "55", "--seed", "11", "--output", "json"), [
+            '{"iteration": 1, "m": 9, "status": "factored", "sample": 2458, "period": 10}',
+            '{"n": 55, "factors": [5, 11], "seed": 11, "elapsed_ms": *}',
+        ]),
+        (("factor", "15", "--force-m", "8", "--seed", "7"), [
+            "iteration 1: m=8 factored sample=128 period=4",
+            "15 = 3 x 5",
+            "seed=7 elapsed_ms=*",
+        ]),
+    ])
+    def test_printed_lines_are_pinned(self, capsys, argv, expected):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        masked = re.sub(r'(elapsed_ms(?:=|": ))\d+', r"\1*", out)
+        assert masked.splitlines() == expected
 
 
 class TestState:

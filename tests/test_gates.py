@@ -5,6 +5,7 @@ import pytest
 
 from sharq import SimulationContext, linalg
 from sharq.algorithms import inverse_qft_ops, semantic_uf
+from sharq.engine import _fused
 from sharq.errors import (
     DuplicateIndexesError,
     InvalidParameterError,
@@ -533,3 +534,43 @@ class TestKernelClass:
         assert "_kernel" not in op.__dict__
         debug_ctx().allocate_register(2).apply_operation(op)
         assert op.__dict__["_kernel"] == "diag"
+
+
+class TestReadOnlyAction:
+    """Every cached fact of an operation (its unitarity, its kernel class, the
+    fused plans it joins) assumes its action never changes, so the operation
+    keeps a read-only copy of the array it was given."""
+
+    @pytest.mark.parametrize("op", [
+        hadamard(), pauli_x(), pauli_y(), pauli_z(), phase_s(), phase_t(), identity_gate(),
+        rotation_k(5), rx(0.3), ry(0.3), rz(0.3), cnot(), swap(), toffoli(), fredkin(),
+        controlled_u(hadamard(), [0], 1), walsh([0, 1]), semantic_uf(2, 15),
+        semantic_uf(7, 15).inverse(), rotation_k(5).inverse(),
+        _fused((cnot(0, 1), toffoli(0, 1, 2))).ops[0],
+    ], ids=lambda op: op.name)
+    def test_the_action_refuses_a_write(self, op):
+        action = op.matrix if op.permutation is None else op.permutation
+        with pytest.raises(ValueError, match="read-only"):
+            action.flat[0] = action.flat[0]
+
+    def test_a_later_change_to_the_callers_matrix_does_not_reach_the_op(self, debug_ctx):
+        m = np.array([[1, 1], [1, -1]], dtype=complex) * math.sqrt(0.5)
+        op = QuantumOperation("g", (0,), matrix=m)
+        reg = debug_ctx().allocate_register(1)
+        reg.apply_operation(op)
+        m *= 3
+        reg.apply_operation(op)
+        assert np.allclose(reg.peek_amplitudes(), [1, 0])  # H twice, norm 1
+        assert np.allclose(op.matrix, hadamard().matrix)
+
+    def test_a_later_change_to_the_callers_permutation_does_not_reach_the_op(self):
+        perm = np.array([1, 0], dtype=np.int64)
+        op = QuantumOperation("p", (0,), permutation=perm)
+        perm[:] = 0
+        assert op.permutation.tolist() == [1, 0]
+        op.require_unitary()
+
+    def test_a_read_only_action_is_kept_without_a_copy(self):
+        oracle = semantic_uf(2, 15)
+        assert oracle.retarget(oracle.targets).permutation is oracle.permutation
+        assert hadamard(1).matrix is hadamard(0).matrix

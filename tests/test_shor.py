@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -12,7 +13,6 @@ from sharq.numtheory import (
     is_prime,
     is_prime_power,
     mod_pow,
-    smallest_prime_factor,
 )
 from sharq.shor import MAX_ITERATIONS, shor_factor
 
@@ -78,10 +78,36 @@ class TestPrimality:
     def test_nothing_below_two_is_a_prime_power(self):
         assert not any(is_prime_power(v) for v in (1, 0, -8))
 
-    def test_smallest_prime_factor_needs_two_or_more(self):
-        assert [smallest_prime_factor(v) for v in (2, 9, 91, 97)] == [2, 3, 7, 97]
-        with pytest.raises(InvalidParameterError, match=">= 2"):
-            smallest_prime_factor(1)
+    def test_the_screens_agree_with_trial_division(self):
+        def smallest_factor(v):
+            return next((d for d in range(2, math.isqrt(v) + 1) if v % d == 0), v)
+
+        for v in range(-5, 30000):
+            prime = v >= 2 and smallest_factor(v) == v
+            assert is_prime(v) == prime, v
+            power = v >= 2
+            if power:
+                p, rest = smallest_factor(v), v
+                while rest % p == 0:
+                    rest //= p
+                power = rest == 1
+            assert is_prime_power(v) == power, v
+
+    @pytest.mark.parametrize("pseudoprime", [
+        # the smallest strong pseudoprime to the first 1, 2, ..., 9 and 12 prime bases
+        2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 3825123056546413051, 318665857834031151167461,
+    ])
+    def test_strong_pseudoprimes_are_composite(self, pseudoprime):
+        assert not is_prime(pseudoprime)
+        assert not is_prime_power(pseudoprime)
+
+    @pytest.mark.parametrize("value, prime, power", [
+        (2**61 - 1, True, True), ((2**31 - 1) ** 2, False, True),
+        (3**38, False, True), (2**61, False, True), ((2**31 - 1) * (2**61 - 1), False, False),
+    ])
+    def test_wide_values_are_exact(self, value, prime, power):
+        assert (is_prime(value), is_prime_power(value)) == (prime, power)
 
 
 class TestPreconditions:
@@ -106,6 +132,15 @@ class TestPreconditions:
             shor_factor(ctx, n_value)
         assert time.perf_counter() - start < 0.1
         assert ctx.physical_count == 0
+
+    def test_a_wide_prime_is_refused_at_once(self):
+        # a 61-bit prime fits a 62-qubit context, so the primality screen refuses it
+        start = time.perf_counter()
+        with pytest.raises(InvalidParameterError, match="prime 2305843009213693951"):
+            shor_factor(SimulationContext(seed=1, qubit_cap=62), 2**61 - 1)
+        assert time.perf_counter() - start < 0.1
+        with pytest.raises(InvalidParameterError, match="prime power"):
+            shor_factor(SimulationContext(seed=1, qubit_cap=62), 3**38)
 
     @pytest.mark.parametrize("oracle", ["bogus", ["semantic"], None])
     def test_an_unknown_oracle_is_refused_even_when_a_gcd_would_end_the_loop(self, oracle):
