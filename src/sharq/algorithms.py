@@ -173,6 +173,7 @@ def shor_quantum_step(ctx: SimulationContext, n_value: int, m: int,
 def _readout(numerator: int, k: int) -> QuantumOperation:
     """H * diag(1, exp(2*pi*i * numerator / 2**k)): one round's rotation and readout basis."""
     readout = hadamard().matrix @ np.diag([1.0, np.exp(2j * np.pi * numerator / (1 << k))])
+    readout.flags.writeable = False  # a fresh array, so the operation keeps it without a copy
     return QuantumOperation(f"HP({numerator}/2^{k})", (0,), matrix=readout)
 
 

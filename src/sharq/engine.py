@@ -21,10 +21,12 @@ axes, for gates, marginals, collapse, register resets and inspection alike.
 
 A plan (``RegisterView.apply_operations``, and ``run_on_basis`` for traces) is
 run with each run of consecutive basis permutations fused into one exact
-permutation on at most ``_SLICE_MOVE_ARITY`` qubits. ``_fused`` keeps the 64 most
-recently used fused plans and the facts each caller checks a plan by, once and
-before any amplitude changes; fusion and the kernels trust them. A nonempty
-plan of basis permutations alone, on a state whose nonzero amplitudes are at most
+permutation on at most ``_SLICE_MOVE_ARITY`` qubits. Each distinct run is composed
+once per plan, and every repeat of it in the plan shares that operation and the
+facts its kernels cache. ``_fused`` keeps the 64 most recently used fused plans
+and the facts each caller checks a plan by, once and before any amplitude
+changes; fusion and the kernels trust them. A nonempty plan of basis
+permutations alone, on a state whose nonzero amplitudes are at most
 ``_SUPPORT_SHARE`` = 1/16 of it, does not pass over the state once per fused op:
 ``_permute_support`` finds the support in one cast to bool, traces the nonzero
 indices through the fused ops as basis words and moves each nonzero amplitude
@@ -187,16 +189,26 @@ def _fuse(ops: tuple[QuantumOperation, ...]) -> tuple[QuantumOperation, ...]:
 
     Gates join by structure alone: dense and diagonal gates and zero-target
     gates are barriers and pass through unchanged. Moving amplitudes is exact,
-    so the fused plan gives bit-identical states and traces.
+    so the fused plan gives bit-identical states and traces. Plans reuse their
+    blocks, so each distinct run is composed once per call and every repeat of
+    it shares that operation, with the facts its kernels cache.
     """
     fused: list[QuantumOperation] = []
+    composed: dict[tuple[QuantumOperation, ...], QuantumOperation] = {}
     group: list[QuantumOperation] = []
     union: set[int] = set()
+
+    def close():
+        key = tuple(group)
+        if key not in composed:
+            composed[key] = _compose(group, union)
+        fused.append(composed[key])
+
     for op in ops:
         joins = 0 < op.arity <= _SLICE_MOVE_ARITY and op._kernel == "perm"
         if not (joins and len(union.union(op.targets)) <= _SLICE_MOVE_ARITY):
             if group:
-                fused.append(_compose(group, union))
+                close()
             group, union = [], set()
             if not joins:
                 fused.append(op)
@@ -204,7 +216,7 @@ def _fuse(ops: tuple[QuantumOperation, ...]) -> tuple[QuantumOperation, ...]:
         group.append(op)
         union.update(op.targets)
     if group:
-        fused.append(_compose(group, union))
+        close()
     return tuple(fused)
 
 

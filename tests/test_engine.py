@@ -47,10 +47,10 @@ from sharq.errors import (
 )
 from sharq.algorithms import circuit_uf, semantic_uf
 from sharq.arithmetic import OperationPlan, reverse_ops, run_on_basis
-from sharq.gates import QuantumOperation, toffoli
+from sharq.gates import HARD_QUBIT_LIMIT, QuantumOperation, toffoli, trace_words
 from sharq.shor import shor_factor
 
-from conftest import random_state
+from conftest import bits_of, random_state
 
 S2 = 1.0 / math.sqrt(2.0)
 
@@ -649,6 +649,15 @@ class TestApplyOperations:
         ctx = SimulationContext(seed=0, debug=True)
         return ctx, ctx.allocate_register(n).set_from_unsigned(value)
 
+    @staticmethod
+    def _count_composes(monkeypatch):
+        """The groups ``engine._compose`` is called with from now on."""
+        composed = []
+        compose = engine._compose
+        monkeypatch.setattr(engine, "_compose",
+                            lambda group, union: composed.append(group) or compose(group, union))
+        return composed
+
     @pytest.mark.parametrize("bad", [NOT_BIJECTIVE, DOUBLER])
     def test_a_non_unitary_op_anywhere_leaves_the_state_untouched(self, bad):
         # the 0/1 map dispatches to the permutation kernel but is no bijection
@@ -793,10 +802,7 @@ class TestApplyOperations:
     def test_a_plan_in_use_outlives_single_use_plans(self, monkeypatch):
         # a least-recently-used bound keeps the hot plan, traced between 72 plans
         # that are each traced once; oldest-first eviction would drop it
-        composed = []
-        compose = engine._compose
-        monkeypatch.setattr(engine, "_compose",
-                            lambda group, union: composed.append(group) or compose(group, union))
+        composed = self._count_composes(monkeypatch)
         hot = (pauli_x(0), cnot(0, 1), toffoli(0, 1, 2))
         engine._fused.cache_clear()
         for a, b in itertools.permutations(range(3, 12), 2):
@@ -817,6 +823,35 @@ class TestApplyOperations:
         reg.apply_operations(plan.ops)
         assert engine._fused(plan.ops) is engine._fused(plan.ops)  # cached
         assert len(plan) == 10 and plan.inverse().ops[0] is pauli_x(8)  # plans stay unfused
+
+    def test_identical_runs_share_one_fused_op(self, monkeypatch):
+        # runs hash by their gates' identity: the same gates again give the same
+        # fused instance, other gates (or equal gates built anew) another one
+        composed = self._count_composes(monkeypatch)
+        run = (pauli_x(0), cnot(0, 1), toffoli(0, 1, 2))
+        rebuilt = tuple(QuantumOperation(op.name, op.targets, matrix=op.matrix) for op in run)
+        other = (cnot(0, 1), pauli_x(0))
+        fused = engine._fuse((*run, hadamard(0), *other, hadamard(1), *run, hadamard(2), *rebuilt))
+        assert [op.targets for op in fused[::2]] == [(0, 1, 2), (0, 1), (0, 1, 2), (0, 1, 2)]
+        assert fused[0] is fused[4]
+        assert len({id(op) for op in fused[::2]}) == 3 and len(composed) == 3
+        assert fused[1] is hadamard(0)
+
+    def test_the_fifteen_modexp_plan_composes_each_distinct_run_once(self, monkeypatch):
+        # N=15, base 7: 10,856 gates fuse to 1,242 runs, of which at most 128 differ
+        composed = self._count_composes(monkeypatch)
+        width, reg1, reg2 = 30, range(8), range(8, 12)
+        plan = modular_exponentiation_ops(reg1, reg2, range(12, 30), 7, 15)
+        fused = engine._fuse(plan.ops)
+        assert len(plan) == 10856 and len(fused) == 1242
+        assert len(composed) <= 128
+        assert len({id(op) for op in fused}) == len(composed)
+        inputs = np.array([(x << (width - 8)) | (1 << (width - 12)) for x in range(256)])
+        pad = HARD_QUBIT_LIMIT - width
+        gate_by_gate = trace_words(plan.ops, inputs << pad) >> pad
+        assert np.array_equal(run_on_basis(plan.ops, width, inputs), gate_by_gate)
+        assert [bits_of(int(out), width, reg2) for out in gate_by_gate] == [
+            pow(7, x, 15) for x in range(256)]
 
     def test_a_fused_eight_qubit_permutation_moves_slices_in_place(self):
         # a fused group on scattered targets takes the slice moves, which copy at

@@ -22,6 +22,7 @@ from sharq.gates import (
     cnot,
     expand_to_full_matrix,
     fredkin,
+    hadamard,
     pauli_x,
     swap,
     toffoli,
@@ -404,6 +405,54 @@ def test_classical_plans_on_sparse_states_apply_bit_identically_on_both_paths(da
 
     assert np.array_equal(ctx._state, single_ctx._state)
     assert (not passes) == (size <= limit)  # the support size alone picks the path
+
+
+ONE = QuantumOperation("one", (), matrix=np.eye(1))  # zero targets: a classical barrier
+
+
+@PROPERTY
+@given(st.data())
+def test_plans_that_repeat_a_run_share_its_fused_ops_and_apply_as_gate_by_gate(data):
+    n, order = data.draw(layouts())
+    width = len(order)
+    run = data.draw(classical_plans(width, barriers=False), label="run")
+    sparse = data.draw(st.booleans(), label="sparse")
+    barrier = st.just(ONE) if sparse else st.one_of(
+        st.just(ONE), st.builds(hadamard, st.integers(0, width - 1)))
+    barriers = data.draw(st.lists(barrier, min_size=1, max_size=3), label="barriers")
+    ops = list(run)
+    for op in barriers:
+        ops += [op, *run]
+    segments = [[]]
+    for op in engine._fused(tuple(ops)).ops:
+        if op in barriers:
+            segments.append([])
+        else:
+            segments[-1].append(op)
+    assert all(segment == segments[0] for segment in segments)  # the same instances
+
+    rng = np.random.default_rng(data.draw(seeds, label="state"))
+    state = random_state(rng, n)
+    limit = int((1 << n) * engine._SUPPORT_SHARE)
+    if sparse:  # a classical plan: the support path when the support is small enough
+        size = data.draw(st.integers(1, max(1, limit)), label="support")
+        state[rng.permutation(1 << n)[size:]] = 0
+    ctx = SimulationContext(debug=True)
+    reg = ctx.allocate_register(n)
+    ctx._set_state(state)
+    single_ctx = SimulationContext(debug=True)
+    single = single_ctx.allocate_register(n)
+    single_ctx._state = ctx._state.copy()
+    passes = []
+    apply = ctx._apply
+    ctx._apply = lambda op, physical: passes.append(op) or apply(op, physical)
+
+    reg.slice(order).apply_operations(ops)
+    for op in ops:
+        single.slice(order).apply_operation(op)
+
+    assert np.array_equal(ctx._state, single_ctx._state)
+    assert (not passes) == (sparse and size <= limit)
 
 
 # --- bit runs against per-bit gathers and traces -------------------------------

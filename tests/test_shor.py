@@ -124,8 +124,9 @@ class TestPreconditions:
 
     @pytest.mark.parametrize("n_value", [2**80 + 1, 2**61 - 1])
     def test_an_n_past_the_room_is_refused_before_screening_or_drawing(self, n_value):
-        # 2**80 + 1 would reach numpy's int64 draw; the prime 2**61 - 1 would spend
-        # about 90 s in trial division before being refused as prime
+        # the room is what a step needs, so it is checked first: 2**80 + 1 would
+        # otherwise reach numpy's int64 draw, and the prime 2**61 - 1 would be
+        # refused as prime rather than as wider than the context
         ctx = SimulationContext(seed=1)
         start = time.perf_counter()
         with pytest.raises(QubitLimitExceededError, match=f"allocating {n_value.bit_length() + 1} qubits"):
