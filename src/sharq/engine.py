@@ -28,16 +28,22 @@ and the facts each caller checks a plan by, once and before any amplitude
 changes; fusion and the kernels trust them. A nonempty plan of basis
 permutations alone, on a state whose nonzero amplitudes are at most
 ``_SUPPORT_SHARE`` = 1/16 of it, does not pass over the state once per fused op:
-``_permute_support`` finds the support in one cast to bool, traces the nonzero
-indices through the fused ops as basis words and moves each nonzero amplitude
-once, in place. Bits move between flat indices, basis words and sub-indices one
-run of adjacent qubits at a time (``gates.bit_runs``, cached per view in
-``_layout`` and per operation). The choice rests only on the support size, and
-either way the state comes out bit-identical, the sign of a zero aside.
+``_permute_support`` traces the nonzero indices through the fused ops as basis
+words and moves each nonzero amplitude once, in place. The context keeps a
+support bound (base words and a mask of free bits) that allocation, every kernel
+and the sparse path update without reading the state; a measurement only
+shrinks the support it bounds. While the bound allows at most that share, the
+path takes its indices and never reads the whole state. A state array replaced
+from outside the kernels has no bound, and its support is found in one cast to
+bool. Bits move between flat indices, basis words and sub-indices one run of
+adjacent qubits at a time (``gates.bit_runs``, cached per view in ``_layout`` and
+per operation). The choice rests only on the support size, and either way the
+state comes out bit-identical, the sign of a zero aside.
 """
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -94,7 +100,18 @@ _SLICE_MOVE_ARITY = 8
 # The share stays at 1/16 although those break-evens allow more: its index arrays
 # take about 64 bytes per nonzero amplitude, a quarter of the state's bytes at
 # 1/16 but as much as the state itself at 1/4, where the adder's gain is < 2x.
+# When the support bound allows at most this share, the support is its candidate
+# indices and the path never reads the state in full. Otherwise the support is
+# found in one cast to bool, which on a 4 MiB (18-qubit) state costs about 0.3 ms
+# with the count and the index, as much as the rest of a sparse modular add.
 _SUPPORT_SHARE = 1 / 16
+
+# Up to this many support indices are traced one Python int at a time, above it
+# as one int64 array. Through the 18 fused ops of the 18-qubit modular adder, 8
+# words took 61 µs as ints against 153 µs as an array and 16 words 125 against
+# 194 µs; through the 34 of the multiplier, 16 words took 243 against 300 µs
+# (2-core Xeon, numpy 2.4, best of 7). From 32 words on the array wins.
+_INT_TRACE_WORDS = 16
 
 # On an (a, 2**k, b) view with short columns, broadcasting M over a would be a
 # small product per leading index; up to this width the gate is instead one
@@ -112,6 +129,7 @@ class _Layout(NamedTuple):
     kept: tuple[int, ...]  # puts the target axes left after summing ``rest`` in target order
     mask: tuple[int, ...]  # ``shape`` with every merged axis of length 1
     runs: tuple[tuple[int, int, int], ...]  # ``bit_runs`` of the targets' bits in a flat index
+    bits: int  # the targets' bits in a flat index, as one mask
 
 
 @lru_cache(maxsize=1024)
@@ -145,8 +163,9 @@ def _layout(n_qubits: int, physical: tuple[int, ...]) -> _Layout:
     axes = tuple(axis_of[q] for q in physical)
     kept = tuple(sorted(axes).index(axis) for axis in axes)
     mask = tuple(1 if axis in rest else 2 for axis in range(len(shape)))
-    runs = bit_runs([n_qubits - 1 - q for q in physical])
-    return _Layout(tuple(shape), axes, tuple(rest), block, kept, mask, runs)
+    shifts = [n_qubits - 1 - q for q in physical]
+    return _Layout(tuple(shape), axes, tuple(rest), block, kept, mask, bit_runs(shifts),
+                   sum(1 << shift for shift in shifts))
 
 
 def _selector(ndim: int, axes: tuple[int, ...], sub_index: int) -> tuple:
@@ -243,6 +262,23 @@ def _fused(ops: tuple[QuantumOperation, ...]) -> _FusedPlan:
                       all(op._action_is_unitary for op in ops))
 
 
+def _candidates(base: np.ndarray, free: int, size: int) -> np.ndarray | None:
+    """Every flat index a support bound allows, when they are at most
+    ``_SUPPORT_SHARE`` of ``size``; some may hold a zero amplitude."""
+    if len(base) << free.bit_count() > size * _SUPPORT_SHARE:
+        return None
+    # words that differ only in free bits name the same indices: keep one of each
+    # (sorted by hand, as np.unique would import numpy.ma, 0.5 MB, on first use)
+    fixed = np.sort(base & ~free)
+    fixed = fixed[np.concatenate(([True], fixed[1:] != fixed[:-1]))]
+    shifts = [b for b in range(free.bit_length() - 1, -1, -1) if free >> b & 1]
+    subsets = np.arange(1 << len(shifts), dtype=np.int64)
+    offsets = np.zeros_like(subsets)
+    for shift, mask, place in bit_runs(shifts):
+        offsets |= ((subsets >> place) & mask) << shift
+    return (fixed[:, None] | offsets).reshape(-1)
+
+
 def trial_seed(master_seed: int, trial_index: int) -> np.random.SeedSequence:
     """Stable per-trial seed so batch results don't depend on execution order."""
     master_seed, trial_index = as_int(master_seed, "seed"), as_int(trial_index, "trial index")
@@ -291,6 +327,13 @@ class SimulationContext:
         self._qubit_cap = qubit_cap
         self._count = 0
         self._state = np.array([1.0 + 0j])
+        # The support bound: every nonzero amplitude of the array that the weak
+        # reference ``_bounded`` names sits at some word of ``_base`` (distinct
+        # int64 flat indices) with some subset of the ``_free`` bits flipped. A
+        # state array replaced from outside the kernels, or by ``_set_state``,
+        # has no bound until a sparse plan finds its support, and neither has
+        # one whose gates freed every bit.
+        self._bind(np.zeros(1, dtype=np.int64), 0)
         self._location = "localhost"
         self.debug = bool(debug)
         try:
@@ -335,7 +378,7 @@ class SimulationContext:
         except _ALLOCATION_FAILURES as exc:
             raise _unallocatable(n_qubits) from exc
         fresh[0] = 1.0
-        return self._allocate_with_amplitudes(fresh, n_qubits)
+        return self._allocate_with_amplitudes(fresh, n_qubits, zeroed=True)
 
     def _require_room(self, n_qubits: int):
         if self._count + n_qubits > self._qubit_cap:
@@ -344,10 +387,16 @@ class SimulationContext:
                 f"({self._count} already in use)"
             )
 
-    def _allocate_with_amplitudes(self, amplitudes: np.ndarray, n_qubits: int) -> "RegisterView":
-        """Append ``amplitudes`` as ``n_qubits`` new qubits; the caller has checked the room."""
+    def _allocate_with_amplitudes(self, amplitudes: np.ndarray, n_qubits: int,
+                                  zeroed: bool = False) -> "RegisterView":
+        """Append ``amplitudes`` as ``n_qubits`` new qubits; the caller has checked the room.
+
+        ``zeroed`` says the amplitudes are |0...0>; otherwise the support bound
+        lets the new qubits hold anything.
+        """
         first = self._count
         if n_qubits:
+            bounded = self._is_bounded()
             if first == 0:
                 # the kernels write through reshaped views, so the state is contiguous
                 self._state = np.ascontiguousarray(amplitudes, dtype=complex)
@@ -358,7 +407,22 @@ class SimulationContext:
                 except _ALLOCATION_FAILURES as exc:
                     raise _unallocatable(first + n_qubits) from exc
             self._count += n_qubits
+            if bounded:
+                fresh = 0 if zeroed else (1 << n_qubits) - 1
+                self._bind(self._base << n_qubits, self._free << n_qubits | fresh)
         return RegisterView(self, tuple(range(first, first + n_qubits)))
+
+    # -- support bound ---------------------------------------------------
+
+    def _is_bounded(self) -> bool:
+        """Whether the support bound describes ``_state``."""
+        bounded = self._bounded
+        return bounded is not None and bounded() is self._state
+
+    def _bind(self, base: np.ndarray, free: int):
+        """Bound the support of ``_state``: some word of ``base`` with some
+        subset of the ``free`` bits flipped."""
+        self._bounded, self._base, self._free = weakref.ref(self._state), base, free
 
     # -- state transformation ------------------------------------------
 
@@ -366,7 +430,8 @@ class SimulationContext:
         """Apply ``op`` on ``physical_targets``; the caller has checked it."""
         layout = _layout(self._count, physical_targets)
         ndim, axes = len(layout.shape), layout.axes
-        psi = self._state.reshape(layout.shape)
+        state, bounded = self._state, self._bounded
+        psi = state.reshape(layout.shape)
         kernel = op._kernel
         if kernel == "diag":
             for sub_index, phase in op._phases:
@@ -398,38 +463,62 @@ class SimulationContext:
             else:
                 columns = columns @ op.matrix.T
             view[...] = columns.reshape(view.shape)
+        if bounded is not None and bounded() is state:
+            # the gate can set its targets' bits to anything, and no others. Once
+            # every bit is free the bound allows every index, and dropping it
+            # spares the gates after it this bookkeeping (a dense Shor step's).
+            self._free |= layout.bits
+            self._bounded = None if self._free == state.size - 1 else weakref.ref(self._state)
+
+    def _scan_support(self) -> np.ndarray | None:
+        """The flat indices of the nonzero amplitudes, found in one pass over the
+        state, or None when they are more than ``_SUPPORT_SHARE`` of it."""
+        state = self._state
+        # a bool mask is fast to count and to index, where a complex array is slow
+        # to do either. The cast is the mask ``state != 0`` (NaN counts, -0.0 does
+        # not) at about a third of its cost.
+        nonzero = state.astype(bool)
+        if np.count_nonzero(nonzero) > state.size * _SUPPORT_SHARE:
+            return None
+        return np.flatnonzero(nonzero)
 
     def _permute_support(self, ops, physical: tuple[int, ...]) -> bool:
         """Run the basis permutations ``ops`` on the view qubits ``physical`` by
         moving only the nonzero amplitudes, when they are sparse enough.
 
-        Returns False, having touched nothing, when more than ``_SUPPORT_SHARE``
-        of the state is nonzero. Otherwise the support's flat indices become
-        register-local basis words (view qubit t at bit 61 - t), ``trace_words``
-        carries them through ``ops``, and each amplitude moves once to the index
-        its flipped bits name. The view's bits move between the two one run of
-        adjacent qubits at a time (``_Layout.runs``). The caller has checked ``ops``.
+        The support is the support bound's candidates when they are at most
+        ``_SUPPORT_SHARE`` of the state, and otherwise what ``_scan_support``
+        finds. Returns False, having touched nothing, when more than that share
+        is nonzero. Otherwise the support's flat indices become register-local
+        basis words (view qubit t at bit 61 - t), ``trace_words`` carries them
+        through ``ops``, and each amplitude moves once to the index its flipped
+        bits name; the moved indices are the new bound. The view's bits move
+        between the two one run of adjacent qubits at a time (``_Layout.runs``).
+        The caller has checked ``ops``.
         """
         state = self._state
-        # one pass over the amplitudes: a bool mask is fast to count and to index,
-        # where a complex array is slow to do either. The cast is the mask
-        # ``state != 0`` (NaN counts, -0.0 does not) at about a third of its cost.
-        nonzero = state.astype(bool)
-        if np.count_nonzero(nonzero) > state.size * _SUPPORT_SHARE:
-            return False
-        support = np.flatnonzero(nonzero)
+        support = _candidates(self._base, self._free, state.size) if self._is_bounded() else None
+        if support is None:
+            support = self._scan_support()
+            if support is None:
+                return False
         runs = _layout(self._count, physical).runs
         pad = HARD_QUBIT_LIMIT - len(physical)  # a sub-index's bit k - 1 - t is word bit 61 - t
         words = np.zeros(len(support), dtype=np.int64)
         for shift, mask, place in runs:
             words |= ((support >> shift) & mask) << (place + pad)
-        flips = words ^ trace_words(ops, words.copy())
+        if len(words) <= _INT_TRACE_WORDS:
+            flips = np.array([word ^ trace_words(ops, word) for word in words.tolist()],
+                             dtype=np.int64)
+        else:
+            flips = words ^ trace_words(ops, words.copy())
         moved = support.copy()
         for shift, mask, place in runs:
             moved ^= ((flips >> (place + pad)) & mask) << shift
         values = state[support]
         state[support] = 0
         state[moved] = values
+        self._bind(moved, 0)
         return True
 
     # -- measurement -----------------------------------------------------
@@ -460,7 +549,7 @@ class SimulationContext:
         mask = np.zeros(layout.mask)
         mask[_selector(len(layout.mask), layout.axes, outcome)] = 1.0 / math.sqrt(marginal[outcome])
         psi = self._state.reshape(layout.shape)
-        psi *= mask
+        psi *= mask  # only zeroes amplitudes, so the support bound still holds
         return bits
 
     def _classical_value(self, physical: tuple[int, ...]) -> int:
@@ -488,11 +577,19 @@ class SimulationContext:
         """Not on every qubit of ``physical`` at once: one copy with their axes reversed.
 
         Reversing a length-2 axis swaps the halves where that qubit is 0 and 1,
-        which is exactly what Not does; the copy keeps the state contiguous.
+        which is exactly what Not does; the copy keeps the state contiguous. A
+        hand-built index of reversed slices costs about 3 µs on 7 qubits, where
+        ``np.flip`` costs about 5.
         """
         layout = _layout(self._count, physical)
-        flipped = np.flip(self._state.reshape(layout.shape), layout.axes)
+        bounded = self._is_bounded()
+        index = [slice(None)] * len(layout.shape)
+        for axis in layout.axes:
+            index[axis] = slice(None, None, -1)
+        flipped = self._state.reshape(layout.shape)[tuple(index)]
         self._state = np.ascontiguousarray(flipped).reshape(-1)
+        if bounded:
+            self._bind(self._base ^ layout.bits, self._free)
 
     # -- debug-only inspection -------------------------------------------
 

@@ -790,6 +790,92 @@ class TestApplyOperations:
         assert not passes
         assert np.array_equal(ctx._state, reference._state)
 
+    @staticmethod
+    def _count_scans(ctx) -> list:
+        """One entry per pass ``ctx`` makes over its state to find the support."""
+        scans, scan = [], ctx._scan_support
+        ctx._scan_support = lambda: scans.append(1) or scan()
+        return scans
+
+    @staticmethod
+    def _count_passes(ctx) -> list:
+        """The ops ``ctx`` applies with a pass over its state from now on."""
+        passes, apply = [], ctx._apply
+        ctx._apply = lambda op, physical: passes.append(op) or apply(op, physical)
+        return passes
+
+    def test_an_adder_on_a_superposed_register_never_reads_the_whole_state(self):
+        # three Hadamards on one basis word bound the support by 8 indices, which
+        # are all that is read; the scan's bool mask alone would be nbytes / 16
+        plan = modular_add_ops(range(4), range(4, 8), range(8, 12), range(12, 17), 17, 13).ops
+        contexts = []
+        for _ in range(3):
+            ctx = SimulationContext(seed=0, debug=True)
+            reg = ctx.allocate_register(18)
+            reg.slice_range(4, 7).set_from_unsigned(5)
+            reg.slice_range(8, 11).set_from_unsigned(13)
+            reg.apply_operations(hadamard_all_ops(range(1, 4)).ops)
+            contexts.append((ctx, reg))
+        (ctx, reg), (warm, warmed), (reference, scanned) = contexts
+        warmed.apply_operations(plan)  # fuses the plan and fills every lazy cache on its path
+        reference._state = reference._state.copy()  # a replaced array has no bound
+        reference_scans = self._count_scans(reference)
+        scanned.apply_operations(plan)
+        scans = self._count_scans(ctx)
+        ctx._apply = None
+        tracemalloc.start()
+        try:
+            reg.apply_operations(plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not scans and reference_scans == [1]
+        assert np.array_equal(ctx._state, reference._state)
+        assert np.array_equal(warm._state, reference._state)
+        assert peak < ctx._state.nbytes / 32
+        assert np.count_nonzero(ctx._state) == 8 and len(ctx._base) == 8 and ctx._free == 0
+
+    def test_a_bound_at_the_share_is_trusted_and_one_qubit_past_it_is_counted(self):
+        n = 12
+        assert (1 << n) * engine._SUPPORT_SHARE == 1 << 8
+        plan = (cnot(0, 11), toffoli(1, 2, 10), pauli_x(9), cnot(10, 3))
+        spread = [hadamard(q) for q in range(8)]
+        # (gates, scans, per-op passes): a lone X on qubit 8 frees it in the bound,
+        # 512 indices, while the support stays at the 256 of the share
+        for gates, scanned, dense in ((spread, 0, False),
+                                      ([*spread, pauli_x(8)], 1, False),
+                                      ([*spread, hadamard(8)], 1, True)):
+            ctx = SimulationContext(seed=0, debug=True)
+            reg = ctx.allocate_register(n)
+            for op in gates:
+                reg.apply_operation(op)
+            twin = SimulationContext(debug=True)
+            twin_reg = twin.allocate_register(n)
+            twin._state = ctx._state.copy()
+            scans = self._count_scans(ctx)
+            passes, twin_passes = self._count_passes(ctx), self._count_passes(twin)
+            reg.apply_operations(plan)
+            twin_reg.apply_operations(plan)
+            assert len(scans) == scanned and bool(passes) == dense == bool(twin_passes)
+            assert np.array_equal(ctx._state, twin._state)
+
+    def test_words_that_differ_only_in_free_bits_name_their_indices_once(self):
+        ctx = SimulationContext(seed=0, debug=True)
+        reg = ctx.allocate_register(8)
+        reg.apply_operation(hadamard(0))
+        reg.apply_operations([cnot(0, 1)])  # the bound: the words 0 and 0b11 << 6, none free
+        assert sorted(ctx._base.tolist()) == [0, 0b11 << 6] and ctx._free == 0
+        reg.apply_operation(hadamard(1))
+        reg.apply_operation(hadamard(0))  # both words now stand for the same 4 indices
+        twin = SimulationContext(debug=True)
+        twin_reg = twin.allocate_register(8)
+        twin._state = ctx._state.copy()
+        scans = self._count_scans(ctx)
+        reg.apply_operations([cnot(1, 2)])
+        twin_reg.apply_operations([cnot(1, 2)])
+        assert not scans and sorted(ctx._base.tolist()) == [0, 0b011 << 5, 0b100 << 5, 0b111 << 5]
+        assert np.array_equal(ctx._state, twin._state)
+
     def test_an_empty_plan_touches_nothing(self, monkeypatch):
         ctx, reg = self._basis(6, 0b101101)
         state, before = ctx._state, ctx._state.copy()

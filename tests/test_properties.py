@@ -24,6 +24,7 @@ from sharq.gates import (
     fredkin,
     hadamard,
     pauli_x,
+    prepare_named_state,
     swap,
     toffoli,
     trace_words,
@@ -453,6 +454,74 @@ def test_plans_that_repeat_a_run_share_its_fused_ops_and_apply_as_gate_by_gate(d
 
     assert np.array_equal(ctx._state, single_ctx._state)
     assert (not passes) == (sparse and size <= limit)
+
+
+# --- the support bound against the amplitudes ----------------------------------
+
+def _assert_inside_the_bound(ctx):
+    """Every nonzero amplitude sits inside the support bound, when there is one."""
+    if not ctx._is_bounded():
+        return
+    base, free = ctx._base.tolist(), ctx._free
+    assert len(set(base)) == len(base)
+    allowed = {word & ~free for word in base}
+    assert {index & ~free for index in np.flatnonzero(ctx._state).tolist()} <= allowed
+
+
+def _passes_over_the_state(ctx, exposed, ops) -> bool:
+    """Apply the plan ``ops`` to the view ``exposed``; whether it took per-op passes."""
+    passes, apply = [], ctx._apply
+    ctx._apply = lambda op, physical: passes.append(op) or apply(op, physical)
+    try:
+        engine.RegisterView(ctx, exposed).apply_operations(ops)
+    finally:
+        del ctx._apply
+    return bool(passes)
+
+
+# plans and single gates come up most, so plans often meet a bound that gates widened
+STEPS = ("basis", "w", "gate", "gate", "reset", "measure", "plan", "plan", "plan",
+         "set state", "assign")
+
+
+@PROPERTY
+@given(st.data())
+def test_the_support_bound_holds_after_every_step_and_plans_apply_as_without_it(data):
+    ctx = SimulationContext(seed=data.draw(seeds, label="ctx seed"), debug=True)
+    ctx.allocate_register(data.draw(st.integers(1, 9), label="first"))
+    rng = np.random.default_rng(data.draw(seeds, label="rng"))
+    for step in data.draw(st.lists(st.sampled_from(STEPS), max_size=16), label="steps"):
+        n = ctx.physical_count
+        view = engine.RegisterView(ctx, tuple(data.draw(st.permutations(range(n)), label="order")
+                                              [:data.draw(st.integers(1, n), label="width")]))
+        if step == "basis" and n < 12:
+            ctx.allocate_register(data.draw(st.integers(1, 12 - n), label="qubits"))
+        elif step == "w" and n < 10:
+            prepare_named_state(ctx, "w")
+        elif step == "gate":
+            view.apply_operation(data.draw(operations(len(view)), label="op"))
+        elif step == "reset":
+            view.measure()
+            view.set_from_unsigned(data.draw(st.integers(0, (1 << len(view)) - 1), label="value"))
+        elif step == "measure":
+            view.measure()
+        elif step == "plan":
+            ops = data.draw(classical_plans(len(view), barriers=False), label="ops")
+            twin = SimulationContext(debug=True)
+            twin.allocate_register(n)
+            twin._state = ctx._state.copy()  # no bound: the support is counted
+            # the bound never changes the sparse-or-dense choice, nor the state
+            assert _passes_over_the_state(ctx, view.exposed, ops) == \
+                _passes_over_the_state(twin, view.exposed, ops)
+            assert np.array_equal(ctx._state, twin._state)
+        elif step == "set state":
+            state = random_state(rng, n)
+            state[rng.random(1 << n) < data.draw(st.sampled_from([0.0, 0.9, 1.0]))] = 0
+            state[rng.integers(1 << n)] = 1.0
+            ctx._set_state(state)
+        elif step == "assign":
+            ctx._state = ctx._state.copy()
+        _assert_inside_the_bound(ctx)
 
 
 # --- bit runs against per-bit gathers and traces -------------------------------
