@@ -72,15 +72,22 @@ def _multiply_oracle(name: str, images: np.ndarray, n: int) -> QuantumOperation:
     return QuantumOperation(name, tuple(range(n + 1)), permutation=perm)
 
 
-@lru_cache(maxsize=32, typed=True)
-def semantic_uf(m: int, modulus: int) -> QuantumOperation:
-    """Controlled multiply |c>|y> -> |c>|m**c * y mod modulus> on the control
-    then n work qubits; y >= modulus is left fixed."""
+def _multiplier_domain(m, modulus) -> tuple[int, int]:
+    """The one domain of both oracle families: ``m`` and ``modulus`` parsed, and
+    refused unless the modulus exceeds 1 and shares no factor with ``m``."""
     m, modulus = as_int(m, "m"), as_int(modulus, "modulus")
     if modulus < 2:
         raise InvalidParameterError(f"modulus must exceed 1, got {modulus}")
     if math.gcd(m, modulus) != 1:
-        raise InvalidParameterError(f"base {m} shares a factor with modulus {modulus}")
+        raise InvalidParameterError(f"multiplier {m} shares a factor with modulus {modulus}")
+    return m, modulus
+
+
+@lru_cache(maxsize=32, typed=True)
+def semantic_uf(m: int, modulus: int) -> QuantumOperation:
+    """Controlled multiply |c>|y> -> |c>|m**c * y mod modulus> on the control
+    then n work qubits; y >= modulus is left fixed."""
+    m, modulus = _multiplier_domain(m, modulus)
     n = bits_to_express(modulus)
     try:
         y = np.arange(modulus, dtype=np.int64)
@@ -98,7 +105,7 @@ def circuit_uf(m: int, modulus: int) -> QuantumOperation:
     with the modulus register holding N and the other 3n+2 ancillas at 0. It
     must give back all but y as it found them, and y too when c = 0.
     """
-    m, modulus = as_int(m, "m"), as_int(modulus, "modulus")
+    m, modulus = _multiplier_domain(m, modulus)
     n = bits_to_express(modulus)
     width, work = 5 * n + 3, 4 * n + 2  # y sits at bits work .. work+n-1, c above it
     ancillas = range(n + 1, width)      # modulus register, temp, multiplier scratch
@@ -136,7 +143,7 @@ def shor_quantum_step(ctx: SimulationContext, n_value: int, m: int,
     gate, and a measurement reading bit i of the sample (least significant
     first) off the control, which is never reset. The work register is read
     last. (sample, f) is distributed as in the textbook step with an inverse QFT
-    on a 2n-qubit REG1. The step leaves ``register`` (n+1 qubits) fully
+    on a 2n-qubit REG1. The step leaves ``register`` (n+1 qubits of ``ctx``) fully
     collapsed, the control at the last bit read; pass it back to reuse it.
     ``oracle`` picks ``semantic_uf`` or ``circuit_uf``; both are the same
     permutation, so a seed samples alike through either.
@@ -149,6 +156,8 @@ def shor_quantum_step(ctx: SimulationContext, n_value: int, m: int,
 
     if register is None:
         register = ctx.allocate_register(n + 1)
+    elif register.context is not ctx:
+        raise InvalidParameterError("the work register belongs to another context")
     elif len(register) != n + 1:
         raise SizeMismatchError(f"work register must have {n + 1} qubits")
     # every oracle is built (or refused) before the state is touched

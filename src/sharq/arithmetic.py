@@ -20,7 +20,7 @@ import numpy as np
 
 from .engine import _fused
 from .errors import InvalidParameterError, SizeMismatchError, as_indices, as_int
-from .gates import HARD_QUBIT_LIMIT, QuantumOperation, cnot, pauli_x, toffoli, trace_words
+from .gates import HARD_QUBIT_LIMIT, QuantumOperation, cnot, pauli_x, toffoli, trace_subindices
 
 
 @dataclass(frozen=True)
@@ -44,9 +44,9 @@ def run_on_basis(ops, width: int, value):
     Independent of the amplitudes: every gate must be a basis permutation
     (X/CNot/Toffoli/Fredkin and friends). ``value`` is the big-endian content
     of a ``width``-qubit register (width <= 62): an int, traced to an int, or an
-    integer array of inputs, traced together. Every input and gate is checked
-    before the trace; runs of gates are then traced as the fused permutations
-    the engine applies.
+    integer array of inputs, traced to an int64 array (``gates.trace_subindices``).
+    Every input and gate is checked before the trace; runs of gates are then
+    traced as the fused permutations the engine applies.
     """
     values, width = np.asarray(value), as_int(width, "trace width")
     if not 0 <= width <= HARD_QUBIT_LIMIT:
@@ -65,10 +65,8 @@ def run_on_basis(ops, width: int, value):
     if plan.top >= width or not plan.classical:
         for op in ops:
             check(op)  # raises for the first gate that cannot be traced
-    pad = HARD_QUBIT_LIMIT - width  # qubit t at bit 61 - t, for every width
-    if values.ndim == 0:
-        return trace_words(plan.ops, values.item() << pad) >> pad
-    return trace_words(plan.ops, values.astype(np.int64) << pad) >> pad
+    sub = values.item() if values.ndim == 0 else values.astype(np.int64)
+    return trace_subindices(plan.ops, sub, width)
 
 
 # --- sum / carry ------------------------------------------------------------

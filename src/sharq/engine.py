@@ -28,17 +28,16 @@ and the facts each caller checks a plan by, once and before any amplitude
 changes; fusion and the kernels trust them. A nonempty plan of basis
 permutations alone, on a state whose nonzero amplitudes are at most
 ``_SUPPORT_SHARE`` = 1/16 of it, does not pass over the state once per fused op:
-``_permute_support`` traces the nonzero indices through the fused ops as basis
-words and moves each nonzero amplitude once, in place. The context keeps a
-support bound (base words and a mask of free bits) that allocation, every kernel
-and the sparse path update without reading the state; a measurement only
-shrinks the support it bounds. While the bound allows at most that share, the
-path takes its indices and never reads the whole state. A state array replaced
-from outside the kernels has no bound, and its support is found in one cast to
-bool. Bits move between flat indices, basis words and sub-indices one run of
-adjacent qubits at a time (``gates.bit_runs``, cached per view in ``_layout`` and
-per operation). The choice rests only on the support size, and either way the
-state comes out bit-identical, the sign of a zero aside.
+``_permute_support`` gathers the view's bits of the nonzero indices, traces them
+through the fused ops (``gates.trace_subindices``) and moves each nonzero
+amplitude once, in place. The context keeps a support bound (base indices and a
+mask of free bits) that allocation, every non-diagonal kernel and the sparse
+path update without reading the state; a measurement only shrinks the support it
+bounds. While the bound allows at most that share, the path takes its indices and
+never reads the whole state. A state array replaced from outside the kernels has
+no bound, and its support is found in one cast to bool. The choice rests only on
+the support size, and either way the state comes out bit-identical, the sign of
+a zero aside.
 """
 from __future__ import annotations
 
@@ -62,7 +61,8 @@ from .errors import (
     as_indices,
     as_int,
 )
-from .gates import HARD_QUBIT_LIMIT, QuantumOperation, bit_runs, trace_words
+from .gates import (HARD_QUBIT_LIMIT, QuantumOperation, bit_runs, gather_bits, scatter_bits,
+                    trace_subindices)
 
 DEFAULT_QUBIT_CAP = 26
 
@@ -105,13 +105,6 @@ _SLICE_MOVE_ARITY = 8
 # found in one cast to bool, which on a 4 MiB (18-qubit) state costs about 0.3 ms
 # with the count and the index, as much as the rest of a sparse modular add.
 _SUPPORT_SHARE = 1 / 16
-
-# Up to this many support indices are traced one Python int at a time, above it
-# as one int64 array. Through the 18 fused ops of the 18-qubit modular adder, 8
-# words took 61 µs as ints against 153 µs as an array and 16 words 125 against
-# 194 µs; through the 34 of the multiplier, 16 words took 243 against 300 µs
-# (2-core Xeon, numpy 2.4, best of 7). From 32 words on the array wins.
-_INT_TRACE_WORDS = 16
 
 # On an (a, 2**k, b) view with short columns, broadcasting M over a would be a
 # small product per leading index; up to this width the gate is instead one
@@ -183,22 +176,15 @@ def _selector(ndim: int, axes: tuple[int, ...], sub_index: int) -> tuple:
 def _compose(group: list[QuantumOperation], union: set[int]) -> QuantumOperation:
     """One permutation on the sorted ``union`` that acts as ``group`` run in order.
 
-    Every local input is scattered into a basis word and traced through the
-    group at once, and each traced word's bits are gathered back into its
-    image; a lone gate is kept.
+    Every local input is scattered into a sub-index over qubits 0 to ``max(union)``
+    and traced, and its image gathered back; a lone gate is kept.
     """
     if len(group) == 1:
         return group[0]
     qubits = tuple(sorted(union))
-    runs = bit_runs([HARD_QUBIT_LIMIT - 1 - q for q in qubits])
-    local = np.arange(1 << len(qubits), dtype=np.int64)
-    words = np.zeros_like(local)
-    for shift, mask, place in runs:
-        words |= ((local >> place) & mask) << shift
-    traced = trace_words(group, words)
-    images = np.zeros_like(local)
-    for shift, mask, place in runs:
-        images |= ((traced >> shift) & mask) << place
+    runs = bit_runs([qubits[-1] - q for q in qubits])
+    local = scatter_bits(runs, np.arange(1 << len(qubits), dtype=np.int64))
+    images = gather_bits(runs, trace_subindices(group, local, qubits[-1] + 1))
     return QuantumOperation(f"Fused[{len(group)}]", qubits, permutation=images)
 
 
@@ -272,10 +258,7 @@ def _candidates(base: np.ndarray, free: int, size: int) -> np.ndarray | None:
     fixed = np.sort(base & ~free)
     fixed = fixed[np.concatenate(([True], fixed[1:] != fixed[:-1]))]
     shifts = [b for b in range(free.bit_length() - 1, -1, -1) if free >> b & 1]
-    subsets = np.arange(1 << len(shifts), dtype=np.int64)
-    offsets = np.zeros_like(subsets)
-    for shift, mask, place in bit_runs(shifts):
-        offsets |= ((subsets >> place) & mask) << shift
+    offsets = scatter_bits(bit_runs(shifts), np.arange(1 << len(shifts), dtype=np.int64))
     return (fixed[:, None] | offsets).reshape(-1)
 
 
@@ -463,10 +446,11 @@ class SimulationContext:
             else:
                 columns = columns @ op.matrix.T
             view[...] = columns.reshape(view.shape)
-        if bounded is not None and bounded() is state:
-            # the gate can set its targets' bits to anything, and no others. Once
-            # every bit is free the bound allows every index, and dropping it
-            # spares the gates after it this bookkeeping (a dense Shor step's).
+        if bounded is not None and kernel != "diag" and bounded() is state:
+            # a phase never makes a zero amplitude nonzero; any other gate can set
+            # its targets' bits to anything, and no others. Once every bit is free
+            # the bound allows every index, and dropping it spares the gates after
+            # it this bookkeeping (a dense Shor step's).
             self._free |= layout.bits
             self._bounded = None if self._free == state.size - 1 else weakref.ref(self._state)
 
@@ -489,12 +473,11 @@ class SimulationContext:
         The support is the support bound's candidates when they are at most
         ``_SUPPORT_SHARE`` of the state, and otherwise what ``_scan_support``
         finds. Returns False, having touched nothing, when more than that share
-        is nonzero. Otherwise the support's flat indices become register-local
-        basis words (view qubit t at bit 61 - t), ``trace_words`` carries them
+        is nonzero. Otherwise the view's bits of each flat index are gathered
+        into its sub-index (``_Layout.runs``), ``trace_subindices`` carries those
         through ``ops``, and each amplitude moves once to the index its flipped
-        bits name; the moved indices are the new bound. The view's bits move
-        between the two one run of adjacent qubits at a time (``_Layout.runs``).
-        The caller has checked ``ops``.
+        bits name; the moved indices are the new bound. The caller has checked
+        ``ops``.
         """
         state = self._state
         support = _candidates(self._base, self._free, state.size) if self._is_bounded() else None
@@ -503,18 +486,8 @@ class SimulationContext:
             if support is None:
                 return False
         runs = _layout(self._count, physical).runs
-        pad = HARD_QUBIT_LIMIT - len(physical)  # a sub-index's bit k - 1 - t is word bit 61 - t
-        words = np.zeros(len(support), dtype=np.int64)
-        for shift, mask, place in runs:
-            words |= ((support >> shift) & mask) << (place + pad)
-        if len(words) <= _INT_TRACE_WORDS:
-            flips = np.array([word ^ trace_words(ops, word) for word in words.tolist()],
-                             dtype=np.int64)
-        else:
-            flips = words ^ trace_words(ops, words.copy())
-        moved = support.copy()
-        for shift, mask, place in runs:
-            moved ^= ((flips >> (place + pad)) & mask) << shift
+        sub = gather_bits(runs, support)
+        moved = support ^ scatter_bits(runs, sub ^ trace_subindices(ops, sub, len(physical)))
         values = state[support]
         state[support] = 0
         state[moved] = values
@@ -753,7 +726,7 @@ class RegisterView:
         if block.shape[1] == 1:
             return block[:, 0].copy()
         singular = np.linalg.svd(block, compute_uv=False)
-        if singular[1] > _CLASSICAL_ATOL:
+        if len(singular) > 1 and singular[1] > _CLASSICAL_ATOL:  # one value: a 0-qubit view
             return ctx._state.copy(), self._exposed
         column = int(np.argmax(np.linalg.norm(block, axis=0)))
         vec = block[:, column]

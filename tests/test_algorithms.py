@@ -193,6 +193,21 @@ class TestSemanticUf:
         with pytest.raises(InvalidParameterError, match="exceed 1"):
             semantic_uf(2, 1)
 
+    @pytest.mark.parametrize("modulus", [-15, 0, 1, 2, 15])
+    @pytest.mark.parametrize("m", [-2, 0, 1, 2, 5, 16])
+    def test_both_oracle_families_share_one_domain(self, m, modulus):
+        outcomes = []
+        for family in (semantic_uf, circuit_uf):
+            try:
+                outcomes.append(family(m, modulus).permutation)
+            except sharq.errors.SharqError as exc:
+                outcomes.append((type(exc), str(exc)))
+        semantic, circuit = outcomes
+        if isinstance(semantic, tuple) or isinstance(circuit, tuple):
+            assert semantic == circuit and semantic[0] is InvalidParameterError
+        else:
+            assert np.array_equal(semantic, circuit)
+
     @pytest.mark.parametrize("modulus", [2**47 + 1, 2**60 + 1, 2**63 + 1],
                              ids=["past-address-space", "past-array-size", "past-int64"])
     def test_a_table_too_large_to_build_is_refused(self, modulus):
@@ -401,6 +416,17 @@ class TestShorQuantumStep:
         with pytest.raises(InvalidParameterError, match="oracle must be"):
             shor_quantum_step(ctx, 15, 7, oracle="table")
         assert ctx.physical_count == 0
+
+    def test_register_of_another_context_refused(self, debug_ctx):
+        ctx, other = debug_ctx(seed=1), debug_ctx(seed=2)
+        work = other.allocate_register(5).set_from_unsigned(5)
+        states = [c._state.copy() for c in (ctx, other)]
+        draws = [c.rng.bit_generator.state for c in (ctx, other)]
+        with pytest.raises(InvalidParameterError, match="another context"):
+            shor_quantum_step(ctx, 15, 7, register=work)
+        assert ctx.physical_count == 0 and other.physical_count == 5
+        assert all(np.array_equal(c._state, state) for c, state in zip((ctx, other), states))
+        assert [c.rng.bit_generator.state for c in (ctx, other)] == draws
 
     def test_register_of_the_wrong_width_refused(self, debug_ctx):
         ctx = debug_ctx()

@@ -330,3 +330,22 @@ class TestConsoleScript:
         )
         assert result.returncode == 0
         assert json.loads(result.stdout.strip().splitlines()[-1])["trials"] == 3
+
+    def test_python_m_sharq_runs_the_cli(self):
+        import os
+        import subprocess
+        import sys
+
+        import sharq
+
+        package_root = os.path.dirname(os.path.dirname(sharq.__file__))
+        path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "sharq", *argv], capture_output=True,
+                                  text=True, env={**os.environ, "PYTHONPATH": path})
+
+        tossed = run("coin-toss", "--tosses", "2", "--trials", "5", "--seed", "7")
+        assert tossed.returncode == 0
+        assert tossed.stdout.splitlines()[0] == "0: 5 (1.0000)"
+        assert run("factor", "14").returncode == 2

@@ -27,6 +27,8 @@ from sharq import (
     modular_add_ops,
     modular_exponentiation_ops,
     pauli_x,
+    pauli_z,
+    phase_t,
     qft_ops,
     retarget,
     rotation_k,
@@ -581,6 +583,14 @@ class TestPeek:
         reg.apply_operation(hadamard(1))
         assert np.allclose(reg.slice([1]).peek_amplitudes(), [S2, S2])
 
+    def test_a_zero_qubit_view_is_a_unit_column(self, debug_ctx):
+        ctx = debug_ctx()
+        reg = ctx.allocate_register(2)
+        reg.apply_operations([hadamard(0), cnot(0, 1)])
+        for view in (ctx.allocate_register(0), reg.slice([])):
+            peeked = view.peek_amplitudes()
+            assert peeked.shape == (1,) and np.isclose(abs(peeked[0]), 1.0)
+
 
 class TestSetState:
     def test_a_vector_of_the_wrong_length_is_refused(self, debug_ctx):
@@ -858,6 +868,24 @@ class TestApplyOperations:
             twin_reg.apply_operations(plan)
             assert len(scans) == scanned and bool(passes) == dense == bool(twin_passes)
             assert np.array_equal(ctx._state, twin._state)
+
+    @pytest.mark.parametrize("phase", [pauli_z(9), phase_t(9), controlled_u(rotation_k(3), (9,), 8)],
+                             ids=["Z", "T", "CR3"])
+    def test_a_phase_leaves_a_bound_at_the_share_trusted(self, phase):
+        n = 12
+        ctx = SimulationContext(seed=0, debug=True)
+        reg = ctx.allocate_register(n)
+        for op in [*(hadamard(q) for q in range(8)), phase]:  # the bound: 256 indices, the share
+            reg.apply_operation(op)
+        twin = SimulationContext(debug=True)
+        twin_reg = twin.allocate_register(n)
+        twin._state = ctx._state.copy()  # a replaced array has no bound
+        scans = self._count_scans(ctx)
+        plan = (cnot(0, 11), toffoli(1, 2, 10))
+        reg.apply_operations(plan)
+        twin_reg.apply_operations(plan)
+        assert not scans
+        assert np.array_equal(ctx._state, twin._state)
 
     def test_words_that_differ_only_in_free_bits_name_their_indices_once(self):
         ctx = SimulationContext(seed=0, debug=True)

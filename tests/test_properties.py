@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sharq import SimulationContext, engine
+from sharq import SimulationContext, engine, gates
 from sharq.algorithms import circuit_uf, semantic_uf
 from sharq.arithmetic import OperationPlan, add_n_ops, modular_add_ops, run_on_basis
 from sharq.errors import NotUnitaryOperationError
@@ -22,11 +22,14 @@ from sharq.gates import (
     cnot,
     expand_to_full_matrix,
     fredkin,
+    gather_bits,
     hadamard,
     pauli_x,
     prepare_named_state,
+    scatter_bits,
     swap,
     toffoli,
+    trace_subindices,
     trace_words,
 )
 
@@ -608,3 +611,42 @@ def test_traced_words_equal_per_bit_traces_of_the_unfused_gates(data):
     for plan in (ops, engine._fused(tuple(ops)).ops):
         assert [trace_words(plan, value) for value in values] == expected
         assert trace_words(plan, np.array(values, dtype=np.int64)).tolist() == expected
+
+
+@PROPERTY
+@given(target_tuples(), words, st.data())
+def test_gates_bit_run_helpers_gather_what_they_scatter(targets, values, data):
+    shifts = [HARD_QUBIT_LIMIT - 1 - t for t in targets]
+    runs = bit_runs(shifts)
+    subs = data.draw(st.lists(st.integers(0, (1 << len(shifts)) - 1), min_size=1, max_size=8),
+                     label="subs")
+    for value, sub in zip(values, subs):
+        assert gather_bits(runs, value) == _bitwise_gather(value, shifts)
+        assert gather_bits(runs, scatter_bits(runs, sub)) == sub
+    array = np.array(subs, dtype=np.int64)
+    assert gather_bits(runs, scatter_bits(runs, array)).tolist() == subs
+    assert array.tolist() == subs
+    gathered = gather_bits(runs, np.array(values, dtype=np.int64))
+    assert gathered.tolist() == [_bitwise_gather(value, shifts) for value in values]
+
+
+@PROPERTY
+@given(st.data())
+def test_traced_subindices_equal_gate_by_gate_traces_of_their_padded_words(data):
+    width = data.draw(st.integers(1, HARD_QUBIT_LIMIT), label="width")
+    ops = data.draw(classical_plans(width, barriers=False), label="ops")
+    # enough contents that the int and the array side of the trace both run
+    values = data.draw(st.lists(st.integers(0, (1 << width) - 1),
+                                min_size=gates._INT_TRACE_WORDS + 1, max_size=40), label="values")
+    pad = HARD_QUBIT_LIMIT - width
+    expected = []
+    for value in values:
+        word = value << pad
+        for op in ops:
+            word = trace_words([op], word)
+        expected.append(word >> pad)
+    assert trace_subindices(ops, values[0], width) == expected[0]
+    for size in (1, gates._INT_TRACE_WORDS, gates._INT_TRACE_WORDS + 1, len(values)):
+        array = np.array(values[:size], dtype=np.int64)
+        assert trace_subindices(ops, array, width).tolist() == expected[:size]
+        assert array.tolist() == values[:size]
