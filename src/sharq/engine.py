@@ -19,6 +19,13 @@ qubits moves slices in place; a dense gate, or a wider permutation, moves the
 target axes last and back. ``_layout`` is the one place that maps targets to
 axes, for gates, marginals, collapse, register resets and inspection alike.
 
+A measurement reads its marginal in one pass that sums squares straight into
+the 2**k outcomes (one dot product per outcome when the targets lead, an
+``einsum`` of the float view otherwise), draws one uniform, and collapses in
+place: the slices of the other outcomes are zeroed and the kept one rescaled.
+It builds no mask and nothing else of the state's size; only a read of every
+qubit, or of all but one, squares the state, at most twice its marginal.
+
 A plan (``RegisterView.apply_operations``, and ``run_on_basis`` for traces) is
 run with each run of consecutive basis permutations fused into one exact
 permutation on at most ``_SLICE_MOVE_ARITY`` qubits. Each distinct run is composed
@@ -119,8 +126,6 @@ class _Layout(NamedTuple):
     axes: tuple[int, ...]  # the axis of each target, in target order
     rest: tuple[int, ...]  # the merged axes
     block: tuple[int, int] | None  # (a, b) when the state is an (a, 2**k, b) array
-    kept: tuple[int, ...]  # puts the target axes left after summing ``rest`` in target order
-    mask: tuple[int, ...]  # ``shape`` with every merged axis of length 1
     runs: tuple[tuple[int, int, int], ...]  # ``bit_runs`` of the targets' bits in a flat index
     bits: int  # the targets' bits in a flat index, as one mask
 
@@ -154,10 +159,8 @@ def _layout(n_qubits: int, physical: tuple[int, ...]) -> _Layout:
     if physical == tuple(range(first, first + k)):
         block = (1 << first, 1 << (n_qubits - first - k))
     axes = tuple(axis_of[q] for q in physical)
-    kept = tuple(sorted(axes).index(axis) for axis in axes)
-    mask = tuple(1 if axis in rest else 2 for axis in range(len(shape)))
     shifts = [n_qubits - 1 - q for q in physical]
-    return _Layout(tuple(shape), axes, tuple(rest), block, kept, mask, bit_runs(shifts),
+    return _Layout(tuple(shape), axes, tuple(rest), block, bit_runs(shifts),
                    sum(1 << shift for shift in shifts))
 
 
@@ -260,6 +263,27 @@ def _candidates(base: np.ndarray, free: int, size: int) -> np.ndarray | None:
     shifts = [b for b in range(free.bit_length() - 1, -1, -1) if free >> b & 1]
     offsets = scatter_bits(bit_runs(shifts), np.arange(1 << len(shifts), dtype=np.int64))
     return (fixed[:, None] | offsets).reshape(-1)
+
+
+def _sample(marginal: np.ndarray, uniform: float) -> int:
+    """The outcome that ``uniform``, drawn from [0, 1), picks from ``marginal``.
+
+    Inverse-CDF sampling, cheaper than Generator.choice for small supports: each
+    probability below PROBABILITY_FLOOR weighs 0 (a product with 0/1, which
+    keeps every other weight exact), the draw is ``uniform`` times the total
+    weight, and the outcome is the right-side search of the cumulative weights,
+    clamped to the last outcome. Two outcomes take those steps on Python floats:
+    the cumulative weights are (w0, w0 + w1), so the clamped search is
+    ``w0 <= draw``, the same bit without four numpy calls on a 2-entry array.
+    """
+    if len(marginal) == 2:
+        p0, p1 = marginal.tolist()
+        w0 = p0 * (p0 >= PROBABILITY_FLOOR)
+        return int(w0 <= uniform * (w0 + p1 * (p1 >= PROBABILITY_FLOOR)))
+    weights = marginal * (marginal >= PROBABILITY_FLOOR)
+    cumulative = weights.cumsum()
+    outcome = int(cumulative.searchsorted(uniform * cumulative[-1], side="right"))
+    return min(outcome, len(marginal) - 1)
 
 
 def trial_seed(master_seed: int, trial_index: int) -> np.random.SeedSequence:
@@ -497,32 +521,69 @@ class SimulationContext:
     # -- measurement -----------------------------------------------------
 
     def _marginal_probabilities(self, layout: _Layout) -> np.ndarray:
-        """Outcome probabilities of the targets of ``layout``, big-endian in target order."""
-        probs = np.abs(self._state.reshape(layout.shape))
-        probs *= probs
-        if layout.rest:
-            probs = probs.sum(axis=layout.rest)
-        return probs.transpose(layout.kept).reshape(-1)
+        """Outcome probabilities of the targets of ``layout``, big-endian in target order.
+
+        One read of the state: the squares of the amplitudes are summed straight
+        into the 2**k outcomes, with no temporary as large as the state. Only when
+        at most one qubit is not a target are the squares built, at most twice the
+        marginal; at small widths that is cheaper than a reduction's set-up.
+        """
+        a, b = layout.block or (0, 0)  # (0, 0): the targets are not one ascending run
+        if 0 < a * b <= 2:
+            # every qubit, or all but one, is a target
+            probs = np.abs(self._state)
+            probs *= probs
+            return probs.reshape(a, -1, b).sum(axis=(0, 2)) if a * b == 2 else probs
+        if a == 1:
+            # leading targets: each outcome is one contiguous row, one dot product
+            # apiece (a strided row would be copied, so only a == 1 takes this)
+            rows = self._state.view(np.float64).reshape(-1, 2 * b)
+            return np.vecdot(rows, rows)
+        # axis labels 0..ndim: at most one axis per qubit and one for (real, imag),
+        # which no state that can be allocated takes past einsum's 52 labels
+        parts = self._state.view(np.float64).reshape(layout.shape + (2,))
+        every = range(parts.ndim)
+        return np.einsum(parts, every, parts, every, layout.axes).reshape(-1)
 
     def _measure(self, physical: tuple[int, ...]) -> tuple[int, ...]:
+        """Sample the targets from their exact marginal and collapse onto the outcome.
+
+        One read pass gives the marginal (``_marginal_probabilities``) and one
+        uniform draw the outcome (``_sample``). The collapse is in place, with no
+        mask: the slices of the other outcomes are zeroed and the kept one is
+        rescaled, and it allocates nothing of the state's size.
+        """
         k = len(physical)
         if k == 0:
             return ()
         layout = _layout(self._count, physical)
         marginal = self._marginal_probabilities(layout)
-        # the floor as a product with 0/1, which keeps every other weight exact
-        weights = marginal * (marginal >= PROBABILITY_FLOOR)
-        # inverse-CDF sampling; cheaper than Generator.choice for small supports
-        cumulative = weights.cumsum()
-        draw = self.rng.random() * cumulative[-1]
-        outcome = int(cumulative.searchsorted(draw, side="right"))
-        outcome = min(outcome, (1 << k) - 1)
+        outcome = _sample(marginal, self.rng.random())
         bits = tuple([(outcome >> (k - 1 - i)) & 1 for i in range(k)])
-        # collapse: one masked multiply that zeroes the other outcomes and rescales
-        mask = np.zeros(layout.mask)
-        mask[_selector(len(layout.mask), layout.axes, outcome)] = 1.0 / math.sqrt(marginal[outcome])
-        psi = self._state.reshape(layout.shape)
-        psi *= mask  # only zeroes amplitudes, so the support bound still holds
+        # collapse: only zeroes amplitudes, so the support bound still holds
+        scale = 1.0 / math.sqrt(marginal[outcome])
+        if layout.block is not None:
+            # the (a, 2**k * b) array, flat when a == 1: the kept outcome is the
+            # columns [lo, hi), and the columns before and after it are zeroed
+            a, b = layout.block
+            lo, hi = outcome * b, (outcome + 1) * b
+            psi = self._state if a == 1 else self._state.reshape(a, -1)
+            if lo:
+                psi[..., :lo] = 0
+            if hi < psi.shape[-1]:
+                psi[..., hi:] = 0
+            kept = psi[..., lo:hi]
+        else:
+            # target by target, zero the slice that disagrees with its bit inside
+            # the slice that agrees with the bits before it: at most one pass of writes
+            psi = self._state.reshape(layout.shape)
+            index = [slice(None)] * len(layout.shape) + [Ellipsis]
+            for axis, bit in zip(layout.axes, bits):
+                index[axis] = 1 - bit
+                psi[tuple(index)] = 0
+                index[axis] = bit
+            kept = psi[tuple(index)]
+        kept *= scale
         return bits
 
     def _classical_value(self, physical: tuple[int, ...]) -> int:

@@ -521,6 +521,33 @@ class TestMeasurement:
         assert ctx.rng.bit_generator.state == draws
         assert np.array_equal(ctx._state, before)
 
+    @pytest.mark.parametrize("collapsed,read", [
+        ((), lambda reg: reg.measure([0])),
+        ((), lambda reg: reg.measure([9])),
+        ((), lambda reg: reg.measure([17])),
+        ((), lambda reg: reg.measure(list(range(6, 12)))),
+        ((), lambda reg: reg.slice([15, 8, 2]).measure()),
+        (range(6, 12), lambda reg: reg.context._classical_value(tuple(range(6, 12)))),
+    ], ids=["qubit 0", "qubit 9", "qubit 17", "adjacent block", "scattered reversed view",
+            "collapsed field"])
+    def test_a_read_builds_no_state_sized_temporary(self, collapsed, read):
+        # the marginal is one reduction into 2**k outcomes and the collapse zeroes
+        # and rescales slices in place; |psi|**2 alone would take nbytes / 2
+        ctx = SimulationContext(seed=4, debug=True)
+        reg = ctx.allocate_register(18)
+        ctx._set_state(random_state(np.random.default_rng(4), 18))
+        reg.measure(list(collapsed))  # the other qubits stay superposed
+        state = ctx._state
+        tracemalloc.start()
+        try:
+            read(reg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ctx._state is state
+        assert abs(np.linalg.norm(state) - 1.0) < 1e-12
+        assert peak < state.nbytes / 8
+
     def test_normalization_preserved_through_random_program(self, debug_ctx):
         rng = np.random.default_rng(8)
         ctx = debug_ctx(seed=8)

@@ -4,6 +4,7 @@ Hypothesis draws circuit sizes, qubit layouts and inputs; each property is
 checked against an independent oracle (classical arithmetic, per-input
 traces, the amplitude engine, the full-matrix expansion, or the semantic U_f).
 """
+import copy
 import math
 
 import numpy as np
@@ -227,9 +228,21 @@ def test_collapse_is_seen_through_every_aliasing_view(data):
     subset = subset[:data.draw(st.integers(1, len(order)), label="k")]
     measured = tuple(order[i] for i in subset)
     before = ctx._state.copy()
+    generator = copy.deepcopy(ctx.rng)
 
     bits = view.measure(subset)
 
+    # the sampler, by explicit index arithmetic: the marginal of the measured
+    # qubits, the floor, the cumulative weights, the same uniform and a
+    # right-side search, clamped; a draw at a boundary may go either way
+    marginal = np.zeros(1 << len(measured))
+    for v in range(1 << n):
+        marginal[bits_of(v, n, measured)] += abs(before[v]) ** 2
+    cumulative = np.cumsum(marginal * (marginal >= engine.PROBABILITY_FLOOR))
+    draw = generator.random() * cumulative[-1]
+    outcome = min(int(np.searchsorted(cumulative, draw, side="right")), len(marginal) - 1)
+    if np.abs(cumulative - draw).min() > 1e-12 * cumulative[-1]:
+        assert bits.to_unsigned() == outcome
     # the projected, renormalized state, by explicit index arithmetic
     keep = np.array([bits_of(v, n, measured) == bits.to_unsigned() for v in range(1 << n)])
     projected = np.where(keep, before, 0)
