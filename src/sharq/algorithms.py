@@ -124,12 +124,46 @@ def circuit_uf(m: int, modulus: int) -> QuantumOperation:
 
 # --- the quantum step of factoring --------------------------------------------
 
-def _oracle_family(oracle: str):
-    """``semantic_uf`` or ``circuit_uf`` by name, looked up in this module when called."""
-    families = {"semantic": semantic_uf, "circuit": circuit_uf}
-    if not isinstance(oracle, str) or oracle not in families:
+# Up to this N, (N - 1)**2 < 2**63, so y * a**-1 for y, a**-1 < N is exact in
+# int64. That covers every N of up to 31 bits, whose register of at most 32 qubits
+# is a state of up to 64 GiB. Past it the register has 33 qubits, a 128 GiB state;
+# the step refuses such an N rather than trust that it cannot be allocated.
+_EXACT_PRODUCT_LIMIT = 3037000500
+
+
+def _check_oracle(oracle: str):
+    """Refuse an oracle family other than ``"semantic"`` or ``"circuit"``."""
+    if not isinstance(oracle, str) or oracle not in ("semantic", "circuit"):
         raise InvalidParameterError(f"oracle must be 'semantic' or 'circuit', got {oracle!r}")
-    return families[oracle]
+
+
+def _multiply_sources(oracle: str, multipliers: set[int], n_value: int):
+    """``source(a)`` for each multiplier a in ``multipliers``: the work value whose
+    amplitude each y < N takes in the controlled multiply by a, which is
+    a**-1 * y mod N.
+
+    ``"semantic"`` computes it per call into one buffer allocated here.
+    ``"circuit"`` reads it off the inverse of each compiled ``circuit_uf``, all
+    compiled here. Either is built, or refused, before the step touches the state.
+    """
+    if oracle == "circuit":
+        half, sources = 1 << bits_to_express(n_value), {}
+        for a in multipliers:
+            compiled = circuit_uf(a, n_value)
+            compiled.require_unitary()
+            sources[a] = compiled._permutation_inverse[half:half + n_value] - half
+        return sources.__getitem__
+    try:
+        y = np.arange(n_value, dtype=np.int64)
+        buffer = np.empty_like(y)
+    except _ALLOCATION_FAILURES as exc:
+        raise QubitLimitExceededError(f"the multiply index for N={n_value} needs {n_value} "
+                                      "entries, which cannot be allocated") from exc
+
+    def semantic(a: int) -> np.ndarray:
+        np.multiply(y, pow(a, -1, n_value), out=buffer)  # < N**2: see _EXACT_PRODUCT_LIMIT
+        return np.remainder(buffer, n_value, out=buffer)
+    return semantic
 
 
 def shor_quantum_step(ctx: SimulationContext, n_value: int, m: int,
@@ -138,21 +172,30 @@ def shor_quantum_step(ctx: SimulationContext, n_value: int, m: int,
     """Run one period-finding iteration on one recycled control qubit.
 
     Semiclassical phase estimation (Griffiths-Niu, Beauregard) on n+1 qubits:
-    the control, then a work register set to 1. Every round i is four engine
-    calls: H on the control, the oracle for m**(2**(2n-1-i)) mod N, one readout
-    gate, and a measurement reading bit i of the sample (least significant
-    first) off the control, which is never reset. The work register is read
-    last. (sample, f) is distributed as in the textbook step with an inverse QFT
-    on a 2n-qubit REG1. The step leaves ``register`` (n+1 qubits of ``ctx``) fully
-    collapsed, the control at the last bit read; pass it back to reuse it.
-    ``oracle`` picks ``semantic_uf`` or ``circuit_uf``; both are the same
-    permutation, so a seed samples alike through either.
+    the control, then a work register set to 1. Every round i is four steps: H
+    on the control, the controlled multiply by a = m**(2**(2n-1-i)) mod N, one
+    readout gate, and a measurement reading bit i of the sample (least
+    significant first) off the control, which is never reset. The work register
+    is read last. (sample, f) is distributed as in the textbook step with an
+    inverse QFT on a 2n-qubit REG1. The step leaves ``register`` (n+1 qubits of
+    ``ctx``) fully collapsed, the control at the last bit read; pass it back to
+    reuse it.
+
+    The multiply builds no operation: the engine moves the control = 1 half of
+    the register in place, each y < N taking the amplitude of a**-1 * y mod N
+    (``SimulationContext._multiply``), and a round whose a is 1 moves nothing,
+    which is exact. ``oracle`` picks where that index comes from: computed
+    (``"semantic"``) or read off the compiled ``circuit_uf``. Both give the
+    permutation of ``semantic_uf``, so a seed samples alike through either.
     """
-    n_value, m = as_int(n_value, "N"), as_int(m, "m")
-    if math.gcd(m, n_value) != 1:
-        raise InvalidParameterError(f"m={m} shares a factor with N={n_value}")
-    build = _oracle_family(oracle)
+    # gcd(m, N) = 1 is exactly the condition for every y -> a * y mod N to be a
+    # bijection of [0, N), so this check is the multiplies' unitarity check
+    m, n_value = _multiplier_domain(m, n_value)
+    _check_oracle(oracle)
     n = bits_to_express(n_value)
+    if n_value > _EXACT_PRODUCT_LIMIT:
+        raise QubitLimitExceededError(f"the step for N={n_value} needs {n + 1} qubits, "
+                                      f"a {16 << (n + 1)}-byte state")
 
     if register is None:
         register = ctx.allocate_register(n + 1)
@@ -160,15 +203,16 @@ def shor_quantum_step(ctx: SimulationContext, n_value: int, m: int,
         raise InvalidParameterError("the work register belongs to another context")
     elif len(register) != n + 1:
         raise SizeMismatchError(f"work register must have {n + 1} qubits")
-    # every oracle is built (or refused) before the state is touched
-    multiplies = [build(pow(m, 1 << (2 * n - 1 - i), n_value), n_value) for i in range(2 * n)]
+    multipliers = [pow(m, 1 << (2 * n - 1 - i), n_value) for i in range(2 * n)]
+    source = _multiply_sources(oracle, set(multipliers) - {1}, n_value)
     register.set_from_unsigned(1)
 
-    control = register.slice_to(0)
+    control, physical = register.slice_to(0), register.exposed
     measured = b = 0  # b: the last bit read, which the control still holds
-    for i, multiply in enumerate(multiplies):
+    for i, a in enumerate(multipliers):
         control.apply_operation(hadamard(0))
-        register.apply_operation(multiply)
+        if a != 1:
+            ctx._multiply(physical, source(a))
         # H|1> puts -1 = exp(2*pi*i * 2**i / 2**(i+1)) on the |1> branch, so
         # adding b << i to the numerator cancels an unreset control
         control.apply_operation(_readout((b << i) - measured, i + 1))

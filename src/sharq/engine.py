@@ -16,8 +16,11 @@ ascending targets the state is an ``(a, 2**k, b)`` array: a permutation is one
 ``take`` along its middle axis (U_f over a whole register) and a dense gate one
 matrix product. On other targets a permutation of up to ``_SLICE_MOVE_ARITY`` = 8
 qubits moves slices in place; a dense gate, or a wider permutation, moves the
-target axes last and back. ``_layout`` is the one place that maps targets to
-axes, for gates, marginals, collapse, register resets and inspection alike.
+target axes last and back. The Shor step's controlled multiply is a kernel of
+its own (``SimulationContext._multiply``): it moves the control = 1 half of the
+register in place through a source index, with no operation and no table.
+``_layout`` is the one place that maps targets to axes, for gates, the multiply,
+marginals, collapse, register resets and inspection alike.
 
 A measurement reads its marginal in one pass that sums squares straight into
 the 2**k outcomes (one dot product per outcome when the targets lead, an
@@ -40,11 +43,11 @@ through the fused ops (``gates.trace_subindices``) and moves each nonzero
 amplitude once, in place. The context keeps a support bound (base indices and a
 mask of free bits) that allocation, every non-diagonal kernel and the sparse
 path update without reading the state; a measurement only shrinks the support it
-bounds. While the bound allows at most that share, the path takes its indices and
-never reads the whole state. A state array replaced from outside the kernels has
-no bound, and its support is found in one cast to bool. The choice rests only on
-the support size, and either way the state comes out bit-identical, the sign of
-a zero aside.
+bounds, and a register that the bound pins to one value is read off it. While the
+bound allows at most that share, the path takes its indices and never reads the
+whole state. A state array replaced from outside the kernels has no bound, and its
+support is found in one cast to bool. The choice rests only on the support size,
+and either way the state comes out bit-identical, the sign of a zero aside.
 """
 from __future__ import annotations
 
@@ -472,11 +475,43 @@ class SimulationContext:
             view[...] = columns.reshape(view.shape)
         if bounded is not None and kernel != "diag" and bounded() is state:
             # a phase never makes a zero amplitude nonzero; any other gate can set
-            # its targets' bits to anything, and no others. Once every bit is free
-            # the bound allows every index, and dropping it spares the gates after
-            # it this bookkeeping (a dense Shor step's).
-            self._free |= layout.bits
-            self._bounded = None if self._free == state.size - 1 else weakref.ref(self._state)
+            # its targets' bits to anything, and no others
+            self._free_bits(layout.bits)
+
+    def _free_bits(self, bits: int):
+        """Let the bound set ``bits`` of the bounded ``_state`` to anything. Once
+        every bit is free the bound allows every index, and dropping it spares the
+        gates after it this bookkeeping (a dense Shor step's)."""
+        self._free |= bits
+        self._bounded = None if self._free == self._state.size - 1 else weakref.ref(self._state)
+
+    def _multiply(self, physical: tuple[int, ...], source: np.ndarray):
+        """Move the control = 1 half of ``physical`` (a control, then n work
+        qubits) through ``source``: each work value y < len(source) takes the
+        amplitude that work value ``source[y]`` held. The other work values, and
+        the control = 0 half, stay where they are.
+
+        This is the controlled basis permutation whose inverse on y < len(source)
+        is ``source``, which the caller has checked is a permutation of that
+        range. It runs in place, with one temporary of the moved amplitudes: one
+        gather on the ``(a, 2, 2**n, b)`` view when the qubits are one ascending
+        run, and the axis move otherwise.
+        """
+        layout = _layout(self._count, physical)
+        state, bounded = self._state, self._bounded
+        if layout.block is not None:
+            a, b = layout.block
+            half = state.reshape(a, 2, -1, b)[:, 1, :len(source)]
+            half[...] = half.take(source, axis=1)
+        else:
+            view = state.reshape(layout.shape).transpose(layout.rest + layout.axes)
+            columns = view.reshape(-1, 2, 1 << (len(physical) - 1))
+            half = columns[:, 1, :len(source)]
+            half[...] = half.take(source, axis=1)
+            view[...] = columns.reshape(view.shape)
+        if bounded is not None and bounded() is state:
+            # a permutation of the work values can set their bits to anything, and no others
+            self._free_bits(layout.bits & ~(1 << (self._count - 1 - physical[0])))
 
     def _scan_support(self) -> np.ndarray | None:
         """The flat indices of the nonzero amplitudes, found in one pass over the
@@ -588,11 +623,19 @@ class SimulationContext:
 
     def _classical_value(self, physical: tuple[int, ...]) -> int:
         """The basis word, big-endian in ``physical`` order, that those qubits
-        are collapsed to, read from one marginal.
+        are collapsed to, read off the support bound when it pins them and from
+        one marginal otherwise.
 
         Raises NotClassicalStateError naming the first qubit in superposition.
         """
-        marginal = self._marginal_probabilities(_layout(self._count, physical))
+        layout = _layout(self._count, physical)
+        if self._is_bounded() and not self._free & layout.bits:
+            # every nonzero amplitude sits at a base word, with none of these bits
+            # flipped: if those words agree on them, so does the whole state
+            words = gather_bits(layout.runs, self._base)
+            if (words == words[0]).all():
+                return int(words[0])
+        marginal = self._marginal_probabilities(layout)
         top = int(np.argmax(marginal))
         if marginal[top] >= 1.0 - _CLASSICAL_ATOL:
             return top
@@ -709,8 +752,9 @@ class RegisterView:
     def set_from_unsigned(self, value: int) -> "RegisterView":
         """Encode ``value`` big-endian by applying Not to the differing qubits.
 
-        All targeted qubits must already be in collapsed basis states. The Nots
-        are applied together, in one pass over the state.
+        All targeted qubits must already be in collapsed basis states. Their
+        value is read off the support bound when it pins them, and the Nots are
+        applied together, in one pass over the state.
         """
         value, width = as_int(value, "register value"), len(self)
         if not 0 <= value < (1 << width):

@@ -81,13 +81,13 @@ def shor_factor(ctx: SimulationContext, n_value: int, force_m: int | None = None
     deterministically. ``oracle`` selects the semantic oracle (default) or the
     one compiled from the gate-built circuit; every step reuses one n+1 qubit register.
     """
-    from .algorithms import _oracle_family, extract_period, shor_quantum_step
+    from .algorithms import _check_oracle, extract_period, shor_quantum_step
 
     n_value = as_int(n_value, "N")
     _screen(ctx, n_value)
     if force_m is not None and not 1 < (force_m := as_int(force_m, "m")) < n_value:
         raise InvalidParameterError(f"forced m must satisfy 1 < m < N, got {force_m}")
-    _oracle_family(oracle)  # refused before a lucky gcd could end the loop unchecked
+    _check_oracle(oracle)  # refused before a lucky gcd could end the loop unchecked
 
     n_bits = bits_to_express(n_value)
     work = None

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,9 +312,10 @@ class TestShorQuantumStep:
         assert seen == oracle_support
 
     def test_every_round_is_four_engine_calls(self, monkeypatch):
-        # H, the multiply and the readout gate, then one measurement per
-        # round; the work register is measured once at the end
-        calls = {"_apply": 0, "_measure": 0}
+        # H and the readout gate, the multiply kernel unless the round's
+        # multiplier is 1, then one measurement per round; the work register is
+        # measured once at the end. At N=15, m=8 six of the eight multipliers are 1
+        calls = {"_apply": 0, "_multiply": 0, "_measure": 0}
 
         def counted(name):
             original = getattr(SimulationContext, name)
@@ -325,11 +327,13 @@ class TestShorQuantumStep:
 
         for name in calls:
             monkeypatch.setattr(SimulationContext, name, counted(name))
-        n = 6  # bits of N=35
-        for seed in range(10):
-            calls.update(_apply=0, _measure=0)
-            shor_quantum_step(SimulationContext(seed=seed), 35, 2)
-            assert calls == {"_apply": 3 * 2 * n, "_measure": 2 * n + 1}, seed
+        for n_value, m, multiplies in [(35, 2, 12), (15, 8, 2)]:
+            n = n_value.bit_length()
+            for seed in range(10):
+                calls.update(_apply=0, _multiply=0, _measure=0)
+                shor_quantum_step(SimulationContext(seed=seed), n_value, m)
+                assert calls == {"_apply": 2 * 2 * n, "_multiply": multiplies,
+                                 "_measure": 2 * n + 1}, (n_value, seed)
 
     def test_register_reuse(self):
         ctx = SimulationContext(seed=9)
@@ -343,7 +347,9 @@ class TestShorQuantumStep:
     @pytest.mark.parametrize("oracle", ["semantic", "circuit"])
     def test_tables_stay_within_the_step_width(self, monkeypatch, oracle):
         # no operation, and no basis trace, a step builds holds more than
-        # 2**(n+1) entries; at N=77 the 3n-qubit U_f held 2**21
+        # 2**(n+1) entries; at N=77 the 3n-qubit U_f held 2**21. The semantic
+        # multiply builds no operation at all, so its step builds none wider than
+        # one qubit
         sizes = []
         post_init = QuantumOperation.__post_init__
 
@@ -359,8 +365,33 @@ class TestShorQuantumStep:
         monkeypatch.setattr(algorithms, "run_on_basis", tracing)
         algorithms.semantic_uf.cache_clear()
         algorithms.circuit_uf.cache_clear()
+        algorithms._readout.cache_clear()  # so that the step builds its one-qubit gates
         shor_quantum_step(SimulationContext(seed=3), 77, 2, oracle=oracle)
-        assert sizes and max(sizes) <= 1 << 8
+        assert sizes and max(sizes) <= (2 if oracle == "semantic" else 1 << 8)
+
+    def test_a_semantic_step_peaks_within_three_states(self):
+        # N=32767 has n=15: a 16-qubit, 1 MiB state. The step holds the state, a
+        # gate's fresh copy of it, and the multiply's two N-entry index buffers
+        # and moved half, about 2.5 states; with a 2**16-entry oracle table and
+        # its inverse per multiplier it peaked at 6.5
+        state_bytes = 16 << 16
+        tracemalloc.start()
+        try:
+            shor_quantum_step(SimulationContext(seed=1), 32767, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state_bytes < peak <= 3 * state_bytes
+
+    def test_an_n_past_exact_int64_products_is_refused_before_allocation(self):
+        # a**-1 * y < N**2 must fit in int64; past that N the register would hold
+        # 33 qubits, so the step refuses it with the cap's error, allocating nothing
+        ctx = SimulationContext(seed=0, qubit_cap=62)
+        with pytest.raises(QubitLimitExceededError, match="33 qubits"):
+            shor_quantum_step(ctx, algorithms._EXACT_PRODUCT_LIMIT + 1, 2)
+        assert ctx.physical_count == 0
+        limit = algorithms._EXACT_PRODUCT_LIMIT
+        assert (limit - 1) ** 2 < 1 << 63 <= limit ** 2
 
     def test_circuit_oracle_runs_at_its_real_width(self):
         # N=3 has n=2: the step runs on the control plus 2 work qubits. m=2

@@ -393,6 +393,26 @@ class TestSetFromUnsigned:
             reg.set_from_unsigned(0)
         assert len(calls) == 1
 
+    def test_a_value_the_bound_pins_is_read_off_it_as_the_marginal_reads_it(self, monkeypatch):
+        ctx = SimulationContext(seed=0)
+        ctx.allocate_register(3).apply_operations([hadamard(0), hadamard(2)])
+        reg = ctx.allocate_register(4).apply_operations([pauli_x(0), cnot(0, 2), toffoli(0, 2, 3)])
+        assert ctx._is_bounded() and len(ctx._base) == 4  # the sparse path: four words
+        calls = []
+        original = SimulationContext._marginal_probabilities
+        monkeypatch.setattr(SimulationContext, "_marginal_probabilities",
+                            lambda ctx, layout: calls.append(layout) or original(ctx, layout))
+        for view in (reg, reg.slice([3, 0, 2]), reg.slice_reverse()):
+            value = ctx._classical_value(view.exposed)
+            marginal = original(ctx, engine._layout(ctx.physical_count, view.exposed))
+            assert marginal[value] == pytest.approx(1.0)
+        assert calls == []
+        assert ctx._classical_value(reg.exposed) == 0b1011
+        # the words disagree on physical qubit 2, so the one marginal read names it
+        with pytest.raises(NotClassicalStateError, match="physical qubit 2 "):
+            engine.RegisterView(ctx, (2, 3, 4)).set_from_unsigned(0)
+        assert len(calls) == 1
+
 
 class TestApplyOperation:
     def test_hadamard_makes_even_superposition(self, debug_ctx):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sharq import SimulationContext, engine, gates
+from sharq import SimulationContext, algorithms, engine, gates
 from sharq.algorithms import circuit_uf, semantic_uf
 from sharq.arithmetic import OperationPlan, add_n_ops, modular_add_ops, run_on_basis
 from sharq.errors import NotUnitaryOperationError
@@ -136,6 +136,42 @@ def test_compiled_oracle_is_the_semantic_permutation(data):
     compiled = circuit_uf(m, modulus)
     compiled.require_unitary()
     assert np.array_equal(compiled.permutation, semantic_uf(m, modulus).permutation)
+
+
+@PROPERTY
+@given(st.data())
+def test_the_multiply_kernel_moves_amplitudes_as_the_oracle_does(data):
+    # bit for bit against apply_operation(semantic_uf(a, N)), a = 1 included,
+    # with the source index of either family, on a register alone, between other
+    # qubits or shuffled among them; from a sparse start the support bound holds
+    modulus = data.draw(st.integers(2, 77), label="N")
+    a = data.draw(st.sampled_from([c for c in range(1, modulus) if math.gcd(c, modulus) == 1]),
+                  label="a")
+    family = data.draw(st.sampled_from(["semantic", "circuit"]), label="family")
+    k = modulus.bit_length() + 1
+    placement = data.draw(st.sampled_from(["alone", "between", "shuffled"]), label="placement")
+    width = k if placement == "alone" else k + data.draw(st.integers(2, 4), label="others")
+    if placement == "shuffled":
+        physical = tuple(data.draw(st.permutations(range(width)), label="order")[:k])
+    else:
+        first = 0 if placement == "alone" else data.draw(st.integers(1, width - k - 1), label="first")
+        physical = tuple(range(first, first + k))
+    oracle_ctx, kernel_ctx = (SimulationContext(debug=True) for _ in range(2))
+    if data.draw(st.booleans(), label="dense"):
+        state = random_state(np.random.default_rng(data.draw(seeds, label="state")), width)
+        for ctx in (oracle_ctx, kernel_ctx):
+            ctx.allocate_register(width)
+            ctx._set_state(state)
+    else:
+        # as in the step: the control in superposition, and some work values
+        spread = physical[:1] + tuple(data.draw(st.lists(st.sampled_from(physical[1:]), min_size=1,
+                                                         max_size=3, unique=True), label="H"))
+        for ctx in (oracle_ctx, kernel_ctx):
+            ctx.allocate_register(width).apply_operations([hadamard(q) for q in spread])
+    engine.RegisterView(oracle_ctx, physical).apply_operation(semantic_uf(a, modulus))
+    kernel_ctx._multiply(physical, algorithms._multiply_sources(family, {a}, modulus)(a))
+    assert np.array_equal(kernel_ctx._state, oracle_ctx._state)
+    _assert_inside_the_bound(kernel_ctx)
 
 
 # --- gate kernels against the full-matrix and basis-trace oracles ------------
