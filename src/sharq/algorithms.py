@@ -3,6 +3,7 @@ qubit that is never reset, continued-fraction period extraction, and Deutsch.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -10,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arithmetic import OperationPlan, _multiply_round, reverse_ops, run_on_basis
-from .engine import _ALLOCATION_FAILURES, RegisterView, SimulationContext
+from .engine import _ALLOCATION_FAILURES, _SUPPORT_SHARE, RegisterView, SimulationContext
 from .errors import (InvalidParameterError, OracleCompilationError, QubitLimitExceededError,
                      SizeMismatchError, as_indices, as_int)
 from .gates import QuantumOperation, cnot, controlled_u, hadamard, pauli_x, rotation_k
@@ -137,33 +138,51 @@ def _check_oracle(oracle: str):
         raise InvalidParameterError(f"oracle must be 'semantic' or 'circuit', got {oracle!r}")
 
 
-def _multiply_sources(oracle: str, multipliers: set[int], n_value: int):
-    """``source(a)`` for each multiplier a in ``multipliers``: the work value whose
-    amplitude each y < N takes in the controlled multiply by a, which is
-    a**-1 * y mod N.
+def _multiply_maps(oracle: str, multipliers: set[int], n_value: int):
+    """For the multipliers a in ``multipliers``: ``image(a, support)``, the list of
+    a * y mod N for the Python ints y < N in ``support``, and ``source(a, words)``,
+    a**-1 * y mod N for the y < N in the int64 array ``words``; ``source(a)`` alone
+    is the source of every work value, y itself past N.
 
-    ``"semantic"`` computes it per call into one buffer allocated here.
-    ``"circuit"`` reads it off the inverse of each compiled ``circuit_uf``, all
-    compiled here. Either is built, or refused, before the step touches the state.
+    ``"semantic"`` computes them per call, the full source into one buffer
+    allocated here. ``"circuit"`` reads them off each compiled ``circuit_uf`` and
+    its inverse, all compiled here. Either is built, or refused, before the step
+    touches the state.
     """
+    width = 1 << bits_to_express(n_value)
     if oracle == "circuit":
-        half, sources = 1 << bits_to_express(n_value), {}
+        forward, inverse = {}, {}
         for a in multipliers:
             compiled = circuit_uf(a, n_value)
             compiled.require_unitary()
-            sources[a] = compiled._permutation_inverse[half:half + n_value] - half
-        return sources.__getitem__
+            forward[a] = (compiled.permutation[width:] - width).tolist()
+            inverse[a] = compiled._permutation_inverse[width:] - width
+
+        def image(a: int, support) -> list[int]:
+            return [forward[a][w] for w in support]
+
+        def source(a: int, words: np.ndarray | None = None) -> np.ndarray:
+            return inverse[a] if words is None else inverse[a][words]
+        return image, source
     try:
         y = np.arange(n_value, dtype=np.int64)
-        buffer = np.empty_like(y)
+        buffer = np.arange(width, dtype=np.int64)
     except _ALLOCATION_FAILURES as exc:
-        raise QubitLimitExceededError(f"the multiply index for N={n_value} needs {n_value} "
+        raise QubitLimitExceededError(f"the multiply index for N={n_value} needs {width} "
                                       "entries, which cannot be allocated") from exc
+    head = buffer[:n_value]
 
-    def semantic(a: int) -> np.ndarray:
-        np.multiply(y, pow(a, -1, n_value), out=buffer)  # < N**2: see _EXACT_PRODUCT_LIMIT
-        return np.remainder(buffer, n_value, out=buffer)
-    return semantic
+    # every product is < N**2: see _EXACT_PRODUCT_LIMIT
+    def image(a: int, support) -> list[int]:
+        return [w * a % n_value for w in support]
+
+    def source(a: int, words: np.ndarray | None = None) -> np.ndarray:
+        if words is not None:
+            return words * pow(a, -1, n_value) % n_value
+        np.multiply(y, pow(a, -1, n_value), out=head)
+        np.remainder(head, n_value, out=head)
+        return buffer
+    return image, source
 
 
 def shor_quantum_step(ctx: SimulationContext, n_value: int, m: int,
@@ -172,21 +191,28 @@ def shor_quantum_step(ctx: SimulationContext, n_value: int, m: int,
     """Run one period-finding iteration on one recycled control qubit.
 
     Semiclassical phase estimation (Griffiths-Niu, Beauregard) on n+1 qubits:
-    the control, then a work register set to 1. Every round i is four steps: H
-    on the control, the controlled multiply by a = m**(2**(2n-1-i)) mod N, one
-    readout gate, and a measurement reading bit i of the sample (least
-    significant first) off the control, which is never reset. The work register
-    is read last. (sample, f) is distributed as in the textbook step with an
-    inverse QFT on a 2n-qubit REG1. The step leaves ``register`` (n+1 qubits of
-    ``ctx``) fully collapsed, the control at the last bit read; pass it back to
-    reuse it.
+    the control, then a work register set to 1. Every round i is H on the
+    control, the controlled multiply by a = m**(2**(2n-1-i)) mod N, one readout
+    gate, and a measurement reading bit i of the sample (least significant
+    first) off the control, which is never reset. The work register is read
+    last. (sample, f) is distributed as in the textbook step with an inverse QFT
+    on a 2n-qubit REG1. The step leaves ``register`` (n+1 qubits of ``ctx``)
+    fully collapsed, the control at the last bit read; pass it back to reuse it.
 
-    The multiply builds no operation: the engine moves the control = 1 half of
-    the register in place, each y < N taking the amplitude of a**-1 * y mod N
-    (``SimulationContext._multiply``), and a round whose a is 1 moves nothing,
-    which is exact. ``oracle`` picks where that index comes from: computed
-    (``"semantic"``) or read off the compiled ``circuit_uf``. Both give the
-    permutation of ``semantic_uf``, so a seed samples alike through either.
+    Each round is one engine call, ``SimulationContext._round``, which simulates
+    it by its effect: the control never goes into superposition, and the round
+    gathers a**-1 * y mod N for the work values y, takes one inner product and
+    writes one combination into the half of the bit read. While the work
+    support (1 at the start; a round's multiplier maps it to its union with
+    a * support mod N) is at most ``_SUPPORT_SHARE`` of the 2**n work values,
+    the round reads and writes those values alone. ``oracle`` picks where the
+    multiply's indices come from: computed (``"semantic"``) or read off the
+    compiled ``circuit_uf``. Both give the permutation of ``semantic_uf``, so a
+    seed samples alike through either.
+
+    Exactness: the states are those of the gate sequence up to rounding, not bit
+    for bit, since the round's sums run in another order; a sampled bit can
+    differ only where a uniform lands within rounding of its boundary.
     """
     # gcd(m, N) = 1 is exactly the condition for every y -> a * y mod N to be a
     # bijection of [0, N), so this check is the multiplies' unitarity check
@@ -204,30 +230,30 @@ def shor_quantum_step(ctx: SimulationContext, n_value: int, m: int,
     elif len(register) != n + 1:
         raise SizeMismatchError(f"work register must have {n + 1} qubits")
     multipliers = [pow(m, 1 << (2 * n - 1 - i), n_value) for i in range(2 * n)]
-    source = _multiply_sources(oracle, set(multipliers) - {1}, n_value)
+    image, source = _multiply_maps(oracle, set(multipliers) - {1}, n_value)
     register.set_from_unsigned(1)
 
-    control, physical = register.slice_to(0), register.exposed
+    physical, sparse = register.exposed, (1 << n) * _SUPPORT_SHARE
+    # the work values that may be nonzero, as a set and sorted in ``words``; both
+    # are None once there are more than ``sparse`` of them
+    support, words = {1}, np.array([1])
     measured = b = 0  # b: the last bit read, which the control still holds
     for i, a in enumerate(multipliers):
-        control.apply_operation(hadamard(0))
-        if a != 1:
-            ctx._multiply(physical, source(a))
-        # H|1> puts -1 = exp(2*pi*i * 2**i / 2**(i+1)) on the |1> branch, so
-        # adding b << i to the numerator cancels an unreset control
-        control.apply_operation(_readout((b << i) - measured, i + 1))
-        b = control.measure().to_unsigned()
+        if a != 1 and support is not None:
+            support.update(image(a, support))
+            if len(support) > sparse:
+                support = words = None
+            else:
+                words = np.fromiter(support, np.int64, len(support))
+                words.sort()
+        # H gives the |1> branch (-1)**b, and the readout rotates it by
+        # exp(2*pi*i * ((b << i) - measured) / 2**(i+1)): together this phase
+        phase = cmath.exp(-1j * math.pi * measured / (1 << i))
+        moves = None if a == 1 else source(a, words)
+        b = ctx._round(physical, b, phase, moves, words)
         measured |= b << i
     f_value = register.slice_from(1).measure().to_unsigned()
     return PeriodSample(measured, 1 << (2 * n), f_value)
-
-
-@lru_cache(maxsize=256)
-def _readout(numerator: int, k: int) -> QuantumOperation:
-    """H * diag(1, exp(2*pi*i * numerator / 2**k)): one round's rotation and readout basis."""
-    readout = hadamard().matrix @ np.diag([1.0, np.exp(2j * np.pi * numerator / (1 << k))])
-    readout.flags.writeable = False  # a fresh array, so the operation keeps it without a copy
-    return QuantumOperation(f"HP({numerator}/2^{k})", (0,), matrix=readout)
 
 
 # --- classical post-processing ---------------------------------------------

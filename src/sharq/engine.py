@@ -16,11 +16,15 @@ ascending targets the state is an ``(a, 2**k, b)`` array: a permutation is one
 ``take`` along its middle axis (U_f over a whole register) and a dense gate one
 matrix product. On other targets a permutation of up to ``_SLICE_MOVE_ARITY`` = 8
 qubits moves slices in place; a dense gate, or a wider permutation, moves the
-target axes last and back. The Shor step's controlled multiply is a kernel of
-its own (``SimulationContext._multiply``): it moves the control = 1 half of the
-register in place through a source index, with no operation and no table.
-``_layout`` is the one place that maps targets to axes, for gates, the multiply,
-marginals, collapse, register resets and inspection alike.
+target axes last and back. A round of the Shor step is a kernel of its own
+(``SimulationContext._round``): with the control collapsed, it simulates H, the
+controlled multiply, the readout gate and the control's measurement by their
+effect on the work half, one gather, one inner product and one combination, with
+no operation and no table, and while the work support is sparse it touches only
+those work values. Its states equal the gates' up to rounding, since its sums run
+in another order, so a bit it reads can differ only where the uniform lands within
+rounding of a boundary. ``_layout`` is the one place that maps targets to axes,
+for gates, the rounds, marginals, collapse, register resets and inspection alike.
 
 A measurement reads its marginal in one pass that sums squares straight into
 the 2**k outcomes (one dot product per outcome when the targets lead, an
@@ -254,33 +258,41 @@ def _fused(ops: tuple[QuantumOperation, ...]) -> _FusedPlan:
                       all(op._action_is_unitary for op in ops))
 
 
+def _distinct(words: np.ndarray) -> np.ndarray:
+    """The distinct entries of ``words``, sorted (by hand, as np.unique would import
+    numpy.ma, 0.5 MB, on first use)."""
+    words = np.sort(words)
+    return words[np.concatenate(([True], words[1:] != words[:-1]))]
+
+
 def _candidates(base: np.ndarray, free: int, size: int) -> np.ndarray | None:
     """Every flat index a support bound allows, when they are at most
     ``_SUPPORT_SHARE`` of ``size``; some may hold a zero amplitude."""
     if len(base) << free.bit_count() > size * _SUPPORT_SHARE:
         return None
+    if not free:
+        return base
     # words that differ only in free bits name the same indices: keep one of each
-    # (sorted by hand, as np.unique would import numpy.ma, 0.5 MB, on first use)
-    fixed = np.sort(base & ~free)
-    fixed = fixed[np.concatenate(([True], fixed[1:] != fixed[:-1]))]
+    fixed = _distinct(base & ~free)
     shifts = [b for b in range(free.bit_length() - 1, -1, -1) if free >> b & 1]
     offsets = scatter_bits(bit_runs(shifts), np.arange(1 << len(shifts), dtype=np.int64))
     return (fixed[:, None] | offsets).reshape(-1)
 
 
-def _sample(marginal: np.ndarray, uniform: float) -> int:
-    """The outcome that ``uniform``, drawn from [0, 1), picks from ``marginal``.
+def _sample(marginal, uniform: float) -> int:
+    """The outcome that ``uniform``, drawn from [0, 1), picks from ``marginal``: an
+    array, or for two outcomes a pair of Python floats.
 
     Inverse-CDF sampling, cheaper than Generator.choice for small supports: each
     probability below PROBABILITY_FLOOR weighs 0 (a product with 0/1, which
     keeps every other weight exact), the draw is ``uniform`` times the total
     weight, and the outcome is the right-side search of the cumulative weights,
-    clamped to the last outcome. Two outcomes take those steps on Python floats:
+    clamped to the last outcome. Two outcomes take those steps on the two floats:
     the cumulative weights are (w0, w0 + w1), so the clamped search is
     ``w0 <= draw``, the same bit without four numpy calls on a 2-entry array.
     """
     if len(marginal) == 2:
-        p0, p1 = marginal.tolist()
+        p0, p1 = marginal
         w0 = p0 * (p0 >= PROBABILITY_FLOOR)
         return int(w0 <= uniform * (w0 + p1 * (p1 >= PROBABILITY_FLOOR)))
     weights = marginal * (marginal >= PROBABILITY_FLOOR)
@@ -475,43 +487,96 @@ class SimulationContext:
             view[...] = columns.reshape(view.shape)
         if bounded is not None and kernel != "diag" and bounded() is state:
             # a phase never makes a zero amplitude nonzero; any other gate can set
-            # its targets' bits to anything, and no others
-            self._free_bits(layout.bits)
+            # its targets' bits to anything, and no others. Once every bit is free
+            # the bound allows every index, and dropping it spares the gates after
+            # it this bookkeeping
+            self._free |= layout.bits
+            self._bounded = None if self._free == self._state.size - 1 else weakref.ref(self._state)
 
-    def _free_bits(self, bits: int):
-        """Let the bound set ``bits`` of the bounded ``_state`` to anything. Once
-        every bit is free the bound allows every index, and dropping it spares the
-        gates after it this bookkeeping (a dense Shor step's)."""
-        self._free |= bits
-        self._bounded = None if self._free == self._state.size - 1 else weakref.ref(self._state)
+    def _round(self, physical: tuple[int, ...], b: int, phase: complex,
+               source: np.ndarray | None, words: np.ndarray | None = None) -> int:
+        """One round of the Shor step on ``physical`` (a control, then n work
+        qubits) whose control holds ``b``: a Hadamard on the control, the
+        controlled multiply U, the readout phase and Hadamard, and the control's
+        measurement, simulated by their effect. Returns the bit read, c.
 
-    def _multiply(self, physical: tuple[int, ...], source: np.ndarray):
-        """Move the control = 1 half of ``physical`` (a control, then n work
-        qubits) through ``source``: each work value y < len(source) takes the
-        amplitude that work value ``source[y]`` held. The other work values, and
-        the control = 0 half, stay where they are.
+        With psi the work half at b and phi = ``phase`` * U psi, the round reads
+        c with p_c = (|psi|^2 + (-1)^c Re<psi, phi>) / 2 from one ``rng.random()``
+        (``_sample``), writes (psi + (-1)^c phi) / (2 sqrt(p_c)) into half c and
+        zeroes half b if c != b. U psi takes at each work value the amplitude at
+        its entry of ``source``, or its own when ``source`` is None (U = 1).
+        Without ``words``, ``source`` has an entry for every work value. With
+        ``words``, sorted and distinct, the caller guarantees that psi and phi
+        are zero off them; ``source`` has one entry per word, and only those
+        work values are read and written.
 
-        This is the controlled basis permutation whose inverse on y < len(source)
-        is ``source``, which the caller has checked is a permutation of that
-        range. It runs in place, with one temporary of the moved amplitudes: one
-        gather on the ``(a, 2, 2**n, b)`` view when the qubits are one ascending
-        run, and the axis move otherwise.
+        The halves are a view when the register is the whole state in order, and
+        otherwise the axis move's copy, written back. The support bound comes out
+        exact on the register's bits: the control at c and the work at ``words``,
+        or every work bit free; the other qubits keep theirs.
         """
+        n = len(physical) - 1
         layout = _layout(self._count, physical)
-        state, bounded = self._state, self._bounded
-        if layout.block is not None:
-            a, b = layout.block
-            half = state.reshape(a, 2, -1, b)[:, 1, :len(source)]
-            half[...] = half.take(source, axis=1)
+        others = (self._state.size - 1) & ~layout.bits  # the bits of the other qubits
+        bounded = bool(others) and self._is_bounded()
+        view, flat = None, layout.block == (1, 1)
+        if flat:
+            halves = self._state.reshape(2, -1)
         else:
-            view = state.reshape(layout.shape).transpose(layout.rest + layout.axes)
-            columns = view.reshape(-1, 2, 1 << (len(physical) - 1))
-            half = columns[:, 1, :len(source)]
-            half[...] = half.take(source, axis=1)
-            view[...] = columns.reshape(view.shape)
-        if bounded is not None and bounded() is state:
-            # a permutation of the work values can set their bits to anything, and no others
-            self._free_bits(layout.bits & ~(1 << (self._count - 1 - physical[0])))
+            # (2, rows, 2**n), one row per value of the other qubits, written back below
+            view = self._state.reshape(layout.shape).transpose(layout.rest + layout.axes)
+            halves = view.reshape(-1, 2, 1 << n).transpose(1, 0, 2)
+        at = words if flat else (slice(None), words)
+        half = halves[b]
+        psi = half if words is None else half[at]
+        norm = float(np.vdot(psi, psi).real)
+        if source is None:
+            moved, overlap = None, norm * phase.real
+        else:
+            moved = half.take(source, axis=-1)
+            overlap = (phase * complex(np.vdot(psi, moved))).real
+        p = ((norm + overlap) / 2, (norm - overlap) / 2)
+        c = _sample(p, self.rng.random())
+        # half c becomes scale * psi + weight * U psi, which is one product when U = 1;
+        # a product by exactly 1 into the same half, like a phase of 1, is skipped
+        scale = 0.5 / math.sqrt(p[c])
+        weight = (-scale if c else scale) * phase
+        if moved is None:
+            scale += weight
+        else:
+            moved *= weight
+        if moved is not None or c != b or scale != 1:
+            kept = halves[c]
+            if words is None:
+                np.multiply(psi, scale, out=kept)
+                if moved is not None:
+                    kept += moved
+                if c != b:
+                    half.fill(0)
+            else:
+                psi *= scale
+                if moved is not None:
+                    psi += moved
+                if c != b:
+                    half[at] = 0
+                kept[at] = psi
+            if view is not None:
+                view[...] = halves.transpose(1, 0, 2).reshape(view.shape)
+
+        control = 1 << (self._count - 1 - physical[0])
+        if words is None:
+            held, free = np.array([control if c else 0]), layout.bits & ~control
+        elif flat:
+            held, free = (words | control if c else words), 0
+        else:
+            held, free = scatter_bits(layout.runs, words | c << n), 0
+        if bounded:
+            held = (_distinct(self._base & others)[:, None] | held).reshape(-1)
+            free |= self._free & others
+        else:
+            free |= others
+        self._bind(held, free)
+        return c
 
     def _scan_support(self) -> np.ndarray | None:
         """The flat indices of the nonzero amplitudes, found in one pass over the
@@ -593,6 +658,8 @@ class SimulationContext:
             return ()
         layout = _layout(self._count, physical)
         marginal = self._marginal_probabilities(layout)
+        if k == 1:
+            marginal = marginal.tolist()
         outcome = _sample(marginal, self.rng.random())
         bits = tuple([(outcome >> (k - 1 - i)) & 1 for i in range(k)])
         # collapse: only zeroes amplitudes, so the support bound still holds
@@ -651,20 +718,30 @@ class SimulationContext:
         return value
 
     def _flip(self, physical: tuple[int, ...]):
-        """Not on every qubit of ``physical`` at once: one copy with their axes reversed.
+        """Not on every qubit of ``physical`` at once.
 
-        Reversing a length-2 axis swaps the halves where that qubit is 0 and 1,
-        which is exactly what Not does; the copy keeps the state contiguous. A
-        hand-built index of reversed slices costs about 3 µs on 7 qubits, where
-        ``np.flip`` costs about 5.
+        When the support bound allows at most ``_SUPPORT_SHARE`` of the state, each
+        candidate index moves in place to the index with those bits flipped.
+        Otherwise it is one copy with their axes reversed: reversing a length-2
+        axis swaps the halves where that qubit is 0 and 1, which is exactly what
+        Not does, and the copy keeps the state contiguous. A hand-built index of
+        reversed slices costs about 3 µs on 7 qubits, where ``np.flip`` costs
+        about 5.
         """
         layout = _layout(self._count, physical)
         bounded = self._is_bounded()
-        index = [slice(None)] * len(layout.shape)
-        for axis in layout.axes:
-            index[axis] = slice(None, None, -1)
-        flipped = self._state.reshape(layout.shape)[tuple(index)]
-        self._state = np.ascontiguousarray(flipped).reshape(-1)
+        support = _candidates(self._base, self._free, self._state.size) if bounded else None
+        if support is not None:
+            # a sparse state: move the bound's candidates alone, in place
+            values = self._state[support]
+            self._state[support] = 0
+            self._state[support ^ layout.bits] = values
+        else:
+            index = [slice(None)] * len(layout.shape)
+            for axis in layout.axes:
+                index[axis] = slice(None, None, -1)
+            flipped = self._state.reshape(layout.shape)[tuple(index)]
+            self._state = np.ascontiguousarray(flipped).reshape(-1)
         if bounded:
             self._bind(self._base ^ layout.bits, self._free)
 

@@ -393,6 +393,27 @@ class TestSetFromUnsigned:
             reg.set_from_unsigned(0)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("flipped", [(9,), (0, 4), (7, 2, 5), (1, 3, 6, 8)])
+    def test_a_sparse_flip_moves_the_candidates_in_place_as_the_copy_does(self, flipped):
+        # the classical plan moves 4 words, and the last Hadamard frees a bit: 8
+        # candidates, within 1/16 of 1024. The twin has no bound, so it takes the
+        # axis-reversing copy
+        plan = [pauli_x(0), cnot(0, 4), cnot(6, 2), toffoli(6, 2, 7), cnot(1, 9)]
+        ctx, twin = (SimulationContext(seed=0, debug=True) for _ in range(2))
+        for context in (ctx, twin):
+            register = context.allocate_register(10)
+            register.apply_operations([hadamard(1), hadamard(6)]).apply_operations(plan)
+            register.apply_operation(hadamard(8))
+        assert ctx._is_bounded() and (len(ctx._base), ctx._free) == (4, 1 << 1)
+        base, free, state = ctx._base.copy(), ctx._free, ctx._state
+        twin._bounded = None
+        ctx._flip(flipped)
+        twin._flip(flipped)
+        assert ctx._state is state  # in place
+        assert np.array_equal(ctx._state, twin._state)
+        bits = engine._layout(10, flipped).bits
+        assert np.array_equal(ctx._base, base ^ bits) and ctx._free == free
+
     def test_a_value_the_bound_pins_is_read_off_it_as_the_marginal_reads_it(self, monkeypatch):
         ctx = SimulationContext(seed=0)
         ctx.allocate_register(3).apply_operations([hadamard(0), hadamard(2)])

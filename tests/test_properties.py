@@ -6,6 +6,7 @@ traces, the amplitude engine, the full-matrix expansion, or the semantic U_f).
 """
 import copy
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -138,40 +139,99 @@ def test_compiled_oracle_is_the_semantic_permutation(data):
     assert np.array_equal(compiled.permutation, semantic_uf(m, modulus).permutation)
 
 
+def _reference_round(ctx, physical, a, modulus, b, measured, i):
+    """One Shor round as gates on ``ctx``: H on the control, ``semantic_uf(a, N)``
+    on the register and the readout H * diag(1, exp(i theta)), then the control's
+    marginal, summed over the flat indices, and its ``_measure``."""
+    register = engine.RegisterView(ctx, physical)
+    register.apply_operation(hadamard(0))
+    register.apply_operation(semantic_uf(a, modulus))
+    theta = 2 * np.pi * ((b << i) - measured) / (1 << (i + 1))
+    readout = hadamard().matrix @ np.diag([1, np.exp(1j * theta)])
+    register.apply_operation(QuantumOperation("readout", (0,), matrix=readout))
+    squares = np.abs(ctx._state) ** 2
+    bit = (np.arange(len(squares)) >> (ctx.physical_count - 1 - physical[0])) & 1
+    marginal = (squares[bit == 0].sum(), squares[bit == 1].sum())
+    return marginal, ctx._measure(physical[:1])[0]
+
+
 @PROPERTY
 @given(st.data())
-def test_the_multiply_kernel_moves_amplitudes_as_the_oracle_does(data):
-    # bit for bit against apply_operation(semantic_uf(a, N)), a = 1 included,
-    # with the source index of either family, on a register alone, between other
-    # qubits or shuffled among them; from a sparse start the support bound holds
+def test_the_round_kernel_is_h_multiply_readout_and_measure(data):
+    # _round against the gates on a twin context with the same generator: the
+    # probabilities agree to 1e-12, the bits agree unless the uniform is within
+    # 1e-12 of the boundary, and the states agree to rounding over p_c; a = 1 and
+    # either family's indices, on a register alone, after other qubits, between
+    # them or shuffled among them. From a sparse start three rounds touch the
+    # words alone, and the support bound covers every nonzero amplitude after each
     modulus = data.draw(st.integers(2, 77), label="N")
     a = data.draw(st.sampled_from([c for c in range(1, modulus) if math.gcd(c, modulus) == 1]),
                   label="a")
     family = data.draw(st.sampled_from(["semantic", "circuit"]), label="family")
-    k = modulus.bit_length() + 1
-    placement = data.draw(st.sampled_from(["alone", "between", "shuffled"]), label="placement")
+    n = modulus.bit_length()
+    k = n + 1
+    placement = data.draw(st.sampled_from(["alone", "after", "between", "shuffled"]),
+                          label="placement")
     width = k if placement == "alone" else k + data.draw(st.integers(2, 4), label="others")
     if placement == "shuffled":
         physical = tuple(data.draw(st.permutations(range(width)), label="order")[:k])
     else:
-        first = 0 if placement == "alone" else data.draw(st.integers(1, width - k - 1), label="first")
+        first = {"alone": 0, "after": width - k}.get(placement)
+        if first is None:
+            first = data.draw(st.integers(1, width - k - 1), label="first")
         physical = tuple(range(first, first + k))
-    oracle_ctx, kernel_ctx = (SimulationContext(debug=True) for _ in range(2))
-    if data.draw(st.booleans(), label="dense"):
-        state = random_state(np.random.default_rng(data.draw(seeds, label="state")), width)
-        for ctx in (oracle_ctx, kernel_ctx):
+    seed = data.draw(seeds, label="seed")
+    kernel_ctx, oracle_ctx = (SimulationContext(seed=seed, debug=True) for _ in range(2))
+    b = data.draw(st.integers(0, 1), label="b")
+    image, source = algorithms._multiply_maps(family, {a} - {1}, modulus)
+    if data.draw(st.booleans(), label="sparse"):
+        # the control at b, the work at 1 and the other qubits at some value;
+        # Hadamards on some low work bits keep every work value below 2**(n-1) <= N,
+        # and on other qubits spread the rest
+        others = [q for q in range(width) if q not in physical]
+        spread = data.draw(st.lists(st.sampled_from(list(physical[2:]) + others), max_size=3,
+                                    unique=True), label="H")
+        rest = data.draw(st.integers(0, (1 << (width - k)) - 1), label="rest")
+        for ctx in (kernel_ctx, oracle_ctx):
+            full = ctx.allocate_register(width)
+            engine.RegisterView(ctx, physical + tuple(others)).set_from_unsigned(
+                (b << n | 1) << (width - k) | rest)
+            full.apply_operations([hadamard(q) for q in spread])
+        support = {1}
+        for q in spread:
+            if q in physical:
+                support |= {y ^ 1 << (n - physical.index(q)) for y in support}
+        rounds = 3
+    else:
+        state = random_state(np.random.default_rng(seed), width)
+        bit = (np.arange(1 << width) >> (width - 1 - physical[0])) & 1
+        state[bit != b] = 0
+        for ctx in (kernel_ctx, oracle_ctx):
             ctx.allocate_register(width)
             ctx._set_state(state)
-    else:
-        # as in the step: the control in superposition, and some work values
-        spread = physical[:1] + tuple(data.draw(st.lists(st.sampled_from(physical[1:]), min_size=1,
-                                                         max_size=3, unique=True), label="H"))
-        for ctx in (oracle_ctx, kernel_ctx):
-            ctx.allocate_register(width).apply_operations([hadamard(q) for q in spread])
-    engine.RegisterView(oracle_ctx, physical).apply_operation(semantic_uf(a, modulus))
-    kernel_ctx._multiply(physical, algorithms._multiply_sources(family, {a}, modulus)(a))
-    assert np.array_equal(kernel_ctx._state, oracle_ctx._state)
-    _assert_inside_the_bound(kernel_ctx)
+        support, rounds = None, 1
+    for _ in range(rounds):
+        i = data.draw(st.integers(0, 6), label="i")
+        measured = data.draw(st.integers(0, (1 << i) - 1), label="measured")
+        words = moves = None
+        if support is not None:
+            if a != 1:
+                support |= set(image(a, support))
+            words = np.array(sorted(support), dtype=np.int64)
+        if a != 1:
+            moves = source(a, words)
+        phase = np.exp(-1j * np.pi * measured / (1 << i))
+        with mock.patch.object(engine, "_sample", wraps=engine._sample) as spy:
+            c = kernel_ctx._round(physical, b, phase, moves, words)
+        (p0, p1), uniform = spy.call_args.args
+        marginal, expected = _reference_round(oracle_ctx, physical, a, modulus, b, measured, i)
+        assert abs(p0 - marginal[0]) <= 1e-12 and abs(p1 - marginal[1]) <= 1e-12
+        if abs(uniform - marginal[0] / sum(marginal)) <= 1e-12:
+            return  # within rounding of the boundary: either bit may come out
+        assert c == expected
+        assert np.abs(kernel_ctx._state - oracle_ctx._state).max() <= 1e-12 / marginal[c]
+        _assert_inside_the_bound(kernel_ctx)
+        b = c
 
 
 # --- gate kernels against the full-matrix and basis-trace oracles ------------
