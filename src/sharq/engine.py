@@ -35,9 +35,10 @@ qubit, or of all but one, squares the state, at most twice its marginal.
 
 A plan (``RegisterView.apply_operations``, and ``run_on_basis`` for traces) is
 run with each run of consecutive basis permutations fused into one exact
-permutation on at most ``_SLICE_MOVE_ARITY`` qubits. Each distinct run is composed
-once per plan, and every repeat of it in the plan shares that operation and the
-facts its kernels cache. ``_fused`` keeps the 64 most recently used fused plans
+permutation on at most ``_SLICE_MOVE_ARITY`` qubits. A run is composed once per
+process while some fused plan holds it (``_composed``), and every repeat of it, in
+one plan or in plans built apart, shares that operation and the facts its
+kernels and traces cache. ``_fused`` keeps the 64 most recently used fused plans
 and the facts each caller checks a plan by, once and before any amplitude
 changes; fusion and the kernels trust them. A nonempty plan of basis
 permutations alone, on a state whose nonzero amplitudes are at most
@@ -75,8 +76,8 @@ from .errors import (
     as_indices,
     as_int,
 )
-from .gates import (HARD_QUBIT_LIMIT, QuantumOperation, bit_runs, gather_bits, scatter_bits,
-                    trace_subindices)
+from .gates import (_SLICE_MOVE_ARITY, HARD_QUBIT_LIMIT, QuantumOperation, bit_runs,
+                    gather_bits, scatter_bits, trace_subindices)
 
 DEFAULT_QUBIT_CAP = 26
 
@@ -98,11 +99,6 @@ def _unallocatable(n_qubits: int) -> QubitLimitExceededError:
         f"which cannot be allocated"
     )
 
-
-# A permutation on scattered or reordered targets moves slices in place up to
-# this arity (at most 256 slices per gate); wider ones take one axis move. It is
-# also the width of a fused run of basis permutations (``_fused``).
-_SLICE_MOVE_ARITY = 8
 
 # A classical plan moves only the nonzero amplitudes while they are at most this
 # share of the state (``SimulationContext._permute_support``); denser states take
@@ -184,13 +180,12 @@ def _selector(ndim: int, axes: tuple[int, ...], sub_index: int) -> tuple:
 
 
 def _compose(group: list[QuantumOperation], union: set[int]) -> QuantumOperation:
-    """One permutation on the sorted ``union`` that acts as ``group`` run in order.
+    """One permutation on the sorted ``union`` that acts as ``group``, two or more
+    gates, run in order.
 
     Every local input is scattered into a sub-index over qubits 0 to ``max(union)``
-    and traced, and its image gathered back; a lone gate is kept.
+    and traced, and its image gathered back.
     """
-    if len(group) == 1:
-        return group[0]
     qubits = tuple(sorted(union))
     runs = bit_runs([qubits[-1] - q for q in qubits])
     local = scatter_bits(runs, np.arange(1 << len(qubits), dtype=np.int64))
@@ -198,26 +193,36 @@ def _compose(group: list[QuantumOperation], union: set[int]) -> QuantumOperation
     return QuantumOperation(f"Fused[{len(group)}]", qubits, permutation=images)
 
 
+# Every composed run of two or more gates, keyed by its gates, for as long as some
+# fused plan holds it; an entry dies with the last plan that holds its operation.
+_composed: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def _fuse(ops: tuple[QuantumOperation, ...]) -> tuple[QuantumOperation, ...]:
     """Greedily merge consecutive basis permutations while their targets span at
     most ``_SLICE_MOVE_ARITY`` qubits.
 
     Gates join by structure alone: dense and diagonal gates and zero-target
-    gates are barriers and pass through unchanged. Moving amplitudes is exact,
-    so the fused plan gives bit-identical states and traces. Plans reuse their
-    blocks, so each distinct run is composed once per call and every repeat of
-    it shares that operation, with the facts its kernels cache.
+    gates are barriers and pass through unchanged; a run of one gate is that
+    gate. Moving amplitudes is exact, so the fused plan gives bit-identical
+    states and traces. Plans reuse their blocks, and plans built apart share
+    them, so a run is composed once per process while some fused plan still
+    holds it (``_composed``): every repeat of it, in this plan or another,
+    shares that operation, with the facts its kernels and traces cache.
     """
     fused: list[QuantumOperation] = []
-    composed: dict[tuple[QuantumOperation, ...], QuantumOperation] = {}
     group: list[QuantumOperation] = []
     union: set[int] = set()
 
     def close():
+        if len(group) == 1:
+            fused.append(group[0])
+            return
         key = tuple(group)
-        if key not in composed:
-            composed[key] = _compose(group, union)
-        fused.append(composed[key])
+        op = _composed.get(key)
+        if op is None:
+            op = _composed[key] = _compose(group, union)
+        fused.append(op)
 
     for op in ops:
         joins = 0 < op.arity <= _SLICE_MOVE_ARITY and op._kernel == "perm"
@@ -698,7 +703,10 @@ class SimulationContext:
         layout = _layout(self._count, physical)
         if self._is_bounded() and not self._free & layout.bits:
             # every nonzero amplitude sits at a base word, with none of these bits
-            # flipped: if those words agree on them, so does the whole state
+            # flipped: if those words agree on them, so does the whole state. One
+            # word is read as a Python int, about 6x cheaper than an array's gather
+            if len(self._base) == 1:
+                return gather_bits(layout.runs, int(self._base[0]))
             words = gather_bits(layout.runs, self._base)
             if (words == words[0]).all():
                 return int(words[0])

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +31,12 @@ from .errors import (
 # Basis labels are int64 words, so no state or basis trace is wider than
 # this. trace_subindices puts qubit t of any register at bit 61 - t of its word.
 HARD_QUBIT_LIMIT = 62
+
+# A permutation on scattered or reordered targets moves slices in place up to
+# this arity (at most 256 slices per gate); wider ones take one axis move. It is
+# also the width of a fused run of basis permutations (``engine._fused``) and of
+# the widest gate that traces an int word through a dict (``_word_flips``).
+_SLICE_MOVE_ARITY = 8
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -200,14 +207,36 @@ class QuantumOperation:
         return scatter_bits(self._word_runs, images ^ np.arange(self.dimension))
 
     @cached_property
-    def _basis_flip_view(self) -> memoryview:
-        """``basis_flips`` without a copy, read as Python ints, for tracing one int word."""
-        return memoryview(self.basis_flips)
+    def _word_flips(self) -> tuple[int, "dict[int, int] | _GatheredFlips"]:
+        """``(mask, flips)`` for tracing one int word: ``mask`` holds the targets'
+        bits, and ``flips.get(word & mask, 0)`` is the word mask that the gate flips.
+
+        Up to ``_SLICE_MOVE_ARITY`` targets ``flips`` is a dict that holds only the
+        target values that move; a wider gate gathers its sub-index into
+        ``basis_flips`` instead of building 2**k Python ints.
+        """
+        runs, flips = self._word_runs, self.basis_flips
+        mask = scatter_bits(runs, self.dimension - 1)
+        if self.arity > _SLICE_MOVE_ARITY:
+            return mask, _GatheredFlips(runs, memoryview(flips))
+        moves = np.flatnonzero(flips)
+        return mask, dict(zip(scatter_bits(runs, moves).tolist(), flips[moves].tolist()))
 
     @cached_property
     def _word_runs(self) -> tuple[tuple[int, int, int], ...]:
         """``bit_runs`` of the targets' bits in a basis word (qubit t at bit 61 - t)."""
         return bit_runs([HARD_QUBIT_LIMIT - 1 - t for t in self.targets])
+
+
+class _GatheredFlips(NamedTuple):
+    """The ``get`` of a wide gate's ``_word_flips``: its sub-index, gathered out of
+    the masked word, read off ``basis_flips`` as a Python int."""
+
+    runs: tuple[tuple[int, int, int], ...]
+    flips: memoryview
+
+    def get(self, masked: int, default: int) -> int:
+        return self.flips[gather_bits(self.runs, masked)]
 
 
 def retarget(op: QuantumOperation, new_targets) -> QuantumOperation:
@@ -249,11 +278,12 @@ def scatter_bits(runs, sub):
 
 
 # Up to this many sub-indices are traced one Python int at a time, above it as
-# one int64 array. Through the 18 fused ops of the 18-qubit modular adder, 8
-# words took 61 µs as ints against 153 µs as an array and 16 words 125 against
-# 194 µs; through the 34 of the multiplier, 16 words took 243 against 300 µs
-# (2-core Xeon, numpy 2.4, best of 7). From 32 words on the array wins.
-_INT_TRACE_WORDS = 16
+# one int64 array. Through the 18 fused ops of the 18-qubit modular adder, 16
+# words took 49 µs as ints against 146 µs as an array and 32 words 93 against
+# 140 µs; through the 33 of the multiplier, 32 words took 155 against 274 µs
+# (2-core Xeon, numpy 2.4, best of 15). The two break even at about 48 words on
+# the adder and 56 on the multiplier.
+_INT_TRACE_WORDS = 32
 
 
 def trace_subindices(ops, sub, width: int):
@@ -272,16 +302,20 @@ def trace_words(ops, word):
 
     The one classical tracer, behind ``trace_subindices``. ``word`` is a Python
     int, or an int64 array that is updated in place. Every gate must have
-    ``basis_flips`` and targets below 62. A gate's sub-index is gathered inline
-    (a ``gather_bits`` call per gate costs more than the gather of one int).
+    ``basis_flips`` and targets below 62. A Python int stays one, and each gate
+    is one lookup of its masked targets (``_word_flips``). An array gathers each
+    gate's sub-indices inline and reads their flips off ``basis_flips``.
     """
-    array = isinstance(word, np.ndarray)
+    if isinstance(word, np.ndarray):
+        for op in ops:
+            sub = 0
+            for shift, mask, place in op._word_runs:
+                sub |= ((word >> shift) & mask) << place
+            word ^= op.basis_flips[sub]
+        return word
     for op in ops:
-        sub = 0
-        for shift, mask, place in op._word_runs:
-            sub |= ((word >> shift) & mask) << place
-        # a Python int stays one, several times faster than an int64 scalar
-        word ^= (op.basis_flips if array else op._basis_flip_view)[sub]
+        mask, flips = op._word_flips
+        word ^= flips.get(word & mask, 0)
     return word
 
 

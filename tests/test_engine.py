@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import tracemalloc
@@ -434,6 +435,29 @@ class TestSetFromUnsigned:
             engine.RegisterView(ctx, (2, 3, 4)).set_from_unsigned(0)
         assert len(calls) == 1
 
+    def test_a_one_word_bound_is_read_as_the_words_and_the_marginal_read_it(self):
+        # one base word is gathered as an int; the same word twice takes the array
+        # gather and the all-equal check, and no bound the marginal
+        rng = np.random.default_rng(7)
+        ctx = SimulationContext(seed=0)
+        ctx.allocate_register(2).apply_operation(hadamard(0))  # a free bit off the views
+        reg = ctx.allocate_register(7)
+        for value in rng.integers(0, 1 << 7, 8).tolist():
+            reg.set_from_unsigned(value)
+            word, free = ctx._base.copy(), ctx._free
+            assert ctx._is_bounded() and len(word) == 1 and free == 1 << 8
+            order = rng.permutation(7)[:rng.integers(1, 8)].tolist()
+            physical = reg.slice(order).exposed
+            expected = sum(((value >> (6 - i)) & 1) << (len(order) - 1 - j)
+                           for j, i in enumerate(order))
+            read = ctx._classical_value(physical)
+            assert read == expected and type(read) is int
+            ctx._bind(np.concatenate([word, word]), free)
+            assert ctx._classical_value(physical) == expected
+            ctx._bounded = None
+            assert ctx._classical_value(physical) == expected
+            ctx._bind(word, free)
+
 
 class TestApplyOperation:
     def test_hadamard_makes_even_superposition(self, debug_ctx):
@@ -729,7 +753,10 @@ class TestApplyOperations:
 
     @staticmethod
     def _count_composes(monkeypatch):
-        """The groups ``engine._compose`` is called with from now on."""
+        """The groups ``engine._compose`` is called with from now on. Composed runs
+        live as long as a cached plan holds them, so the count starts from none."""
+        engine._fused.cache_clear()
+        gc.collect()
         composed = []
         compose = engine._compose
         monkeypatch.setattr(engine, "_compose",
@@ -1018,6 +1045,32 @@ class TestApplyOperations:
         assert fused[0] is fused[4]
         assert len({id(op) for op in fused[::2]}) == 3 and len(composed) == 3
         assert fused[1] is hadamard(0)
+
+    def test_plans_built_apart_share_each_composed_run(self, monkeypatch):
+        # the second plan composes only the run the first does not hold
+        composed = self._count_composes(monkeypatch)
+        run, other = (pauli_x(0), cnot(0, 1), toffoli(0, 1, 2)), (cnot(1, 0), pauli_x(1))
+        first = engine._fused((*run, hadamard(0))).ops
+        second = engine._fused((hadamard(1), *other, hadamard(2), *run)).ops
+        assert second[-1] is first[0] and composed == [list(run), list(other)]
+
+    def test_composed_runs_die_with_the_last_plan_that_holds_them(self):
+        # what holds a composed run outside the plan cache (a test parameter) keeps it
+        engine._fused.cache_clear()
+        gc.collect()
+        before = set(engine._composed.keys())
+        plan = modular_add_ops(range(4), range(4, 8), range(8, 12), range(12, 17), 17, 11)
+        run_on_basis(plan.ops, 18, 0)
+        rebuilt = tuple(QuantumOperation(op.name, op.targets, matrix=op.matrix)
+                        for op in (pauli_x(0), cnot(0, 1), toffoli(0, 1, 2)))
+        held = engine._fuse(rebuilt)
+        assert len(engine._composed) > len(before) + 1
+        engine._fused.cache_clear()
+        gc.collect()
+        assert set(engine._composed.keys()) == before | {rebuilt}
+        del held
+        gc.collect()
+        assert set(engine._composed.keys()) == before
 
     def test_the_fifteen_modexp_plan_composes_each_distinct_run_once(self, monkeypatch):
         # N=15, base 7: 10,856 gates fuse to 1,242 runs, of which at most 128 differ

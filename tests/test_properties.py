@@ -759,3 +759,39 @@ def test_traced_subindices_equal_gate_by_gate_traces_of_their_padded_words(data)
         array = np.array(values[:size], dtype=np.int64)
         assert trace_subindices(ops, array, width).tolist() == expected[:size]
         assert array.tolist() == values[:size]
+
+
+@PROPERTY
+@given(st.data())
+def test_plans_with_a_gate_wider_than_a_fused_run_trace_alike_as_ints_and_arrays(data):
+    # semantic_uf(m, N) with N >= 2**9 acts on at least 11 qubits, more than
+    # engine._SLICE_MOVE_ARITY: fusion passes it through, and its int lookup
+    # gathers into basis_flips rather than holding 2**k Python ints
+    modulus = data.draw(st.integers(1 << 9, (1 << 12) - 1), label="modulus")
+    m = data.draw(st.integers(2, modulus - 1).filter(lambda m: math.gcd(m, modulus) == 1),
+                  label="m")
+    oracle = semantic_uf(m, modulus)
+    width = data.draw(st.integers(oracle.arity, 20), label="width")
+    wide = oracle.retarget(data.draw(st.permutations(range(width)), label="order")[:oracle.arity])
+    ops = (*data.draw(classical_plans(width, barriers=False), label="before"), wide,
+           *data.draw(classical_plans(width, barriers=False), label="after"))
+    fused = engine._fused(ops).ops
+    assert any(op is wide for op in fused)
+    assert [isinstance(op._word_flips[1], dict) for op in fused] == [
+        op.arity <= gates._SLICE_MOVE_ARITY for op in fused]
+    values = data.draw(st.lists(st.integers(0, (1 << width) - 1),
+                                min_size=gates._INT_TRACE_WORDS + 1, max_size=40), label="values")
+    pad = HARD_QUBIT_LIMIT - width
+    expected = [_bitwise_trace(ops, value << pad) >> pad for value in values]
+    gate_by_gate = []
+    for value in values:
+        word = value << pad
+        for op in ops:
+            word = trace_words([op], word)
+        gate_by_gate.append(word >> pad)
+    assert gate_by_gate == expected
+    assert [run_on_basis(ops, width, value) for value in values] == expected
+    for size in (gates._INT_TRACE_WORDS, gates._INT_TRACE_WORDS + 1):
+        # the first size is traced one int at a time, the second as one array
+        traced = run_on_basis(ops, width, np.array(values[:size], dtype=np.int64))
+        assert traced.tolist() == expected[:size]
