@@ -104,7 +104,8 @@ def circuit_uf(m: int, modulus: int) -> QuantumOperation:
 
     One array trace at width 5n+3 covers c in {0, 1} and every y < modulus,
     with the modulus register holding N and the other 3n+2 ancillas at 0. It
-    must give back all but y as it found them, and y too when c = 0.
+    must give back all but y as it found them, y too when c = 0, and m * y mod
+    modulus for each y when c = 1.
     """
     m, modulus = _multiplier_domain(m, modulus)
     n = bits_to_express(modulus)
@@ -120,6 +121,8 @@ def circuit_uf(m: int, modulus: int) -> QuantumOperation:
         raise OracleCompilationError(f"the round for {m}*y mod {modulus} changes the control, "
                                      "leaves an ancilla set or changes y when c = 0")
     images = (traced[modulus:] >> work) & ((1 << n) - 1)
+    if not np.array_equal(images, y * (m % modulus) % modulus):
+        raise OracleCompilationError(f"the round for {m}*y mod {modulus} computes another product")
     return _multiply_oracle(f"Uf[{m}*y mod {modulus}, circuit]", images, n)
 
 
@@ -138,32 +141,13 @@ def _check_oracle(oracle: str):
         raise InvalidParameterError(f"oracle must be 'semantic' or 'circuit', got {oracle!r}")
 
 
-def _multiply_maps(oracle: str, multipliers: set[int], n_value: int):
-    """For the multipliers a in ``multipliers``: ``image(a, support)``, the list of
-    a * y mod N for the Python ints y < N in ``support``, and ``source(a, words)``,
-    a**-1 * y mod N for the y < N in the int64 array ``words``; ``source(a)`` alone
-    is the source of every work value, y itself past N.
-
-    ``"semantic"`` computes them per call, the full source into one buffer
-    allocated here. ``"circuit"`` reads them off each compiled ``circuit_uf`` and
-    its inverse, all compiled here. Either is built, or refused, before the step
-    touches the state.
+def _sources(n_value: int):
+    """``source(a, words)``: a**-1 * y mod N for the y < N in the int64 array
+    ``words``; ``source(a)`` alone is the source of every work value, y itself
+    past N, written into one buffer. Its two index buffers (N and 2**n entries)
+    are allocated here, or refused, before the step touches the state.
     """
     width = 1 << bits_to_express(n_value)
-    if oracle == "circuit":
-        forward, inverse = {}, {}
-        for a in multipliers:
-            compiled = circuit_uf(a, n_value)
-            compiled.require_unitary()
-            forward[a] = (compiled.permutation[width:] - width).tolist()
-            inverse[a] = compiled._permutation_inverse[width:] - width
-
-        def image(a: int, support) -> list[int]:
-            return [forward[a][w] for w in support]
-
-        def source(a: int, words: np.ndarray | None = None) -> np.ndarray:
-            return inverse[a] if words is None else inverse[a][words]
-        return image, source
     try:
         y = np.arange(n_value, dtype=np.int64)
         buffer = np.arange(width, dtype=np.int64)
@@ -173,16 +157,13 @@ def _multiply_maps(oracle: str, multipliers: set[int], n_value: int):
     head = buffer[:n_value]
 
     # every product is < N**2: see _EXACT_PRODUCT_LIMIT
-    def image(a: int, support) -> list[int]:
-        return [w * a % n_value for w in support]
-
     def source(a: int, words: np.ndarray | None = None) -> np.ndarray:
         if words is not None:
             return words * pow(a, -1, n_value) % n_value
         np.multiply(y, pow(a, -1, n_value), out=head)
         np.remainder(head, n_value, out=head)
         return buffer
-    return image, source
+    return source
 
 
 def shor_quantum_step(ctx: SimulationContext, n_value: int, m: int,
@@ -205,10 +186,11 @@ def shor_quantum_step(ctx: SimulationContext, n_value: int, m: int,
     writes one combination into the half of the bit read. While the work
     support (1 at the start; a round's multiplier maps it to its union with
     a * support mod N) is at most ``_SUPPORT_SHARE`` of the 2**n work values,
-    the round reads and writes those values alone. ``oracle`` picks where the
-    multiply's indices come from: computed (``"semantic"``) or read off the
-    compiled ``circuit_uf``. Both give the permutation of ``semantic_uf``, so a
-    seed samples alike through either.
+    the round reads and writes those values alone. The multiply's indices are
+    always computed (``_sources``). With ``oracle="circuit"`` each distinct
+    multiplier other than 1 is first compiled by ``circuit_uf``, which refuses a
+    round that does not compute a * y mod N; the step then runs the same indices,
+    so a seed samples alike through either oracle.
 
     Exactness: the states are those of the gate sequence up to rounding, not bit
     for bit, since the round's sums run in another order; a sampled bit can
@@ -230,7 +212,10 @@ def shor_quantum_step(ctx: SimulationContext, n_value: int, m: int,
     elif len(register) != n + 1:
         raise SizeMismatchError(f"work register must have {n + 1} qubits")
     multipliers = [pow(m, 1 << (2 * n - 1 - i), n_value) for i in range(2 * n)]
-    image, source = _multiply_maps(oracle, set(multipliers) - {1}, n_value)
+    if oracle == "circuit":
+        for a in set(multipliers) - {1}:
+            circuit_uf(a, n_value)
+    source = _sources(n_value)
     register.set_from_unsigned(1)
 
     physical, sparse = register.exposed, (1 << n) * _SUPPORT_SHARE
@@ -240,7 +225,7 @@ def shor_quantum_step(ctx: SimulationContext, n_value: int, m: int,
     measured = b = 0  # b: the last bit read, which the control still holds
     for i, a in enumerate(multipliers):
         if a != 1 and support is not None:
-            support.update(image(a, support))
+            support.update([w * a % n_value for w in support])
             if len(support) > sparse:
                 support = words = None
             else:

@@ -47,11 +47,11 @@ permutations alone, on a state whose nonzero amplitudes are at most
 through the fused ops (``gates.trace_subindices``) and moves each nonzero
 amplitude once, in place. The context keeps a support bound (base indices and a
 mask of free bits) that allocation, every non-diagonal kernel and the sparse
-path update without reading the state; a measurement only shrinks the support it
-bounds, and a register that the bound pins to one value is read off it. While the
-bound allows at most that share, the path takes its indices and never reads the
-whole state. A state array replaced from outside the kernels has no bound, and its
-support is found in one cast to bool. The choice rests only on the support size,
+path update without reading the state; a measurement pins the measured qubits in
+the bound, and a register that the bound pins to one value is read off it. While
+the bound allows at most that share, the path takes its indices and never reads
+the whole state. A state array replaced from outside the kernels has no bound, and
+its support is found in one cast to bool. The choice rests only on the support size,
 and either way the state comes out bit-identical, the sign of a zero aside.
 """
 from __future__ import annotations
@@ -266,6 +266,8 @@ def _fused(ops: tuple[QuantumOperation, ...]) -> _FusedPlan:
 def _distinct(words: np.ndarray) -> np.ndarray:
     """The distinct entries of ``words``, sorted (by hand, as np.unique would import
     numpy.ma, 0.5 MB, on first use)."""
+    if len(words) < 2:
+        return words
     words = np.sort(words)
     return words[np.concatenate(([True], words[1:] != words[:-1]))]
 
@@ -656,7 +658,8 @@ class SimulationContext:
         One read pass gives the marginal (``_marginal_probabilities``) and one
         uniform draw the outcome (``_sample``). The collapse is in place, with no
         mask: the slices of the other outcomes are zeroed and the kept one is
-        rescaled, and it allocates nothing of the state's size.
+        rescaled, and it allocates nothing of the state's size. The support
+        bound, if the state has one, then pins the measured qubits to the outcome.
         """
         k = len(physical)
         if k == 0:
@@ -667,7 +670,18 @@ class SimulationContext:
             marginal = marginal.tolist()
         outcome = _sample(marginal, self.rng.random())
         bits = tuple([(outcome >> (k - 1 - i)) & 1 for i in range(k)])
-        # collapse: only zeroes amplitudes, so the support bound still holds
+        if self._is_bounded():
+            # every kept amplitude holds the outcome on the measured bits: keep the
+            # base words that hold it on their pinned ones (a lone word does), and
+            # set the free ones to it, which alone can make two words equal
+            word, free = scatter_bits(layout.runs, outcome), self._free & layout.bits
+            base = self._base
+            if len(base) > 1:
+                pinned = layout.bits & ~free
+                base = base[(base & pinned) == (word & pinned)]
+            if free:
+                base = _distinct((base & ~free) | (word & free))
+            self._bind(base, self._free & ~free)
         scale = 1.0 / math.sqrt(marginal[outcome])
         if layout.block is not None:
             # the (a, 2**k * b) array, flat when a == 1: the kept outcome is the

@@ -435,6 +435,46 @@ class TestShorQuantumStep:
         finally:
             circuit_uf.cache_clear()
 
+    def test_circuit_oracle_refuses_a_round_that_computes_another_product(self, monkeypatch,
+                                                                          debug_ctx):
+        # a round compiled from factor 2 where 8 is asked is a clean VBE round: it
+        # gives back the control, every ancilla and y when c = 0. Only the check of
+        # its images against 8 * y mod 15 refuses it, before the state is touched
+        def other_factor(*args):
+            *registers, factor, modulus = args
+            return _multiply_round(*registers, 2 if factor == 8 else factor, modulus)
+
+        monkeypatch.setattr(algorithms, "_multiply_round", other_factor)
+        circuit_uf.cache_clear()
+        try:
+            ctx = debug_ctx()
+            work = ctx.allocate_register(5).set_from_unsigned(5)
+            before = ctx._state.copy()
+            with pytest.raises(OracleCompilationError, match="another product"):
+                shor_quantum_step(ctx, 15, 8, oracle="circuit", register=work)
+            assert np.array_equal(ctx._state, before)
+            ctx = debug_ctx()
+            with pytest.raises(OracleCompilationError, match="another product"):
+                sharq.shor_factor(ctx, 15, force_m=8, oracle="circuit")
+            assert np.array_equal(ctx._state, np.eye(32)[0])
+        finally:
+            circuit_uf.cache_clear()
+
+    def test_a_reused_register_is_reset_off_the_bound_after_dense_rounds(self, debug_ctx):
+        # at N=15 a round that multiplies takes the work support past 1/16 of the 16
+        # work values, so the rounds leave every work bit free in the support bound.
+        # The last read pins them again: the reset reads the register off the bound,
+        # with no marginal, and moves its one amplitude in place
+        ctx = debug_ctx(seed=0)
+        work = ctx.allocate_register(5)
+        assert shor_quantum_step(ctx, 15, 7, register=work).f_value != 1
+        state, marginal, marginals = ctx._state, ctx._marginal_probabilities, []
+        ctx._marginal_probabilities = lambda layout: marginals.append(layout) or marginal(layout)
+        work.set_from_unsigned(1)
+        del ctx._marginal_probabilities
+        assert not marginals and ctx._state is state
+        assert np.flatnonzero(ctx._state).tolist() == [1]
+
     def test_circuit_oracle_refused_before_the_state_is_touched(self, debug_ctx):
         # N=2049 has n=12: the round would trace 5n+3 = 63 qubits, past the limit
         ctx = debug_ctx()

@@ -999,6 +999,26 @@ class TestApplyOperations:
         assert not scans and sorted(ctx._base.tolist()) == [0, 0b011 << 5, 0b100 << 5, 0b111 << 5]
         assert np.array_equal(ctx._state, twin._state)
 
+    def test_a_measurement_pins_its_qubits_and_names_each_word_once(self):
+        def two_words(*gates):
+            ctx = SimulationContext(seed=0, debug=True)
+            reg = ctx.allocate_register(8)
+            reg.apply_operation(hadamard(0))
+            reg.apply_operations([cnot(0, 1)])  # the words 0 and 0b11 << 6, none free
+            for op in gates:
+                reg.apply_operation(op)
+            return ctx, reg
+
+        # the words disagree on qubit 1, which is pinned: the outcome keeps one
+        ctx, reg = two_words(hadamard(2))
+        bit = reg.measure([1]).to_unsigned()
+        assert ctx._base.tolist() == [bit * 0b11 << 6] and ctx._free == 1 << 5
+        # qubits 0 and 1 freed: the outcome sets them, and the two words become one
+        ctx, reg = two_words(hadamard(1), hadamard(0))
+        word = reg.measure([0, 1, 2]).to_unsigned() << 5
+        assert ctx._base.tolist() == [word] and ctx._free == 0
+        assert set(np.flatnonzero(ctx._state).tolist()) <= {word}
+
     def test_an_empty_plan_touches_nothing(self, monkeypatch):
         ctx, reg = self._basis(6, 0b101101)
         state, before = ctx._state, ctx._state.copy()

@@ -131,7 +131,7 @@ def test_engine_maps_each_basis_state_where_the_tracer_does(data):
 @settings(derandomize=True, database=None, deadline=None, max_examples=8)
 @given(st.data())
 def test_compiled_oracle_is_the_semantic_permutation(data):
-    modulus = data.draw(st.sampled_from([15, 21]), label="N")
+    modulus = data.draw(st.sampled_from([15, 21, 33]), label="N")
     m = data.draw(st.sampled_from([c for c in range(2, modulus) if math.gcd(c, modulus) == 1]),
                   label="m")
     compiled = circuit_uf(m, modulus)
@@ -161,13 +161,12 @@ def test_the_round_kernel_is_h_multiply_readout_and_measure(data):
     # _round against the gates on a twin context with the same generator: the
     # probabilities agree to 1e-12, the bits agree unless the uniform is within
     # 1e-12 of the boundary, and the states agree to rounding over p_c; a = 1 and
-    # either family's indices, on a register alone, after other qubits, between
-    # them or shuffled among them. From a sparse start three rounds touch the
-    # words alone, and the support bound covers every nonzero amplitude after each
+    # the step's indices, on a register alone, after other qubits, between them or
+    # shuffled among them. From a sparse start three rounds touch the words alone,
+    # and the support bound covers every nonzero amplitude after each
     modulus = data.draw(st.integers(2, 77), label="N")
     a = data.draw(st.sampled_from([c for c in range(1, modulus) if math.gcd(c, modulus) == 1]),
                   label="a")
-    family = data.draw(st.sampled_from(["semantic", "circuit"]), label="family")
     n = modulus.bit_length()
     k = n + 1
     placement = data.draw(st.sampled_from(["alone", "after", "between", "shuffled"]),
@@ -183,7 +182,7 @@ def test_the_round_kernel_is_h_multiply_readout_and_measure(data):
     seed = data.draw(seeds, label="seed")
     kernel_ctx, oracle_ctx = (SimulationContext(seed=seed, debug=True) for _ in range(2))
     b = data.draw(st.integers(0, 1), label="b")
-    image, source = algorithms._multiply_maps(family, {a} - {1}, modulus)
+    source = algorithms._sources(modulus)
     if data.draw(st.booleans(), label="sparse"):
         # the control at b, the work at 1 and the other qubits at some value;
         # Hadamards on some low work bits keep every work value below 2**(n-1) <= N,
@@ -216,7 +215,7 @@ def test_the_round_kernel_is_h_multiply_readout_and_measure(data):
         words = moves = None
         if support is not None:
             if a != 1:
-                support |= set(image(a, support))
+                support |= {w * a % modulus for w in support}
             words = np.array(sorted(support), dtype=np.int64)
         if a != 1:
             moves = source(a, words)
@@ -616,7 +615,11 @@ def test_the_support_bound_holds_after_every_step_and_plans_apply_as_without_it(
             view.measure()
             view.set_from_unsigned(data.draw(st.integers(0, (1 << len(view)) - 1), label="value"))
         elif step == "measure":
-            view.measure()
+            value = view.measure().to_unsigned()
+            if ctx._is_bounded():  # the bound pins the measured qubits to the outcome
+                layout = engine._layout(n, view.exposed)
+                assert not ctx._free & layout.bits
+                assert set(gates.gather_bits(layout.runs, ctx._base).tolist()) == {value}
         elif step == "plan":
             ops = data.draw(classical_plans(len(view), barriers=False), label="ops")
             twin = SimulationContext(debug=True)
