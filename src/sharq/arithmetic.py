@@ -48,10 +48,16 @@ def run_on_basis(ops, width: int, value):
     Every input and gate is checked before the trace; runs of gates are then
     traced as the fused permutations the engine applies.
     """
-    values, width = np.asarray(value), as_int(width, "trace width")
+    # a Python int is checked as one; a bool, a NumPy integer or an array as an array
+    values = value if type(value) is int else np.asarray(value)
+    width = as_int(width, "trace width")
     if not 0 <= width <= HARD_QUBIT_LIMIT:
         raise InvalidParameterError(f"cannot trace {width} qubits; the limit is {HARD_QUBIT_LIMIT}")
-    if values.dtype.kind not in "iu" or ((values < 0) | (values >> width != 0)).any():
+    if type(values) is int:
+        fits = values >= 0 and not values >> width
+    else:
+        fits = values.dtype.kind in "iu" and not ((values < 0) | (values >> width != 0)).any()
+    if not fits:
         raise InvalidParameterError(f"{value} does not fit in {width} bits")
 
     def check(op):
@@ -65,8 +71,9 @@ def run_on_basis(ops, width: int, value):
     if plan.top >= width or not plan.classical:
         for op in ops:
             check(op)  # raises for the first gate that cannot be traced
-    sub = values.item() if values.ndim == 0 else values.astype(np.int64)
-    return trace_subindices(plan.ops, sub, width)
+    if type(values) is int or values.ndim == 0:  # an int, through the plan's pairs
+        return trace_subindices(plan.ops, int(values), width, plan.word_flips)
+    return trace_subindices(plan.ops, values.astype(np.int64), width)
 
 
 # --- sum / carry ------------------------------------------------------------

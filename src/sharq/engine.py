@@ -40,7 +40,10 @@ process while some fused plan holds it (``_composed``), and every repeat of it, 
 one plan or in plans built apart, shares that operation and the facts its
 kernels and traces cache. ``_fused`` keeps the 64 most recently used fused plans
 and the facts each caller checks a plan by, once and before any amplitude
-changes; fusion and the kernels trust them. A nonempty plan of basis
+changes; fusion and the kernels trust them. It finds the tuple it last served a
+plan for by identity and hashes a tuple only when that misses, so a plan traced
+input by input costs one pass over its fused ops per input, and each plan keeps
+the ``(mask, flips)`` pairs its int traces loop over. A nonempty plan of basis
 permutations alone, on a state whose nonzero amplitudes are at most
 ``_SUPPORT_SHARE`` = 1/16 of it, does not pass over the state once per fused op:
 ``_permute_support`` gathers the view's bits of the nonzero indices, traces them
@@ -58,8 +61,9 @@ from __future__ import annotations
 
 import math
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, update_wrapper
 from typing import NamedTuple
 
 import numpy as np
@@ -77,7 +81,7 @@ from .errors import (
     as_int,
 )
 from .gates import (_SLICE_MOVE_ARITY, HARD_QUBIT_LIMIT, QuantumOperation, bit_runs,
-                    gather_bits, scatter_bits, trace_subindices)
+                    gather_bits, scatter_bits, trace_subindices, word_flips)
 
 DEFAULT_QUBIT_CAP = 26
 
@@ -240,19 +244,80 @@ def _fuse(ops: tuple[QuantumOperation, ...]) -> tuple[QuantumOperation, ...]:
     return tuple(fused)
 
 
-class _FusedPlan(NamedTuple):
+@dataclass(eq=False)
+class _FusedPlan:
     ops: tuple[QuantumOperation, ...]  # what a plan's gates fuse to
     top: int  # the highest target of any gate, -1 for none
     classical: bool  # the plan has gates, and every one is a basis permutation
     unitary: bool  # every gate passes its unitarity check
 
+    @cached_property
+    def word_flips(self) -> tuple:
+        """``gates.word_flips`` of ``ops``, built on the first int trace of a plan
+        that passed its checks; it dies with this plan, as its composed runs do."""
+        return word_flips(self.ops)
 
-@lru_cache(maxsize=64)
+
+class _PlanCacheInfo(NamedTuple):
+    identity_hits: int  # calls passed the very tuple a plan was last served for
+    value_hits: int  # calls passed an equal tuple, found by hash
+    misses: int  # calls that fused a plan
+    size: int  # plans held, at most the limit
+
+
+def _identity_then_value_cache(maxsize: int):
+    """Like ``lru_cache(maxsize)`` on one tuple argument, but a call with the tuple
+    object that a plan was last served for finds it by ``id``, with no hash.
+
+    Each cached plan keeps the tuple it was built from (its key by value) and the
+    last tuple it was served for, by strong reference, so an ``id`` in the table
+    is never another object's; only an identity miss hashes the tuple. Both
+    lookups share the one limit of ``maxsize`` plans, and a hit of either kind
+    counts as a use for least-recently-used eviction.
+    """
+    def decorate(build):
+        # id of the last tuple served -> [that tuple, key, plan], least recently used first
+        recent: OrderedDict = OrderedDict()
+        by_value: dict = {}  # key -> the same entry
+        counts = [0, 0, 0]  # identity hits, value hits, misses
+
+        def cached(ops):
+            entry = recent.get(id(ops))
+            if entry is not None and entry[0] is ops:
+                recent.move_to_end(id(ops))
+                counts[0] += 1
+                return entry[2]
+            entry = by_value.get(ops)
+            if entry is None:
+                counts[2] += 1
+                entry = by_value[ops] = [ops, ops, build(ops)]
+                if len(recent) >= maxsize:
+                    del by_value[recent.popitem(last=False)[1][1]]
+            else:
+                counts[1] += 1
+                del recent[id(entry[0])]
+                entry[0] = ops
+            recent[id(ops)] = entry
+            return entry[2]
+
+        def cache_clear():
+            recent.clear()
+            by_value.clear()
+            counts[:] = [0, 0, 0]
+
+        cached.cache_info = lambda: _PlanCacheInfo(*counts, len(recent))
+        cached.cache_clear = cache_clear
+        return update_wrapper(cached, build)
+    return decorate
+
+
+@_identity_then_value_cache(maxsize=64)
 def _fused(ops: tuple[QuantumOperation, ...]) -> _FusedPlan:
     """The fused form of a plan and the facts its callers check it by.
 
     Operations hash by identity and catalog gates are cached instances, so a
-    rebuilt plan hits. Nothing is checked here: ``top < width`` implies every
+    rebuilt plan hits; the same tuple again is found by identity, without
+    hashing its gates. Nothing is checked here: ``top < width`` implies every
     target check, ``unitary`` every unitarity check, and ``classical`` means
     every gate has ``basis_flips``. Each caller refuses a plan by them before
     using it; one past the basis word (``top`` of 62 or more) is left unfused.

@@ -286,25 +286,35 @@ def scatter_bits(runs, sub):
 _INT_TRACE_WORDS = 32
 
 
-def trace_subindices(ops, sub, width: int):
+def trace_subindices(ops, sub, width: int, pairs=None):
     """Carry ``width``-qubit register contents (big-endian, width <= 62) through
     gates that have ``basis_flips`` and targets below ``width``, as the basis words
-    of ``trace_words``. ``sub`` is an int, or an int64 array that is left as is."""
+    of ``trace_words``. ``sub`` is an int, or an int64 array that is left as is.
+    ``pairs``, if given, is ``word_flips(ops)``, kept by a caller that traces the
+    same gates again."""
     pad = HARD_QUBIT_LIMIT - width  # qubit t at bit width - 1 - t and at word bit 61 - t
     if isinstance(sub, np.ndarray) and sub.size <= _INT_TRACE_WORDS:
-        traced = [trace_words(ops, word << pad) >> pad for word in sub.ravel().tolist()]
+        pairs = word_flips(ops) if pairs is None else pairs
+        traced = [trace_words(ops, word << pad, pairs) >> pad for word in sub.ravel().tolist()]
         return np.array(traced, dtype=np.int64).reshape(sub.shape)
-    return trace_words(ops, sub << pad) >> pad
+    return trace_words(ops, sub << pad, pairs) >> pad
 
 
-def trace_words(ops, word):
+def word_flips(ops) -> tuple:
+    """Each gate's ``(mask, flips)`` pair (``QuantumOperation._word_flips``), in
+    order: what the int branch of ``trace_words`` loops over."""
+    return tuple([op._word_flips for op in ops])
+
+
+def trace_words(ops, word, pairs=None):
     """Carry basis words (qubit t at bit 61 - t) through basis-permutation gates.
 
     The one classical tracer, behind ``trace_subindices``. ``word`` is a Python
     int, or an int64 array that is updated in place. Every gate must have
-    ``basis_flips`` and targets below 62. A Python int stays one, and each gate
-    is one lookup of its masked targets (``_word_flips``). An array gathers each
-    gate's sub-indices inline and reads their flips off ``basis_flips``.
+    ``basis_flips`` and targets below 62. A Python int stays one, and passes
+    each gate as one lookup of its masked targets, over the gates'
+    ``word_flips``, or over ``pairs`` when they are given. An array gathers
+    each gate's sub-indices inline and reads their flips off ``basis_flips``.
     """
     if isinstance(word, np.ndarray):
         for op in ops:
@@ -313,8 +323,7 @@ def trace_words(ops, word):
                 sub |= ((word >> shift) & mask) << place
             word ^= op.basis_flips[sub]
         return word
-    for op in ops:
-        mask, flips = op._word_flips
+    for mask, flips in word_flips(ops) if pairs is None else pairs:
         word ^= flips.get(word & mask, 0)
     return word
 

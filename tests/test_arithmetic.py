@@ -67,7 +67,8 @@ class TestRunOnBasis:
 
     @pytest.mark.parametrize("width,value", [
         (HARD_QUBIT_LIMIT + 1, 0), (-1, 0), (3, 8), (3, -1), (3, np.array([1, 8])),
-        (3, 2 ** 70), (3, 1.0),
+        (3, 2 ** 70), (3, 1.0), (3, True), (3, np.bool_(False)), (3, np.int64(8)),
+        (3, np.int64(-1)), (3, np.uint64(2 ** 63)), (3, 2 ** 63), (HARD_QUBIT_LIMIT, 2 ** 62),
     ])
     def test_refused_inputs(self, width, value):
         with pytest.raises(InvalidParameterError):
@@ -109,7 +110,8 @@ class TestRunOnBasis:
             refusals.append(str(refused.value))
         assert refusals[0] == refusals[1]
         inputs_fit = 0 <= width <= HARD_QUBIT_LIMIT and value >> width == 0
-        assert engine._fused.cache_info().hits == inputs_fit
+        info = engine._fused.cache_info()
+        assert (info.misses, info.identity_hits, info.value_hits) == (inputs_fit, inputs_fit, 0)
 
     def test_zero_target_gates_pass_through_unfused(self):
         one = QuantumOperation("one", (), matrix=np.eye(1))

@@ -50,7 +50,7 @@ from sharq.errors import (
 )
 from sharq.algorithms import circuit_uf, semantic_uf
 from sharq.arithmetic import OperationPlan, reverse_ops, run_on_basis
-from sharq.gates import HARD_QUBIT_LIMIT, QuantumOperation, toffoli, trace_words
+from sharq.gates import HARD_QUBIT_LIMIT, QuantumOperation, toffoli, trace_subindices, trace_words
 from sharq.shor import shor_factor
 
 from conftest import bits_of, random_state
@@ -1039,13 +1039,68 @@ class TestApplyOperations:
             run_on_basis((cnot(a, b), pauli_x(a)), 12, 0)
         assert sum(group == list(hot) for group in composed) == 1
 
+    def test_run_on_basis_finds_a_repeated_tuple_by_identity(self):
+        # the calls after the first find the plan by the tuple object, without a
+        # hash of its gates or a compare with the key the plan was built from
+        plan = modular_add_ops(range(4), range(4, 8), range(8, 12), range(12, 17), 17, 11).ops
+        engine._fused.cache_clear()
+        outputs = [run_on_basis(plan, 18, value) for value in (0, 5, 5)]
+        assert outputs[1] == outputs[2]
+        info = engine._fused.cache_info()
+        assert (info.misses, info.value_hits, info.identity_hits, info.size) == (1, 0, 2, 1)
+
+    def test_run_on_basis_counts_an_identity_hit_as_a_use(self):
+        # the hot plan, found by identity between 72 plans traced once, is never
+        # evicted; this holds whatever else keeps its composed runs alive
+        hot = (pauli_x(0), cnot(0, 1), toffoli(0, 1, 2))
+        engine._fused.cache_clear()
+        first = engine._fused(hot)
+        for a, b in itertools.permutations(range(3, 12), 2):
+            assert run_on_basis(hot, 12, 0) == 0b111 << 9
+            run_on_basis((cnot(a, b), pauli_x(a)), 12, 0)
+        assert engine._fused(hot) is first
+        assert engine._fused.cache_info().misses == 1 + 72
+
+    def test_run_on_basis_reuses_the_fused_plan_of_an_equal_rebuilt_tuple(self, monkeypatch):
+        composed = self._count_composes(monkeypatch)
+        plan = modular_add_ops(range(4), range(4, 8), range(8, 12), range(12, 17), 17, 11).ops
+        expected = run_on_basis(plan, 18, 0b1011 << 10)
+        fused = engine._fused(plan)
+        composed.clear()
+        rebuilt = tuple(list(plan))
+        assert rebuilt is not plan
+        for ops in (rebuilt, rebuilt, plan):
+            assert run_on_basis(ops, 18, 0b1011 << 10) == expected
+            assert engine._fused(ops) is fused
+        info = engine._fused.cache_info()
+        assert composed == [] and (info.misses, info.value_hits, info.size) == (1, 2, 1)
+
+    def test_run_on_basis_never_serves_a_dropped_plan_for_a_recycled_id(self):
+        # plans of one length are built, traced and dropped; once the cache evicts
+        # one, a later tuple may take its address, and must still be fused anew
+        rng = np.random.default_rng(24)
+        catalog = (lambda q: pauli_x(q[0]), lambda q: cnot(q[0], q[1]),
+                   lambda q: toffoli(q[0], q[1], q[2]))
+        width, seen, recycled = 10, set(), 0
+        engine._fused.cache_clear()
+        for _ in range(200):
+            ops = tuple([catalog[rng.integers(3)](rng.permutation(width)) for _ in range(12)])
+            value = int(rng.integers(1 << width))
+            assert run_on_basis(ops, width, value) == trace_subindices(list(ops), value, width)
+            recycled += id(ops) in seen
+            seen.add(id(ops))
+            del ops
+        assert recycled  # the guard was exercised
+        assert engine._fused.cache_info().size == 64
+
     def test_runs_of_permutations_fuse_and_barriers_pass_through(self):
         one = QuantumOperation("one", (), matrix=np.eye(1))
         plan = OperationPlan((pauli_x(0), cnot(0, 5), toffoli(5, 0, 2), hadamard(3), one,
                               cnot(3, 4), pauli_x(9), pauli_x(1), cnot(1, 7), pauli_x(8)), ())
         reg = SimulationContext(seed=0).allocate_register(10)
-        fused, top, classical, unitary = engine._fused(plan.ops)
-        assert top == 9 and not classical
+        plan_facts = engine._fused(plan.ops)
+        fused = plan_facts.ops
+        assert plan_facts.top == 9 and not plan_facts.classical
         assert [op.targets for op in fused] == [
             (0, 2, 5), (3,), (), (1, 3, 4, 7, 8, 9)]
         assert fused[1] is hadamard(3) and fused[2] is one
@@ -1115,7 +1170,7 @@ class TestApplyOperations:
         scattered = (0, 2, 5, 6, 9, 11, 12, 15)
         plan = (*(pauli_x(q) for q in scattered), cnot(2, 9), toffoli(0, 15, 6), cnot(12, 5))
         ctx, reg = self._random(16)
-        (fused,), _, _, _ = engine._fused(plan)
+        (fused,) = engine._fused(plan).ops
         assert fused.targets == scattered
         reg.apply_operations(plan)  # composes the permutation and its cycles once
         tracemalloc.start()
