@@ -1,7 +1,9 @@
 """Exception types raised by the simulation.
 
-``as_int`` and ``as_indices`` parse every integer argument and qubit index, refusing floats.
+``as_int`` and ``as_indices`` parse every integer argument and qubit index, refusing floats;
+``as_real`` parses every rotation angle, refusing strings and complex numbers.
 """
+import numbers
 import operator
 
 
@@ -75,6 +77,13 @@ def as_int(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise InvalidParameterError(f"{what} must be an integer, got {value!r}") from None
+
+
+def as_real(value, what: str) -> float:
+    """``value`` as a float, if it is a real number (ints, floats, numpy integers and floats)."""
+    if isinstance(value, numbers.Real):
+        return float(value)
+    raise InvalidParameterError(f"{what} must be a real number, got {value!r}")
 
 
 def as_indices(*groups) -> tuple[tuple[int, ...], ...]:

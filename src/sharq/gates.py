@@ -26,6 +26,7 @@ from .errors import (
     SizeMismatchError,
     as_indices,
     as_int,
+    as_real,
 )
 
 # Basis labels are int64 words, so no state or basis trace is wider than
@@ -384,16 +385,19 @@ def rotation_k(k: int, target: int = 0) -> QuantumOperation:
 
 
 def rx(theta: float, target: int = 0) -> QuantumOperation:
+    theta = as_real(theta, "rotation angle")
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     return QuantumOperation("Rx", (target,), matrix=np.array([[c, -1j * s], [-1j * s, c]]))
 
 
 def ry(theta: float, target: int = 0) -> QuantumOperation:
+    theta = as_real(theta, "rotation angle")
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     return QuantumOperation("Ry", (target,), matrix=np.array([[c, -s], [s, c]], dtype=complex))
 
 
 def rz(theta: float, target: int = 0) -> QuantumOperation:
+    theta = as_real(theta, "rotation angle")
     return QuantumOperation(
         "Rz", (target,), matrix=np.array([[np.exp(-1j * theta / 2), 0], [0, np.exp(1j * theta / 2)]])
     )
@@ -413,9 +417,7 @@ def single_qubit_gate(spec: GateSpec, target: int = 0) -> QuantumOperation:
     if spec.kind in _SPEC_PARAM:
         if spec.parameter is None:
             raise InvalidParameterError(f"{spec.kind} requires a parameter")
-        if spec.kind == "R_k":
-            return rotation_k(spec.parameter, target)
-        return _SPEC_PARAM[spec.kind](float(spec.parameter), target)
+        return _SPEC_PARAM[spec.kind](spec.parameter, target)
     raise InvalidParameterError(f"unknown gate kind {spec.kind!r}")
 
 

@@ -81,6 +81,7 @@ def shor_factor(ctx: SimulationContext, n_value: int, force_m: int | None = None
     deterministically. ``oracle`` selects the semantic oracle (default) or the
     one compiled from the gate-built circuit; every step reuses one n+1 qubit register.
     """
+    # bound per call, not at import: tests and the bench tracer patch these on ``algorithms``
     from .algorithms import _check_oracle, extract_period, shor_quantum_step
 
     n_value = as_int(n_value, "N")

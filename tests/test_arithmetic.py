@@ -100,7 +100,7 @@ class TestRunOnBasis:
     ])
     def test_refusals_come_before_any_fusing(self, width, value, op, error):
         # once the inputs pass, a plan refused for a gate is fused and cached but
-        # never traced, and the miss and the hit refuse it alike
+        # never traced, and the miss and the repeat refuse it alike
         plan = (cnot(0, 1), toffoli(0, 1, 2), op, pauli_x(0))
         engine._fused.cache_clear()
         refusals = []
@@ -111,7 +111,7 @@ class TestRunOnBasis:
         assert refusals[0] == refusals[1]
         inputs_fit = 0 <= width <= HARD_QUBIT_LIMIT and value >> width == 0
         info = engine._fused.cache_info()
-        assert (info.misses, info.identity_hits, info.value_hits) == (inputs_fit, inputs_fit, 0)
+        assert (info.misses, info.hits, info.currsize) == (inputs_fit, 0, inputs_fit)
 
     def test_zero_target_gates_pass_through_unfused(self):
         one = QuantumOperation("one", (), matrix=np.eye(1))

@@ -1028,38 +1028,49 @@ class TestApplyOperations:
         assert ctx._state is state and np.array_equal(state, before)
         assert run_on_basis((), 6, 0b101101) == 0b101101
 
-    def test_a_plan_in_use_outlives_single_use_plans(self, monkeypatch):
-        # a least-recently-used bound keeps the hot plan, traced between 72 plans
-        # that are each traced once; oldest-first eviction would drop it
-        composed = self._count_composes(monkeypatch)
-        hot = (pauli_x(0), cnot(0, 1), toffoli(0, 1, 2))
-        engine._fused.cache_clear()
-        for a, b in itertools.permutations(range(3, 12), 2):
-            assert run_on_basis(hot, 12, 0) == 0b111 << 9
-            run_on_basis((cnot(a, b), pauli_x(a)), 12, 0)
-        assert sum(group == list(hot) for group in composed) == 1
-
     def test_run_on_basis_finds_a_repeated_tuple_by_identity(self):
-        # the calls after the first find the plan by the tuple object, without a
-        # hash of its gates or a compare with the key the plan was built from
+        # the calls after the first get the plan of the previous call back by the
+        # tuple object, without a cache lookup (a hash of its gates)
         plan = modular_add_ops(range(4), range(4, 8), range(8, 12), range(12, 17), 17, 11).ops
         engine._fused.cache_clear()
         outputs = [run_on_basis(plan, 18, value) for value in (0, 5, 5)]
         assert outputs[1] == outputs[2]
         info = engine._fused.cache_info()
-        assert (info.misses, info.value_hits, info.identity_hits, info.size) == (1, 0, 2, 1)
+        assert (info.misses, info.hits, info.currsize) == (1, 0, 1)
+
+    def test_run_on_basis_misses_the_same_tuple_after_a_cache_clear(self):
+        plan = (pauli_x(0), cnot(0, 1), toffoli(0, 1, 2))
+        first = engine._fused(plan)
+        engine._fused.cache_clear()
+        assert run_on_basis(plan, 3, 0) == 0b111
+        info = engine._fused.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 0, 1)
+        assert engine._fused(plan) is not first
+
+    def test_run_on_basis_finds_a_returning_tuple_in_the_cache(self):
+        a, b = (pauli_x(0), cnot(0, 1)), (cnot(1, 2), pauli_x(1))
+        engine._fused.cache_clear()
+        first = engine._fused(a)
+        assert run_on_basis(b, 3, 0) == 0b010
+        assert run_on_basis(a, 3, 0) == 0b110
+        assert engine._fused(a) is first
+        info = engine._fused.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
 
     def test_run_on_basis_counts_an_identity_hit_as_a_use(self):
-        # the hot plan, found by identity between 72 plans traced once, is never
-        # evicted; this holds whatever else keeps its composed runs alive
+        # the hot plan, traced twice in a row (the second time found by identity)
+        # between 72 plans traced once, is never evicted; this holds whatever else
+        # keeps its composed runs alive
         hot = (pauli_x(0), cnot(0, 1), toffoli(0, 1, 2))
         engine._fused.cache_clear()
         first = engine._fused(hot)
         for a, b in itertools.permutations(range(3, 12), 2):
-            assert run_on_basis(hot, 12, 0) == 0b111 << 9
+            for _ in range(2):
+                assert run_on_basis(hot, 12, 0) == 0b111 << 9
             run_on_basis((cnot(a, b), pauli_x(a)), 12, 0)
         assert engine._fused(hot) is first
-        assert engine._fused.cache_info().misses == 1 + 72
+        info = engine._fused.cache_info()
+        assert (info.misses, info.hits) == (1 + 72, 72)
 
     def test_run_on_basis_reuses_the_fused_plan_of_an_equal_rebuilt_tuple(self, monkeypatch):
         composed = self._count_composes(monkeypatch)
@@ -1073,7 +1084,7 @@ class TestApplyOperations:
             assert run_on_basis(ops, 18, 0b1011 << 10) == expected
             assert engine._fused(ops) is fused
         info = engine._fused.cache_info()
-        assert composed == [] and (info.misses, info.value_hits, info.size) == (1, 2, 1)
+        assert composed == [] and (info.misses, info.hits, info.currsize) == (1, 2, 1)
 
     def test_run_on_basis_never_serves_a_dropped_plan_for_a_recycled_id(self):
         # plans of one length are built, traced and dropped; once the cache evicts
@@ -1091,7 +1102,7 @@ class TestApplyOperations:
             seen.add(id(ops))
             del ops
         assert recycled  # the guard was exercised
-        assert engine._fused.cache_info().size == 64
+        assert engine._fused.cache_info().currsize == 64
 
     def test_runs_of_permutations_fuse_and_barriers_pass_through(self):
         one = QuantumOperation("one", (), matrix=np.eye(1))

@@ -186,6 +186,18 @@ class TestGateSpec:
             with pytest.raises(InvalidParameterError, match="must be an integer"):
                 single_qubit_gate(GateSpec("R_k", other))
 
+    @pytest.mark.parametrize("angle", ["a", "0.5", 1j, np.complex128(1), np.array(0.5)],
+                             ids=["letter", "numeric string", "complex", "numpy complex", "array"])
+    def test_a_rotation_angle_must_be_a_real_number(self, angle):
+        for kind, build in (("Rx", rx), ("Ry", ry), ("Rz", rz)):
+            with pytest.raises(InvalidParameterError, match="must be a real number"):
+                single_qubit_gate(GateSpec(kind, angle))
+            with pytest.raises(InvalidParameterError, match="must be a real number"):
+                build(angle)
+            for real in (1, 0.5, np.float32(0.5), np.int64(1)):
+                assert np.array_equal(single_qubit_gate(GateSpec(kind, real)).matrix,
+                                      build(float(real)).matrix)
+
     def test_parameter_presence_enforced(self):
         with pytest.raises(InvalidParameterError):
             single_qubit_gate(GateSpec("H", 1.0))
