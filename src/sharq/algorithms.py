@@ -3,7 +3,6 @@ qubit that is never reset, continued-fraction period extraction, and Deutsch.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -180,10 +179,10 @@ def shor_quantum_step(ctx: SimulationContext, n_value: int, m: int,
     on a 2n-qubit REG1. The step leaves ``register`` (n+1 qubits of ``ctx``)
     fully collapsed, the control at the last bit read; pass it back to reuse it.
 
-    Each round is one engine call, ``SimulationContext._round``, which simulates
-    it by its effect: the control never goes into superposition, and the round
-    gathers a**-1 * y mod N for the work values y, takes one inner product and
-    writes one combination into the half of the bit read. While the work
+    The step is one engine call, ``SimulationContext._step``, which simulates
+    every round by its effect and then reads the work register: the control
+    never goes into superposition, and a round gathers a**-1 * y mod N for the
+    work values y, takes one inner product and combines in place. While the work
     support (1 at the start; a round's multiplier maps it to its union with
     a * support mod N) is at most ``_SUPPORT_SHARE`` of the 2**n work values,
     the round reads and writes those values alone. The multiply's indices are
@@ -218,26 +217,22 @@ def shor_quantum_step(ctx: SimulationContext, n_value: int, m: int,
     source = _sources(n_value)
     register.set_from_unsigned(1)
 
-    physical, sparse = register.exposed, (1 << n) * _SUPPORT_SHARE
-    # the work values that may be nonzero, as a set and sorted in ``words``; both
-    # are None once there are more than ``sparse`` of them
-    support, words = {1}, np.array([1])
-    measured = b = 0  # b: the last bit read, which the control still holds
-    for i, a in enumerate(multipliers):
-        if a != 1 and support is not None:
-            support.update([w * a % n_value for w in support])
-            if len(support) > sparse:
-                support = words = None
-            else:
-                words = np.fromiter(support, np.int64, len(support))
-                words.sort()
-        # H gives the |1> branch (-1)**b, and the readout rotates it by
-        # exp(2*pi*i * ((b << i) - measured) / 2**(i+1)): together this phase
-        phase = cmath.exp(-1j * math.pi * measured / (1 << i))
-        moves = None if a == 1 else source(a, words)
-        b = ctx._round(physical, b, phase, moves, words)
-        measured |= b << i
-    f_value = register.slice_from(1).measure().to_unsigned()
+    def rounds():
+        # the work values that may be nonzero, as a set and sorted in ``words``; both
+        # are None once they are more than ``_SUPPORT_SHARE`` of the 2**n. Lazy: a
+        # dense ``source(a)`` rewrites one buffer, which the round before has read
+        support, words = {1}, np.array([1])
+        for a in multipliers:
+            if a != 1 and support is not None:
+                support.update([w * a % n_value for w in support])
+                if len(support) > (1 << n) * _SUPPORT_SHARE:
+                    support = words = None
+                else:
+                    words = np.fromiter(support, np.int64, len(support))
+                    words.sort()
+            yield (None if a == 1 else source(a, words)), words
+
+    measured, f_value = ctx._step(register.exposed, 0, rounds())
     return PeriodSample(measured, 1 << (2 * n), f_value)
 
 

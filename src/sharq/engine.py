@@ -16,15 +16,15 @@ ascending targets the state is an ``(a, 2**k, b)`` array: a permutation is one
 ``take`` along its middle axis (U_f over a whole register) and a dense gate one
 matrix product. On other targets a permutation of up to ``_SLICE_MOVE_ARITY`` = 8
 qubits moves slices in place; a dense gate, or a wider permutation, moves the
-target axes last and back. A round of the Shor step is a kernel of its own
-(``SimulationContext._round``): with the control collapsed, it simulates H, the
-controlled multiply, the readout gate and the control's measurement by their
-effect on the work half, one gather, one inner product and one combination, with
-no operation and no table, and while the work support is sparse it touches only
-those work values. Its states equal the gates' up to rounding, since its sums run
-in another order, so a bit it reads can differ only where the uniform lands within
-rounding of a boundary. ``_layout`` is the one place that maps targets to axes,
-for gates, the rounds, marginals, collapse, register resets and inspection alike.
+target axes last and back. The Shor step is one kernel call
+(``SimulationContext._step``): with the control collapsed, each round simulates H,
+the controlled multiply, the readout gate and the control's measurement by their
+effect on the work half, one gather, one inner product and one combination in
+place, with no operation and no table, touching only the work values of a sparse
+support; the work register's read ends the call. Its states equal the gates' up
+to rounding, since its sums run in another order, so a bit it reads can differ only
+where the uniform lands within rounding of a boundary. ``_layout`` is the one place
+that maps targets to axes, for gates, the step, marginals, collapse, resets and peeks.
 
 A measurement reads its marginal in one pass that sums squares straight into
 the 2**k outcomes (one dot product per outcome when the targets lead, an
@@ -59,6 +59,7 @@ and either way the state comes out bit-identical, the sign of a zero aside.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import weakref
 from dataclasses import dataclass
@@ -262,11 +263,14 @@ def _fused_plan(ops: tuple[QuantumOperation, ...]) -> _FusedPlan:
     """The fused form of a plan and the facts its callers check it by.
 
     Operations hash by identity and catalog gates are cached instances, so a
-    rebuilt plan hits. Nothing is checked here: ``top < width`` implies every
-    target check, ``unitary`` every unitarity check, and ``classical`` means
-    every gate has ``basis_flips``. Each caller refuses a plan by them before
-    using it; one past the basis word (``top`` of 62 or more) is left unfused.
+    rebuilt plan hits. Only an entry that is no operation is refused here, once:
+    ``top < width`` implies every target check, ``unitary`` every unitarity check,
+    and ``classical`` means every gate has ``basis_flips``. Each caller refuses a
+    plan by them before using it; one past the basis word (``top`` >= 62) is unfused.
     """
+    for op in ops:
+        if not isinstance(op, QuantumOperation):
+            raise InvalidParameterError(f"a plan holds {op!r}, which is not a QuantumOperation")
     top = max((max(op.targets, default=-1) for op in ops), default=-1)
     return _FusedPlan(_fuse(ops) if top < HARD_QUBIT_LIMIT else ops, top,
                       bool(ops) and all(op._kernel == "perm" for op in ops),
@@ -531,27 +535,27 @@ class SimulationContext:
             self._free |= layout.bits
             self._bounded = None if self._free == self._state.size - 1 else weakref.ref(self._state)
 
-    def _round(self, physical: tuple[int, ...], b: int, phase: complex,
-               source: np.ndarray | None, words: np.ndarray | None = None) -> int:
-        """One round of the Shor step on ``physical`` (a control, then n work
-        qubits) whose control holds ``b``: a Hadamard on the control, the
-        controlled multiply U, the readout phase and Hadamard, and the control's
-        measurement, simulated by their effect. Returns the bit read, c.
+    def _step(self, physical: tuple[int, ...], b: int, rounds) -> tuple[int, int]:
+        """The Shor step's rounds on ``physical`` (a control, then n work qubits)
+        whose control holds ``b`` (every amplitude with it at 1 - b is zero), then
+        the work register's read. Returns the bits read, round i at bit i, and f.
 
-        With psi the work half at b and phi = ``phase`` * U psi, the round reads
-        c with p_c = (|psi|^2 + (-1)^c Re<psi, phi>) / 2 from one ``rng.random()``
-        (``_sample``), writes (psi + (-1)^c phi) / (2 sqrt(p_c)) into half c and
-        zeroes half b if c != b. U psi takes at each work value the amplitude at
-        its entry of ``source``, or its own when ``source`` is None (U = 1).
-        Without ``words``, ``source`` has an entry for every work value. With
-        ``words``, sorted and distinct, the caller guarantees that psi and phi
-        are zero off them; ``source`` has one entry per word, and only those
-        work values are read and written.
-
-        The halves are a view when the register is the whole state in order, and
-        otherwise the axis move's copy, written back. The support bound comes out
-        exact on the register's bits: the control at c and the work at ``words``,
-        or every work bit free; the other qubits keep theirs.
+        Round i is H on the control, the controlled multiply U, the readout phase
+        and H, and the control's measurement, simulated by their effect. With psi
+        the work half and phi = exp(-i pi m / 2**i) U psi, m the bits read so far,
+        it reads c with p_c = (|psi|^2 + (-1)^c Re<psi, phi>) / 2 from one
+        ``rng.random()`` (``_sample``); psi becomes (psi + (-1)^c phi) / (2
+        sqrt(p_c)) in place, in half b, whatever c: the control's bit is a label.
+        ``rounds`` yields one ``(source, words)`` per round, asked for once the
+        round before is done. U psi takes at each work value the amplitude at its
+        entry of ``source``, or its own when ``source`` is None (U = 1). With
+        ``words`` (sorted, distinct, and off which the caller guarantees psi and
+        phi are zero) ``source`` has one entry per word, and only those work values
+        are read and written. The read samples f from |work|^2, summed over the
+        other qubits, zeroes half b and writes f, scaled by 1/sqrt(p_f), at the
+        last bit. The halves are a view when the register is the whole state in
+        order, and otherwise the axis move's copy, written back once. The bound
+        comes out exact on the register; the other qubits keep theirs.
         """
         n = len(physical) - 1
         layout = _layout(self._count, physical)
@@ -564,57 +568,56 @@ class SimulationContext:
             # (2, rows, 2**n), one row per value of the other qubits, written back below
             view = self._state.reshape(layout.shape).transpose(layout.rest + layout.axes)
             halves = view.reshape(-1, 2, 1 << n).transpose(1, 0, 2)
-        at = words if flat else (slice(None), words)
-        half = halves[b]
-        psi = half if words is None else half[at]
-        norm = float(np.vdot(psi, psi).real)
-        if source is None:
-            moved, overlap = None, norm * phase.real
-        else:
-            moved = half.take(source, axis=-1)
-            overlap = (phase * complex(np.vdot(psi, moved))).real
-        p = ((norm + overlap) / 2, (norm - overlap) / 2)
-        c = _sample(p, self.rng.random())
-        # half c becomes scale * psi + weight * U psi, which is one product when U = 1;
-        # a product by exactly 1 into the same half, like a phase of 1, is skipped
-        scale = 0.5 / math.sqrt(p[c])
-        weight = (-scale if c else scale) * phase
-        if moved is None:
-            scale += weight
-        else:
-            moved *= weight
-        if moved is not None or c != b or scale != 1:
-            kept = halves[c]
-            if words is None:
-                np.multiply(psi, scale, out=kept)
-                if moved is not None:
-                    kept += moved
-                if c != b:
-                    half.fill(0)
+        half, random = halves[b], self.rng.random
+        measured, c = 0, b
+        for i, (source, words) in enumerate(rounds):
+            # H gives the |1> branch (-1)**c, and the readout rotates it by
+            # exp(2*pi*i * ((c << i) - measured) / 2**(i+1)): together this phase
+            phase = cmath.exp(-1j * math.pi * measured / (1 << i))
+            at = words if flat or words is None else (slice(None), words)
+            psi = half if words is None else half[at]
+            norm = float(np.vdot(psi, psi).real)
+            if source is None:
+                moved, overlap = None, norm * phase.real
             else:
+                moved = half.take(source, axis=-1)
+                overlap = (phase * complex(np.vdot(psi, moved))).real
+            p = ((norm + overlap) / 2, (norm - overlap) / 2)
+            c = _sample(p, random())
+            measured |= c << i
+            # psi becomes scale * psi + weight * U psi, which is one product when U = 1;
+            # a product by exactly 1, like a phase of 1, is skipped
+            scale = 0.5 / math.sqrt(p[c])
+            weight = (-scale if c else scale) * phase
+            if moved is None:
+                scale += weight
+            else:
+                moved *= weight
+            if moved is not None or scale != 1:
                 psi *= scale
                 if moved is not None:
                     psi += moved
-                if c != b:
-                    half[at] = 0
-                kept[at] = psi
-            if view is not None:
-                view[...] = halves.transpose(1, 0, 2).reshape(view.shape)
+                if words is not None:
+                    half[at] = psi
 
-        control = 1 << (self._count - 1 - physical[0])
-        if words is None:
-            held, free = np.array([control if c else 0]), layout.bits & ~control
-        elif flat:
-            held, free = (words | control if c else words), 0
-        else:
-            held, free = scatter_bits(layout.runs, words | c << n), 0
+        # the read: all the mass is in half b, and the other half is written at f alone
+        moved = None  # the last gather, freed before the squares are built
+        squares = np.abs(half)
+        squares *= squares
+        marginal = squares if flat else squares.sum(axis=0)
+        f = _sample(marginal, random())
+        kept = half[..., f] * (1.0 / math.sqrt(marginal[f]))
+        half.fill(0)
+        halves[c][..., f] = kept
+        if view is not None:
+            view[...] = halves.transpose(1, 0, 2).reshape(view.shape)
+
+        held = scatter_bits(layout.runs, c << n | f)
         if bounded:
-            held = (_distinct(self._base & others)[:, None] | held).reshape(-1)
-            free |= self._free & others
+            self._bind(_distinct(self._base & others) | held, self._free & others)
         else:
-            free |= others
-        self._bind(held, free)
-        return c
+            self._bind(np.array([held], dtype=np.int64), others)
+        return measured, f
 
     def _scan_support(self) -> np.ndarray | None:
         """The flat indices of the nonzero amplitudes, found in one pass over the
@@ -872,7 +875,7 @@ class RegisterView:
         return self.slice(indices)
 
     def slice_reorder(self, order) -> "RegisterView":
-        order = list(order)
+        (order,) = as_indices(order)
         if len(order) != len(self):
             raise SizeMismatchError("reorder must mention every exposed qubit exactly once")
         return self.slice(order)
@@ -909,6 +912,8 @@ class RegisterView:
             ) from None
 
     def apply_operation(self, op: QuantumOperation) -> "RegisterView":
+        if not isinstance(op, QuantumOperation):
+            raise InvalidParameterError(f"cannot apply {op!r}, which is not a QuantumOperation")
         physical = self._physical(op)
         op.require_unitary()
         self.context._apply(op, physical)

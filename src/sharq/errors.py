@@ -1,8 +1,10 @@
 """Exception types raised by the simulation.
 
-``as_int`` and ``as_indices`` parse every integer argument and qubit index, refusing floats;
-``as_real`` parses every rotation angle, refusing strings and complex numbers.
+``as_int`` and ``as_indices`` parse every integer argument and qubit index, refusing floats
+and a scalar where indices belong; ``as_real`` parses every rotation angle, refusing
+strings, complex numbers and non-finite values.
 """
+import math
 import numbers
 import operator
 
@@ -80,15 +82,30 @@ def as_int(value, what: str) -> int:
 
 
 def as_real(value, what: str) -> float:
-    """``value`` as a float, if it is a real number (ints, floats, numpy integers and floats)."""
-    if isinstance(value, numbers.Real):
-        return float(value)
-    raise InvalidParameterError(f"{what} must be a real number, got {value!r}")
+    """``value`` as a finite float, if it is a real number (ints, floats, numpy
+    integers and floats); infinities, NaN and ints past the float range are refused."""
+    if not isinstance(value, numbers.Real):
+        raise InvalidParameterError(f"{what} must be a real number, got {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:  # an int past the float range
+        real = math.inf
+    if not math.isfinite(real):
+        raise InvalidParameterError(f"{what} must be finite, got {value!r}")
+    return real
+
+
+def _group(group) -> tuple[int, ...]:
+    try:
+        items = iter(group)
+    except TypeError:
+        raise InvalidParameterError(f"qubit indices must be a sequence, got {group!r}") from None
+    return tuple(as_int(i, "qubit index") for i in items)
 
 
 def as_indices(*groups) -> tuple[tuple[int, ...], ...]:
     """Each group of qubit indices as a tuple of ints; no index may repeat across the groups."""
-    parsed = tuple(tuple(as_int(i, "qubit index") for i in group) for group in groups)
+    parsed = tuple(_group(group) for group in groups)
     flat = [i for group in parsed for i in group]
     if len(set(flat)) != len(flat):
         repeated = next(i for n, i in enumerate(flat) if i in flat[:n])

@@ -455,7 +455,7 @@ def controlled_u(u, controls, target: int) -> QuantumOperation:
     ``u`` may be a 1-qubit QuantumOperation or a bare 2x2 matrix. For one
     control the matrix is the block form [[I, 0], [0, U]].
     """
-    controls = tuple(controls)
+    (controls,) = as_indices(controls)
     if not controls:
         raise InvalidParameterError("controlled_u needs at least one control")
     if isinstance(u, QuantumOperation):
@@ -475,7 +475,7 @@ def controlled_u(u, controls, target: int) -> QuantumOperation:
 
 def walsh(targets) -> QuantumOperation:
     """Hadamard tensored over every target as a single operation."""
-    targets = tuple(targets)
+    (targets,) = as_indices(targets)
     linalg.require_dense(len(targets), "Walsh")
     m = np.array([[1.0]], dtype=complex)
     for _ in targets:

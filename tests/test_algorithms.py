@@ -311,11 +311,11 @@ class TestShorQuantumStep:
             seen.add(sample.measured)
         assert seen == oracle_support
 
-    def test_every_round_is_one_engine_call(self, monkeypatch):
-        # each round is one _round, a = 1 included, and nothing in the loop goes
-        # through _apply; the work register is measured once at the end. At N=15,
-        # m=8 six of the eight multipliers are 1
-        calls = {"_apply": 0, "_round": 0, "_measure": 0}
+    def test_every_step_is_one_engine_call(self, monkeypatch):
+        # every round, a = 1 included, and the work register's read are one _step;
+        # nothing in the step goes through _apply or _measure. At N=15, m=8 six of
+        # the eight multipliers are 1
+        calls = {"_apply": 0, "_step": 0, "_measure": 0}
 
         def counted(name):
             original = getattr(SimulationContext, name)
@@ -328,11 +328,10 @@ class TestShorQuantumStep:
         for name in calls:
             monkeypatch.setattr(SimulationContext, name, counted(name))
         for n_value, m in [(35, 2), (15, 8)]:
-            n = n_value.bit_length()
             for seed in range(10):
-                calls.update(_apply=0, _round=0, _measure=0)
+                calls.update(_apply=0, _step=0, _measure=0)
                 shor_quantum_step(SimulationContext(seed=seed), n_value, m)
-                assert calls == {"_apply": 0, "_round": 2 * n, "_measure": 1}, (n_value, seed)
+                assert calls == {"_apply": 0, "_step": 1, "_measure": 0}, (n_value, seed)
 
     @pytest.mark.parametrize("n_value, seed, sample", [
         (64507, 1, (1857573355, 43168)), (64507, 2, (2319282340, 45714)),

@@ -236,7 +236,7 @@ class TestAdder:
         assert bits_of(restored, width, range(3, 6)) == 2
 
     def test_error_contract(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(InvalidParameterError, match="must be a sequence"):
             add_n_ops(None, [1], [2, 3])
         with pytest.raises(SizeMismatchError):
             add_n_ops([0], [1, 2], [3, 4])

@@ -213,9 +213,10 @@ def test_sizes_and_values_must_be_integers(call, value):
     (lambda ix: _gates(modular_add_ops(ix, *_MODADD[1:], 9, 3)), [1, 0]),
     (lambda ix: _gates(controlled_modular_multiply_ops(0, ix, *_CMM[1:], 2, 3)), [2, 1]),
     (lambda ix: _gates(modular_exponentiation_ops(ix, *_MODEXP[1:], 2, 3)), [3, 1, 2, 0]),
+    (lambda ix: _register().slice_reorder(ix).exposed, [2, 0, 3, 1]),
 ], ids=["slice", "measure", "QuantumOperation", "retarget", "controlled_u", "walsh",
         "hadamard_all_ops", "qft_ops", "reverse_ops", "add_n_ops", "modular_add_ops",
-        "controlled_modular_multiply_ops", "modular_exponentiation_ops"])
+        "controlled_modular_multiply_ops", "modular_exponentiation_ops", "slice_reorder"])
 def test_indices_must_be_distinct_integers(call, indices):
     expected = call(indices)
     for kind in (np.int64, np.uint8):
@@ -225,6 +226,10 @@ def test_indices_must_be_distinct_integers(call, indices):
             call([other, *indices[1:]])
     with pytest.raises(DuplicateIndexesError):
         call([indices[0]] * len(indices))
+    # an index, a float or a 0-d array in place of the group is refused, not iterated
+    for scalar in (indices[0], np.int64(indices[0]), 0.5, np.array(indices[0])):
+        with pytest.raises(InvalidParameterError, match="must be a sequence"):
+            call(scalar)
 
 
 class TestSlicing:
@@ -744,6 +749,20 @@ class TestApplyOperations:
         reg = ctx.allocate_register(n)
         ctx._set_state(random_state(np.random.default_rng(n), n))
         return ctx, reg
+
+    @pytest.mark.parametrize("junk", ["H", None, 3, hadamard], ids=["name", "None", "int", "factory"])
+    def test_a_non_operation_is_refused_before_any_amplitude_changes(self, junk):
+        # refused alone, in a plan and in a trace
+        ctx, reg = self._random(3)
+        before = ctx._state.copy()
+        with pytest.raises(InvalidParameterError, match="not a QuantumOperation"):
+            reg.apply_operation(junk)
+        for plan in ([junk], [pauli_x(0), junk], [hadamard(1), junk]):
+            with pytest.raises(InvalidParameterError, match="not a QuantumOperation"):
+                reg.apply_operations(plan)
+        with pytest.raises(InvalidParameterError, match="not a QuantumOperation"):
+            run_on_basis([pauli_x(0), junk], 3, 1)
+        assert np.array_equal(ctx._state, before)
 
     @staticmethod
     def _basis(n, value):

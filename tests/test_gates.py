@@ -186,13 +186,20 @@ class TestGateSpec:
             with pytest.raises(InvalidParameterError, match="must be an integer"):
                 single_qubit_gate(GateSpec("R_k", other))
 
-    @pytest.mark.parametrize("angle", ["a", "0.5", 1j, np.complex128(1), np.array(0.5)],
-                             ids=["letter", "numeric string", "complex", "numpy complex", "array"])
-    def test_a_rotation_angle_must_be_a_real_number(self, angle):
+    @pytest.mark.parametrize("angle, refusal", [
+        ("a", "a real number"), ("0.5", "a real number"), (1j, "a real number"),
+        (np.complex128(1), "a real number"), (np.array(0.5), "a real number"),
+        (math.inf, "finite"), (-math.inf, "finite"), (math.nan, "finite"),
+        (np.float32("inf"), "finite"), (10**400, "finite"),
+    ], ids=["letter", "numeric string", "complex", "numpy complex", "array", "inf", "-inf", "nan",
+            "numpy inf", "past float"])
+    def test_a_rotation_angle_must_be_a_real_number(self, angle, refusal):
+        # a non-finite angle is refused when the gate is built, before a NaN matrix
+        # or a warning
         for kind, build in (("Rx", rx), ("Ry", ry), ("Rz", rz)):
-            with pytest.raises(InvalidParameterError, match="must be a real number"):
+            with pytest.raises(InvalidParameterError, match=f"must be {refusal}"):
                 single_qubit_gate(GateSpec(kind, angle))
-            with pytest.raises(InvalidParameterError, match="must be a real number"):
+            with pytest.raises(InvalidParameterError, match=f"must be {refusal}"):
                 build(angle)
             for real in (1, 0.5, np.float32(0.5), np.int64(1)):
                 assert np.array_equal(single_qubit_gate(GateSpec(kind, real)).matrix,

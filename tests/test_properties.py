@@ -155,22 +155,23 @@ def _reference_round(ctx, physical, a, modulus, b, measured, i):
     return marginal, ctx._measure(physical[:1])[0]
 
 
-@PROPERTY
+@pytest.mark.parametrize("placement", ["alone", "after", "between", "shuffled"])
+@settings(PROPERTY, max_examples=15)
 @given(st.data())
-def test_the_round_kernel_is_h_multiply_readout_and_measure(data):
-    # _round against the gates on a twin context with the same generator: the
-    # probabilities agree to 1e-12, the bits agree unless the uniform is within
-    # 1e-12 of the boundary, and the states agree to rounding over p_c; a = 1 and
-    # the step's indices, on a register alone, after other qubits, between them or
-    # shuffled among them. From a sparse start three rounds touch the words alone,
-    # and the support bound covers every nonzero amplitude after each
+def test_the_step_kernel_is_the_rounds_gates_then_the_work_read(placement, data):
+    # _step against the gates on a twin context with the same generator, round by
+    # round, then the work register's _measure: the probabilities agree to 1e-12,
+    # the bits and the work value agree unless the uniform is within 1e-12 of a
+    # boundary, and the states agree to rounding over the sampled path's
+    # probability; a = 1 and the step's indices, on a register alone, after other
+    # qubits, between them or shuffled among them (each placement its own 15
+    # examples, so that none goes undrawn). From a sparse start three rounds
+    # touch the words alone, and the support bound covers every nonzero amplitude
+    # after the read
     modulus = data.draw(st.integers(2, 77), label="N")
-    a = data.draw(st.sampled_from([c for c in range(1, modulus) if math.gcd(c, modulus) == 1]),
-                  label="a")
+    coprime = [c for c in range(1, modulus) if math.gcd(c, modulus) == 1]
     n = modulus.bit_length()
     k = n + 1
-    placement = data.draw(st.sampled_from(["alone", "after", "between", "shuffled"]),
-                          label="placement")
     width = k if placement == "alone" else k + data.draw(st.integers(2, 4), label="others")
     if placement == "shuffled":
         physical = tuple(data.draw(st.permutations(range(width)), label="order")[:k])
@@ -208,29 +209,44 @@ def test_the_round_kernel_is_h_multiply_readout_and_measure(data):
         for ctx in (kernel_ctx, oracle_ctx):
             ctx.allocate_register(width)
             ctx._set_state(state)
-        support, rounds = None, 1
-    for _ in range(rounds):
-        i = data.draw(st.integers(0, 6), label="i")
-        measured = data.draw(st.integers(0, (1 << i) - 1), label="measured")
-        words = moves = None
-        if support is not None:
-            if a != 1:
-                support |= {w * a % modulus for w in support}
-            words = np.array(sorted(support), dtype=np.int64)
-        if a != 1:
-            moves = source(a, words)
-        phase = np.exp(-1j * np.pi * measured / (1 << i))
-        with mock.patch.object(engine, "_sample", wraps=engine._sample) as spy:
-            c = kernel_ctx._round(physical, b, phase, moves, words)
-        (p0, p1), uniform = spy.call_args.args
-        marginal, expected = _reference_round(oracle_ctx, physical, a, modulus, b, measured, i)
+        support, rounds = None, 2
+    multipliers = data.draw(st.lists(st.sampled_from(coprime), min_size=rounds, max_size=rounds),
+                            label="a")
+
+    def step_rounds(support):
+        for a in multipliers:
+            words = None
+            if support is not None:
+                if a != 1:
+                    support |= {w * a % modulus for w in support}
+                words = np.array(sorted(support), dtype=np.int64)
+            yield (None if a == 1 else source(a, words)), words
+
+    with mock.patch.object(engine, "_sample", wraps=engine._sample) as spy:
+        measured, f = kernel_ctx._step(physical, b, step_rounds(support))
+    draws = [call.args for call in spy.call_args_list]
+    assert len(draws) == rounds + 1
+    path = 1.0  # the probability of the bits read
+    for i, a in enumerate(multipliers):
+        (p0, p1), uniform = draws[i]
+        marginal, expected = _reference_round(oracle_ctx, physical, a, modulus, b,
+                                              measured & ((1 << i) - 1), i)
         assert abs(p0 - marginal[0]) <= 1e-12 and abs(p1 - marginal[1]) <= 1e-12
         if abs(uniform - marginal[0] / sum(marginal)) <= 1e-12:
             return  # within rounding of the boundary: either bit may come out
-        assert c == expected
-        assert np.abs(kernel_ctx._state - oracle_ctx._state).max() <= 1e-12 / marginal[c]
-        _assert_inside_the_bound(kernel_ctx)
-        b = c
+        b = measured >> i & 1
+        assert b == expected
+        path *= marginal[b]
+    read, uniform = draws[-1]
+    marginal = oracle_ctx._marginal_probabilities(engine._layout(width, physical[1:]))
+    assert np.abs(read - marginal).max() <= 1e-12
+    cumulative = np.cumsum(marginal * (marginal >= engine.PROBABILITY_FLOOR))
+    if np.abs(uniform * cumulative[-1] - cumulative).min() <= 1e-12:
+        return
+    bits = oracle_ctx._measure(physical[1:])
+    assert f == int("".join(map(str, bits)), 2)
+    assert np.abs(kernel_ctx._state - oracle_ctx._state).max() <= 1e-12 / (path * marginal[f])
+    _assert_inside_the_bound(kernel_ctx)
 
 
 # --- gate kernels against the full-matrix and basis-trace oracles ------------
