@@ -83,11 +83,14 @@ def _multiplier_domain(m, modulus) -> tuple[int, int]:
     return m, modulus
 
 
-@lru_cache(maxsize=32, typed=True)
 def semantic_uf(m: int, modulus: int) -> QuantumOperation:
     """Controlled multiply |c>|y> -> |c>|m**c * y mod modulus> on the control
     then n work qubits; y >= modulus is left fixed."""
-    m, modulus = _multiplier_domain(m, modulus)
+    return _semantic_uf(*_multiplier_domain(m, modulus))
+
+
+@lru_cache(maxsize=32)
+def _semantic_uf(m: int, modulus: int) -> QuantumOperation:
     n = bits_to_express(modulus)
     try:
         y = np.arange(modulus, dtype=np.int64)
@@ -97,7 +100,6 @@ def semantic_uf(m: int, modulus: int) -> QuantumOperation:
                                       f"a {2 << n}-entry table, which cannot be allocated") from exc
 
 
-@lru_cache(maxsize=32, typed=True)
 def circuit_uf(m: int, modulus: int) -> QuantumOperation:
     """The oracle of ``semantic_uf`` compiled from one VBE multiply round.
 
@@ -106,7 +108,11 @@ def circuit_uf(m: int, modulus: int) -> QuantumOperation:
     must give back all but y as it found them, y too when c = 0, and m * y mod
     modulus for each y when c = 1.
     """
-    m, modulus = _multiplier_domain(m, modulus)
+    return _circuit_uf(*_multiplier_domain(m, modulus))
+
+
+@lru_cache(maxsize=32)
+def _circuit_uf(m: int, modulus: int) -> QuantumOperation:
     n = bits_to_express(modulus)
     width, work = 5 * n + 3, 4 * n + 2  # y sits at bits work .. work+n-1, c above it
     ancillas = range(n + 1, width)      # modulus register, temp, multiplier scratch
@@ -123,6 +129,11 @@ def circuit_uf(m: int, modulus: int) -> QuantumOperation:
     if not np.array_equal(images, y * (m % modulus) % modulus):
         raise OracleCompilationError(f"the round for {m}*y mod {modulus} computes another product")
     return _multiply_oracle(f"Uf[{m}*y mod {modulus}, circuit]", images, n)
+
+
+# each oracle is parsed and refused before its cache, which the public name reports on
+semantic_uf.cache_info, semantic_uf.cache_clear = _semantic_uf.cache_info, _semantic_uf.cache_clear
+circuit_uf.cache_info, circuit_uf.cache_clear = _circuit_uf.cache_info, _circuit_uf.cache_clear
 
 
 # --- the quantum step of factoring --------------------------------------------

@@ -31,7 +31,10 @@ the 2**k outcomes (one dot product per outcome when the targets lead, an
 ``einsum`` of the float view otherwise), draws one uniform, and collapses in
 place: the slices of the other outcomes are zeroed and the kept one rescaled.
 It builds no mask and nothing else of the state's size; only a read of every
-qubit, or of all but one, squares the state, at most twice its marginal.
+qubit, or of all but one, squares the state, at most twice its marginal. While
+the support bound below allows at most ``_SUPPORT_SHARE`` of the state, a read
+takes the bound's candidates instead: their squares are summed into the outcomes
+they name, with no 2**k marginal, and the collapse zeroes and rescales them alone.
 
 A plan (``RegisterView.apply_operations``, and ``run_on_basis`` for traces) is
 run with each run of consecutive basis permutations fused into one exact
@@ -53,9 +56,15 @@ mask of free bits) that allocation, every non-diagonal kernel and the sparse
 path update without reading the state; a measurement pins the measured qubits in
 the bound, and a register that the bound pins to one value is read off it. While
 the bound allows at most that share, the path takes its indices and never reads
-the whole state. A state array replaced from outside the kernels has no bound, and
-its support is found in one cast to bool. The choice rests only on the support size,
-and either way the state comes out bit-identical, the sign of a zero aside.
+the whole state, and a dense gate gathers the 2**k amplitudes of each group of
+candidates that it mixes into one row, multiplies the rows and writes them back in
+place: neither allocates anything of the state's size. A state array replaced from
+outside the kernels has no bound, and its support is found in one cast to bool. The
+plan's choice rests only on the support size, and either way the state comes out
+bit-identical, the sign of a zero aside. A dense gate's rows are multiplied in
+another shape than the dense kernels' products, so its state agrees with theirs to
+rounding; a read of every qubit, or of all but one, in order sums the same squares
+and is bit-identical.
 """
 from __future__ import annotations
 
@@ -258,6 +267,13 @@ class _FusedPlan:
         return word_flips(self.ops)
 
 
+def _require_operations(ops):
+    """Refuse a plan that holds an entry that is no operation, naming the first."""
+    for op in ops:
+        if not isinstance(op, QuantumOperation):
+            raise InvalidParameterError(f"a plan holds {op!r}, which is not a QuantumOperation")
+
+
 @lru_cache(maxsize=64)
 def _fused_plan(ops: tuple[QuantumOperation, ...]) -> _FusedPlan:
     """The fused form of a plan and the facts its callers check it by.
@@ -268,9 +284,7 @@ def _fused_plan(ops: tuple[QuantumOperation, ...]) -> _FusedPlan:
     and ``classical`` means every gate has ``basis_flips``. Each caller refuses a
     plan by them before using it; one past the basis word (``top`` >= 62) is unfused.
     """
-    for op in ops:
-        if not isinstance(op, QuantumOperation):
-            raise InvalidParameterError(f"a plan holds {op!r}, which is not a QuantumOperation")
+    _require_operations(ops)
     top = max((max(op.targets, default=-1) for op in ops), default=-1)
     return _FusedPlan(_fuse(ops) if top < HARD_QUBIT_LIMIT else ops, top,
                       bool(ops) and all(op._kernel == "perm" for op in ops),
@@ -286,7 +300,11 @@ def _fused(ops: tuple[QuantumOperation, ...]) -> _FusedPlan:
     once. That plan is the cache's most recently used, so the skipped lookup
     moves nothing in its eviction order; ``cache_info`` counts lookups alone."""
     if ops is not _last_plan[0]:
-        _last_plan[:] = ops, _fused_plan(ops)
+        try:
+            _last_plan[:] = ops, _fused_plan(ops)
+        except TypeError:  # the cache could not hash an entry, which no operation is
+            _require_operations(ops)
+            raise
     return _last_plan[1]
 
 
@@ -307,15 +325,18 @@ def _distinct(words: np.ndarray) -> np.ndarray:
     return words[np.concatenate(([True], words[1:] != words[:-1]))]
 
 
-def _candidates(base: np.ndarray, free: int, size: int) -> np.ndarray | None:
-    """Every flat index a support bound allows, when they are at most
-    ``_SUPPORT_SHARE`` of ``size``; some may hold a zero amplitude."""
-    if len(base) << free.bit_count() > size * _SUPPORT_SHARE:
+def _candidates(base: np.ndarray, free: int, size: int, cleared: int = 0) -> np.ndarray | None:
+    """Every flat index a support bound allows, with the ``cleared`` bits at 0, when
+    with every setting of those bits they are at most ``_SUPPORT_SHARE`` of ``size``;
+    some may hold a zero amplitude. With ``cleared`` the targets' bits, each index
+    names the group of amplitudes that a gate on those targets mixes."""
+    if len(base) << (free | cleared).bit_count() > size * _SUPPORT_SHARE:
         return None
-    if not free:
+    if not free | cleared:
         return base
-    # words that differ only in free bits name the same indices: keep one of each
-    fixed = _distinct(base & ~free)
+    # words that differ only in free or cleared bits name the same indices: keep one of each
+    fixed = _distinct(base & ~(free | cleared))
+    free &= ~cleared
     shifts = [b for b in range(free.bit_length() - 1, -1, -1) if free >> b & 1]
     offsets = scatter_bits(bit_runs(shifts), np.arange(1 << len(shifts), dtype=np.int64))
     return (fixed[:, None] | offsets).reshape(-1)
@@ -494,10 +515,19 @@ class SimulationContext:
         """Apply ``op`` on ``physical_targets``; the caller has checked it."""
         layout = _layout(self._count, physical_targets)
         ndim, axes = len(layout.shape), layout.axes
-        state, bounded = self._state, self._bounded
+        state, kernel = self._state, op._kernel
         psi = state.reshape(layout.shape)
-        kernel = op._kernel
-        if kernel == "diag":
+        bounded = kernel != "diag" and self._is_bounded()
+        groups = None
+        if bounded and kernel == "dense":
+            groups = _candidates(self._base, self._free, state.size, layout.bits)
+        if groups is not None:
+            # a sparse state: gather the 2**k amplitudes of each group, one row apiece,
+            # multiply them and write them back in place
+            sub = np.arange(op.dimension, dtype=np.int64)
+            at = groups[:, None] | scatter_bits(layout.runs, sub)
+            state[at] = state[at] @ op.matrix.T
+        elif kernel == "diag":
             for sub_index, phase in op._phases:
                 psi[_selector(ndim, axes, sub_index)] *= phase
         elif layout.block is not None:
@@ -527,7 +557,7 @@ class SimulationContext:
             else:
                 columns = columns @ op.matrix.T
             view[...] = columns.reshape(view.shape)
-        if bounded is not None and kernel != "diag" and bounded() is state:
+        if bounded:
             # a phase never makes a zero amplitude nonzero; any other gate can set
             # its targets' bits to anything, and no others. Once every bit is free
             # the bound allows every index, and dropping it spares the gates after
@@ -686,6 +716,41 @@ class SimulationContext:
         every = range(parts.ndim)
         return np.einsum(parts, every, parts, every, layout.axes).reshape(-1)
 
+    def _candidate_marginal(self, layout: _Layout):
+        """The outcomes of the targets of ``layout`` that the support bound's
+        candidates name, distinct and sorted, with their probabilities, and the
+        candidates with the outcome of each; None when the candidates are more than
+        ``_SUPPORT_SHARE`` of the state. The caller has checked the bound.
+
+        Each probability sums |amp|**2 of its candidates, squared as the dense
+        marginal squares them; no array has an entry per outcome the bound rules out.
+        """
+        support = _candidates(self._base, self._free, self._state.size)
+        if support is None:
+            return None
+        sub = gather_bits(layout.runs, support)
+        squares = np.abs(self._state[support])
+        squares *= squares
+        outcomes = _distinct(sub)
+        marginal = np.bincount(outcomes.searchsorted(sub), squares, len(outcomes))
+        return outcomes, marginal, support, sub
+
+    def _pin(self, layout: _Layout, outcome: int):
+        """Pin the targets of ``layout`` to ``outcome`` in the support bound.
+
+        Every kept amplitude holds the outcome on the measured bits: keep the base
+        words that hold it on their pinned ones (a lone word does), and set the free
+        ones to it, which alone can make two words equal.
+        """
+        word, free = scatter_bits(layout.runs, outcome), self._free & layout.bits
+        base = self._base
+        if len(base) > 1:
+            pinned = layout.bits & ~free
+            base = base[(base & pinned) == (word & pinned)]
+        if free:
+            base = _distinct((base & ~free) | (word & free))
+        self._bind(base, self._free & ~free)
+
     def _measure(self, physical: tuple[int, ...]) -> tuple[int, ...]:
         """Sample the targets from their exact marginal and collapse onto the outcome.
 
@@ -694,29 +759,34 @@ class SimulationContext:
         mask: the slices of the other outcomes are zeroed and the kept one is
         rescaled, and it allocates nothing of the state's size. The support
         bound, if the state has one, then pins the measured qubits to the outcome.
+        While the bound allows at most ``_SUPPORT_SHARE`` of the state, the read
+        and the collapse touch its candidates alone (``_candidate_marginal``).
         """
         k = len(physical)
         if k == 0:
             return ()
         layout = _layout(self._count, physical)
-        marginal = self._marginal_probabilities(layout)
-        if k == 1:
-            marginal = marginal.tolist()
-        outcome = _sample(marginal, self.rng.random())
+        bounded = self._is_bounded()
+        read = self._candidate_marginal(layout) if bounded else None
+        if read is None:
+            marginal = self._marginal_probabilities(layout)
+            if k == 1:
+                marginal = marginal.tolist()
+            outcome = _sample(marginal, self.rng.random())
+            p = marginal[outcome]
+        else:
+            outcomes, marginal, support, sub = read
+            picked = _sample(marginal, self.rng.random())
+            outcome, p = int(outcomes[picked]), marginal[picked]
         bits = tuple([(outcome >> (k - 1 - i)) & 1 for i in range(k)])
-        if self._is_bounded():
-            # every kept amplitude holds the outcome on the measured bits: keep the
-            # base words that hold it on their pinned ones (a lone word does), and
-            # set the free ones to it, which alone can make two words equal
-            word, free = scatter_bits(layout.runs, outcome), self._free & layout.bits
-            base = self._base
-            if len(base) > 1:
-                pinned = layout.bits & ~free
-                base = base[(base & pinned) == (word & pinned)]
-            if free:
-                base = _distinct((base & ~free) | (word & free))
-            self._bind(base, self._free & ~free)
-        scale = 1.0 / math.sqrt(marginal[outcome])
+        if bounded:
+            self._pin(layout, outcome)
+        scale = 1.0 / math.sqrt(p)
+        if read is not None:
+            kept = sub == outcome
+            self._state[support[~kept]] = 0
+            self._state[support[kept]] *= scale
+            return bits
         if layout.block is not None:
             # the (a, 2**k * b) array, flat when a == 1: the kept outcome is the
             # columns [lo, hi), and the columns before and after it are zeroed
@@ -749,7 +819,8 @@ class SimulationContext:
         Raises NotClassicalStateError naming the first qubit in superposition.
         """
         layout = _layout(self._count, physical)
-        if self._is_bounded() and not self._free & layout.bits:
+        bounded = self._is_bounded()
+        if bounded and not self._free & layout.bits:
             # every nonzero amplitude sits at a base word, with none of these bits
             # flipped: if those words agree on them, so does the whole state. One
             # word is read as a Python int, about 6x cheaper than an array's gather
@@ -758,14 +829,21 @@ class SimulationContext:
             words = gather_bits(layout.runs, self._base)
             if (words == words[0]).all():
                 return int(words[0])
-        marginal = self._marginal_probabilities(layout)
+        read = self._candidate_marginal(layout) if bounded else None
+        if read is None:
+            outcomes, marginal = None, self._marginal_probabilities(layout)
+        else:
+            outcomes, marginal = read[:2]
         top = int(np.argmax(marginal))
         if marginal[top] >= 1.0 - _CLASSICAL_ATOL:
-            return top
+            return top if outcomes is None else int(outcomes[top])
         # not jointly one basis state: look for the first qubit in superposition
-        value = 0
+        value, k = 0, len(physical)
         for i, qubit in enumerate(physical):
-            p_one = marginal.reshape(1 << i, 2, -1)[:, 1].sum()
+            if outcomes is None:
+                p_one = marginal.reshape(1 << i, 2, -1)[:, 1].sum()
+            else:
+                p_one = marginal @ (outcomes >> (k - 1 - i) & 1)
             if _CLASSICAL_ATOL < p_one < 1.0 - _CLASSICAL_ATOL:
                 raise NotClassicalStateError(
                     f"physical qubit {qubit} is in superposition; initialize only classical qubits"

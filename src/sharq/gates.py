@@ -57,6 +57,12 @@ _T = _mat([1, 0], [0, np.exp(1j * np.pi / 4)])
 _I = _mat([1, 0], [0, 1])
 _CNOT = _mat([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0])
 _SWAP = _mat([1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1])
+_TOFFOLI = _mat(*np.eye(8)[[0, 1, 2, 3, 4, 5, 7, 6]])
+_FREDKIN = _mat(*np.eye(8)[[0, 1, 2, 3, 4, 6, 5, 7]])
+
+# the fixed matrix of each catalog gate, by name
+_CATALOG = {"H": _H, "X": _X, "Y": _Y, "Z": _Z, "S": _S, "T": _T, "I": _I,
+            "CNot": _CNOT, "Swap": _SWAP, "Toffoli": _TOFFOLI, "Fredkin": _FREDKIN}
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,45 +345,53 @@ class GateSpec:
     parameter: float | int | None = None
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=None)
+def _catalog_gate(name: str, targets: tuple[int, ...]) -> QuantumOperation:
+    return QuantumOperation(name, targets, matrix=_CATALOG[name])
+
+
+def _catalog(name: str, *targets) -> QuantumOperation:
+    """The one instance of the catalog gate ``name`` on ``targets``. Each target is
+    parsed before the cache, so a junk one raises InvalidParameterError and equal
+    ones share an instance, which fusion hashes by identity."""
+    return _catalog_gate(name, tuple([as_int(t, "qubit index") for t in targets]))
+
+
 def hadamard(target: int = 0) -> QuantumOperation:
-    return QuantumOperation("H", (target,), matrix=_H)
+    return _catalog("H", target)
 
 
-@lru_cache(maxsize=None, typed=True)
 def pauli_x(target: int = 0) -> QuantumOperation:
-    return QuantumOperation("X", (target,), matrix=_X)
+    return _catalog("X", target)
 
 
-@lru_cache(maxsize=None, typed=True)
 def pauli_y(target: int = 0) -> QuantumOperation:
-    return QuantumOperation("Y", (target,), matrix=_Y)
+    return _catalog("Y", target)
 
 
-@lru_cache(maxsize=None, typed=True)
 def pauli_z(target: int = 0) -> QuantumOperation:
-    return QuantumOperation("Z", (target,), matrix=_Z)
+    return _catalog("Z", target)
 
 
-@lru_cache(maxsize=None, typed=True)
 def phase_s(target: int = 0) -> QuantumOperation:
-    return QuantumOperation("S", (target,), matrix=_S)
+    return _catalog("S", target)
 
 
-@lru_cache(maxsize=None, typed=True)
 def phase_t(target: int = 0) -> QuantumOperation:
-    return QuantumOperation("T", (target,), matrix=_T)
+    return _catalog("T", target)
 
 
-@lru_cache(maxsize=None, typed=True)
 def identity_gate(target: int = 0) -> QuantumOperation:
-    return QuantumOperation("I", (target,), matrix=_I)
+    return _catalog("I", target)
 
 
-@lru_cache(maxsize=256, typed=True)
 def rotation_k(k: int, target: int = 0) -> QuantumOperation:
     """Phase rotation by 2*pi/2**k; R_2 is S and R_3 is T."""
-    k = as_int(k, "R_k parameter")
+    return _rotation_k(as_int(k, "R_k parameter"), as_int(target, "qubit index"))
+
+
+@lru_cache(maxsize=256)
+def _rotation_k(k: int, target: int) -> QuantumOperation:
     if k < 1:
         raise InvalidParameterError(f"R_k needs k >= 1, got {k}")
     m = np.array([[1, 0], [0, np.exp(2j * np.pi * 2.0**-k)]], dtype=complex)
@@ -410,6 +424,8 @@ _SPEC_PARAM = {"R_k": rotation_k, "Rx": rx, "Ry": ry, "Rz": rz}
 
 def single_qubit_gate(spec: GateSpec, target: int = 0) -> QuantumOperation:
     """Build the catalog gate described by ``spec``."""
+    if not isinstance(spec, GateSpec):
+        raise InvalidParameterError(f"a gate is described by a GateSpec, got {spec!r}")
     if spec.kind in _SPEC_FIXED:
         if spec.parameter is not None:
             raise InvalidParameterError(f"{spec.kind} takes no parameter")
@@ -423,30 +439,22 @@ def single_qubit_gate(spec: GateSpec, target: int = 0) -> QuantumOperation:
 
 # --- multi-qubit catalog --------------------------------------------------
 
-@lru_cache(maxsize=None, typed=True)
 def cnot(control: int = 0, target: int = 1) -> QuantumOperation:
     """Flips ``target`` iff ``control`` is |1>."""
-    return QuantumOperation("CNot", (control, target), matrix=_CNOT)
+    return _catalog("CNot", control, target)
 
 
-@lru_cache(maxsize=None, typed=True)
 def swap(a: int = 0, b: int = 1) -> QuantumOperation:
-    return QuantumOperation("Swap", (a, b), matrix=_SWAP)
+    return _catalog("Swap", a, b)
 
 
-@lru_cache(maxsize=None, typed=True)
 def toffoli(control1: int = 0, control2: int = 1, target: int = 2) -> QuantumOperation:
-    m = np.eye(8, dtype=complex)
-    m[6:, 6:] = _X
-    return QuantumOperation("Toffoli", (control1, control2, target), matrix=m)
+    return _catalog("Toffoli", control1, control2, target)
 
 
-@lru_cache(maxsize=None, typed=True)
 def fredkin(control: int = 0, a: int = 1, b: int = 2) -> QuantumOperation:
     """Controlled swap of ``a`` and ``b``; preserves the number of |1>s."""
-    m = np.eye(8, dtype=complex)
-    m[[5, 6]] = m[[6, 5]]
-    return QuantumOperation("Fredkin", (control, a, b), matrix=m)
+    return _catalog("Fredkin", control, a, b)
 
 
 def controlled_u(u, controls, target: int) -> QuantumOperation:

@@ -194,7 +194,7 @@ def test_sizes_and_values_must_be_integers(call, value):
     expected = call(value)
     for same in [np.int64(value), np.uint8(value)] + [True] * (value == 1):
         assert call(same) == expected
-    for other in (value + 0.5, float(value), "3", None, np.float64(value)):
+    for other in (value + 0.5, float(value), "3", None, np.float64(value), [value]):
         with pytest.raises(InvalidParameterError, match="must be an integer"):
             call(other)
 
@@ -395,6 +395,11 @@ class TestSetFromUnsigned:
         monkeypatch.setattr(SimulationContext, "_marginal_probabilities", counting)
         ctx = SimulationContext(seed=0)
         reg = ctx.allocate_register(6).apply_operation(hadamard(5))
+        # two candidates, within 1/16 of 64: the read sums their squares, with no marginal
+        with pytest.raises(NotClassicalStateError, match="physical qubit 5 "):
+            reg.set_from_unsigned(0)
+        assert calls == []
+        ctx._bounded = None
         with pytest.raises(NotClassicalStateError, match="physical qubit 5 "):
             reg.set_from_unsigned(0)
         assert len(calls) == 1
@@ -435,9 +440,15 @@ class TestSetFromUnsigned:
             assert marginal[value] == pytest.approx(1.0)
         assert calls == []
         assert ctx._classical_value(reg.exposed) == 0b1011
-        # the words disagree on physical qubit 2, so the one marginal read names it
+        # the words disagree on physical qubit 2, so the read of the four candidates
+        # names it, and without the bound the one marginal read does
+        view = engine.RegisterView(ctx, (2, 3, 4))
         with pytest.raises(NotClassicalStateError, match="physical qubit 2 "):
-            engine.RegisterView(ctx, (2, 3, 4)).set_from_unsigned(0)
+            view.set_from_unsigned(0)
+        assert calls == []
+        ctx._bounded = None
+        with pytest.raises(NotClassicalStateError, match="physical qubit 2 "):
+            view.set_from_unsigned(0)
         assert len(calls) == 1
 
     def test_a_one_word_bound_is_read_as_the_words_and_the_marginal_read_it(self):
@@ -618,6 +629,31 @@ class TestMeasurement:
         assert abs(np.linalg.norm(state) - 1.0) < 1e-12
         assert peak < state.nbytes / 8
 
+    def test_a_dense_gate_and_a_read_on_a_sparse_state_touch_only_its_candidates(self):
+        # 8 nonzero amplitudes of 2**18: the gates gather their groups and the read
+        # its candidates, where the dense paths would build products of the state's
+        # size. The twin has no bound, so it takes the dense paths
+        ctx = SimulationContext(seed=1, debug=True)
+        reg = ctx.allocate_register(18)
+        reg.apply_operations([hadamard(3), hadamard(11)])
+        twin = SimulationContext(seed=1, debug=True)
+        twin.allocate_register(18)
+        twin._state = ctx._state.copy()
+        state = ctx._state
+        tracemalloc.start()
+        try:
+            reg.apply_operation(hadamard(17))
+            reg.apply_operation(walsh([2, 3]))
+            value = reg.measure().to_unsigned()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for op in (hadamard(17), walsh([2, 3])):
+            twin._apply(op, op.targets)
+        assert value == engine.RegisterView(twin, tuple(range(18))).measure().to_unsigned()
+        assert ctx._state is state and np.array_equal(state, twin._state)
+        assert peak < state.nbytes / 64
+
     def test_normalization_preserved_through_random_program(self, debug_ctx):
         rng = np.random.default_rng(8)
         ctx = debug_ctx(seed=8)
@@ -750,7 +786,8 @@ class TestApplyOperations:
         ctx._set_state(random_state(np.random.default_rng(n), n))
         return ctx, reg
 
-    @pytest.mark.parametrize("junk", ["H", None, 3, hadamard], ids=["name", "None", "int", "factory"])
+    @pytest.mark.parametrize("junk", ["H", None, 3, hadamard, [hadamard(0)]],
+                             ids=["name", "None", "int", "factory", "nested plan"])
     def test_a_non_operation_is_refused_before_any_amplitude_changes(self, junk):
         # refused alone, in a plan and in a trace
         ctx, reg = self._random(3)

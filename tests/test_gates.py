@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sharq import SimulationContext, linalg
-from sharq.algorithms import inverse_qft_ops, semantic_uf
+from sharq.algorithms import circuit_uf, inverse_qft_ops, semantic_uf
 from sharq.engine import _fused
 from sharq.errors import (
     DuplicateIndexesError,
@@ -182,9 +182,14 @@ class TestGateSpec:
     def test_r_k_parameter_must_be_an_integer(self):
         assert np.array_equal(single_qubit_gate(GateSpec("R_k", np.uint8(2))).matrix,
                               rotation_k(2).matrix)
-        for other in (2.7, 2.0, np.float64(2)):
+        for other in (2.7, 2.0, np.float64(2), [2]):
             with pytest.raises(InvalidParameterError, match="must be an integer"):
                 single_qubit_gate(GateSpec("R_k", other))
+
+    @pytest.mark.parametrize("spec", ["H", None, hadamard()], ids=["name", "None", "gate"])
+    def test_a_spec_must_be_a_gate_spec(self, spec):
+        with pytest.raises(InvalidParameterError, match="GateSpec"):
+            single_qubit_gate(spec)
 
     @pytest.mark.parametrize("angle, refusal", [
         ("a", "a real number"), ("0.5", "a real number"), (1j, "a real number"),
@@ -212,6 +217,30 @@ class TestGateSpec:
             single_qubit_gate(GateSpec("Rx"))
         with pytest.raises(InvalidParameterError):
             single_qubit_gate(GateSpec("Q"))
+
+
+@pytest.mark.parametrize("make, args", [
+    (hadamard, (1,)), (pauli_x, (1,)), (pauli_y, (1,)), (pauli_z, (1,)), (phase_s, (1,)),
+    (phase_t, (1,)), (identity_gate, (1,)), (rotation_k, (3, 1)), (cnot, (0, 1)),
+    (swap, (0, 1)), (toffoli, (0, 1, 2)), (fredkin, (0, 1, 2)), (semantic_uf, (7, 15)),
+    (circuit_uf, (7, 15)),
+], ids=lambda value: getattr(value, "__name__", None))
+def test_cached_constructors_parse_their_arguments_before_the_cache(make, args):
+    # equal arguments share one instance, which fusion hashes by identity, and a
+    # list in any argument is refused rather than hashed
+    op = make(*args)
+    assert make(*(np.int64(a) for a in args)) is op
+    for i, arg in enumerate(args):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            make(*args[:i], [arg], *args[i + 1:])
+
+
+def test_the_oracles_report_on_their_caches():
+    semantic_uf.cache_clear()
+    semantic_uf(7, 15)
+    semantic_uf(np.int64(7), 15)
+    info = semantic_uf.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
 class TestCNot:

@@ -257,6 +257,12 @@ KINDS = ("dense", "diag", "matrix01", "permutation")
 seeds = st.integers(0, 2**32 - 1)
 
 
+def _random_unitary(rng, dim):
+    """A Haar-random dim x dim unitary."""
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
 @st.composite
 def operations(draw, width):
     """An operation of any kernel class, arity 0-4, on random targets of a view.
@@ -270,8 +276,7 @@ def operations(draw, width):
     dim = 1 << arity
     rng = np.random.default_rng(draw(seeds, label="seed"))
     if kind == "dense":
-        q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-        return QuantumOperation(kind, targets, matrix=q * (np.diagonal(r) / np.abs(np.diagonal(r))))
+        return QuantumOperation(kind, targets, matrix=_random_unitary(rng, dim))
     if kind == "diag":
         phases = np.exp(2j * np.pi * rng.random(dim))
         phases[rng.random(dim) < 0.3] = 1.0  # entries of 1 are skipped by the kernel
@@ -652,6 +657,68 @@ def test_the_support_bound_holds_after_every_step_and_plans_apply_as_without_it(
             ctx._set_state(state)
         elif step == "assign":
             ctx._state = ctx._state.copy()
+        _assert_inside_the_bound(ctx)
+
+
+def _unbounded_twin(ctx):
+    """A context holding a copy of ``ctx``'s state with no support bound, so that
+    its gates and reads take the dense paths, and a copy of its generator."""
+    twin = SimulationContext(debug=True)
+    twin.allocate_register(ctx.physical_count)
+    twin._state = ctx._state.copy()
+    twin.rng = copy.deepcopy(ctx.rng)
+    return twin
+
+
+@st.composite
+def dense_gates(draw, width):
+    """A random unitary on 1-3 targets of ``width`` qubits, adjacent ascending or scattered."""
+    k = draw(st.integers(1, 3), label="k")
+    if draw(st.booleans(), label="adjacent"):
+        start = draw(st.integers(0, width - k), label="start")
+        targets = tuple(range(start, start + k))
+    else:
+        targets = tuple(draw(st.permutations(range(width)), label="targets")[:k])
+    rng = np.random.default_rng(draw(seeds, label="seed"))
+    return QuantumOperation("dense", targets, matrix=_random_unitary(rng, 1 << k))
+
+
+@PROPERTY
+@given(st.data())
+def test_dense_gates_and_reads_on_a_sparse_state_match_the_dense_paths(data):
+    # a classical plan moves |0...0> to a random word, and each dense gate then
+    # frees its targets' bits: the first gate always takes the sparse path, and
+    # the later ones take it while the bound's groups stay within 1/16 of the state
+    n = data.draw(st.integers(7, 12), label="n")
+    ctx = SimulationContext(seed=data.draw(seeds, label="ctx seed"), debug=True)
+    reg = ctx.allocate_register(n)
+    reg.apply_operations(data.draw(classical_plans(n, barriers=False), label="plan"))
+    steps = data.draw(st.lists(st.sampled_from(("gate", "gate", "read")), min_size=1, max_size=8),
+                      label="steps")
+    for i, step in enumerate(["gate", *steps]):
+        twin = _unbounded_twin(ctx)
+        if step == "gate":
+            op = data.draw(dense_gates(n), label="op")
+            bits = engine._layout(n, op.targets).bits
+            sparse = engine._candidates(ctx._base, ctx._free, 1 << n, bits) is not None
+            assert sparse or i > 0
+            reg.apply_operation(op)
+            twin._apply(op, op.targets)
+            # the two products sum in other orders, so they agree to rounding
+            assert np.abs(ctx._state - twin._state).max() <= 1e-15
+        else:
+            subset = list(range(n))  # every qubit in order, or a random subset
+            if data.draw(st.booleans(), label="subset"):
+                subset = data.draw(st.permutations(range(n)), label="order")[
+                    :data.draw(st.integers(1, n), label="width")]
+            read = reg.measure(subset).bits
+            assert read == engine.RegisterView(twin, tuple(subset)).measure().bits
+            a, b = engine._layout(n, tuple(subset)).block or (0, 0)
+            if 0 < a * b <= 2:
+                # the dense read squares |amp| as the sparse one does, and sums at
+                # most two squares per outcome: the same marginal, bit for bit
+                assert np.array_equal(ctx._state, twin._state)
+            assert np.abs(ctx._state - twin._state).max() <= 1e-15
         _assert_inside_the_bound(ctx)
 
 
