@@ -12,7 +12,7 @@ import numpy as np
 from .arithmetic import OperationPlan, _multiply_round, reverse_ops, run_on_basis
 from .engine import _ALLOCATION_FAILURES, _SUPPORT_SHARE, RegisterView, SimulationContext
 from .errors import (InvalidParameterError, OracleCompilationError, QubitLimitExceededError,
-                     SizeMismatchError, as_indices, as_int)
+                     SizeMismatchError, as_indices, as_int, as_items)
 from .gates import QuantumOperation, cnot, controlled_u, hadamard, pauli_x, rotation_k
 from .numtheory import bits_to_express, mod_pow
 
@@ -272,8 +272,11 @@ def extract_period(samples, m: int, n_value: int) -> int | None:
     common multiple. Every validated candidate is a multiple of the order,
     so the smallest one is returned.
     """
+    m, n_value = as_int(m, "base"), as_int(n_value, "modulus")
     candidates: set[int] = set()
-    for sample in samples:
+    for sample in as_items(samples, "samples"):
+        if not isinstance(sample, PeriodSample):
+            raise InvalidParameterError(f"a sample is a PeriodSample, got {sample!r}")
         if sample.measured == 0:
             continue  # degenerate: carries no period information
         for d in _convergent_denominators(sample.measured, sample.modulus):
@@ -298,6 +301,8 @@ def deutsch(ctx: SimulationContext, oracle) -> str:
     as the 2-qubit permutation |x>|y> -> |x>|y XOR f(x)> built from CNot
     and/or X gates.
     """
+    if not callable(oracle):
+        raise InvalidParameterError(f"the oracle is a function of one bit, got {oracle!r}")
     f0, f1 = as_int(oracle(0), "oracle output"), as_int(oracle(1), "oracle output")
     if f0 not in (0, 1) or f1 not in (0, 1):
         raise InvalidParameterError("oracle must return bits")

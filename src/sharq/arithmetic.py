@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import _fused
-from .errors import InvalidParameterError, SizeMismatchError, as_indices, as_int
+from .errors import InvalidParameterError, SizeMismatchError, as_indices, as_int, as_items
 from .gates import HARD_QUBIT_LIMIT, QuantumOperation, cnot, pauli_x, toffoli, trace_subindices
 
 
@@ -66,7 +66,7 @@ def run_on_basis(ops, width: int, value):
                 raise SizeMismatchError(f"{op.name} targets qubit {t} of a {width}-qubit register")
         op.basis_flips  # refuses a gate that is not a basis permutation
 
-    ops = tuple(ops)
+    ops = as_items(ops, "a plan")
     plan = _fused(ops)
     if plan.top >= width or not plan.classical:
         for op in ops:

@@ -51,20 +51,16 @@ permutations alone, on a state whose nonzero amplitudes are at most
 ``_SUPPORT_SHARE`` = 1/16 of it, does not pass over the state once per fused op:
 ``_permute_support`` gathers the view's bits of the nonzero indices, traces them
 through the fused ops (``gates.trace_subindices``) and moves each nonzero
-amplitude once, in place. The context keeps a support bound (base indices and a
-mask of free bits) that allocation, every non-diagonal kernel and the sparse
-path update without reading the state; a measurement pins the measured qubits in
-the bound, and a register that the bound pins to one value is read off it. While
-the bound allows at most that share, the path takes its indices and never reads
-the whole state, and a dense gate gathers the 2**k amplitudes of each group of
-candidates that it mixes into one row, multiplies the rows and writes them back in
-place: neither allocates anything of the state's size. A state array replaced from
-outside the kernels has no bound, and its support is found in one cast to bool. The
-plan's choice rests only on the support size, and either way the state comes out
-bit-identical, the sign of a zero aside. A dense gate's rows are multiplied in
-another shape than the dense kernels' products, so its state agrees with theirs to
-rounding; a read of every qubit, or of all but one, in order sums the same squares
-and is bit-identical.
+amplitude once, in place. The support bound (base indices and a mask of free bits)
+is one ``_Support`` value that every kernel reads once and replaces, without reading
+the state; a measurement pins the measured qubits, and a register it pins to one
+value is read off it. While it allows at most that share, the plan takes its indices,
+and any gate gathers the 2**k amplitudes of each group of candidates it mixes into
+one row and moves (a permutation), scales (phases, which leave the bound as it was)
+or multiplies them in place, with nothing of the state's size. A state array replaced
+from outside the kernels has no bound; its support is found in one cast to bool.
+Moves and phases are bit-identical either way, the sign of a zero aside, and dense
+rows agree with the dense kernels' products to rounding.
 """
 from __future__ import annotations
 
@@ -88,6 +84,7 @@ from .errors import (
     ValueOutOfRangeError,
     as_indices,
     as_int,
+    as_items,
 )
 from .gates import (_SLICE_MOVE_ARITY, HARD_QUBIT_LIMIT, QuantumOperation, bit_runs,
                     gather_bits, scatter_bits, trace_subindices, word_flips)
@@ -325,21 +322,44 @@ def _distinct(words: np.ndarray) -> np.ndarray:
     return words[np.concatenate(([True], words[1:] != words[:-1]))]
 
 
-def _candidates(base: np.ndarray, free: int, size: int, cleared: int = 0) -> np.ndarray | None:
-    """Every flat index a support bound allows, with the ``cleared`` bits at 0, when
-    with every setting of those bits they are at most ``_SUPPORT_SHARE`` of ``size``;
-    some may hold a zero amplitude. With ``cleared`` the targets' bits, each index
-    names the group of amplitudes that a gate on those targets mixes."""
-    if len(base) << (free | cleared).bit_count() > size * _SUPPORT_SHARE:
-        return None
-    if not free | cleared:
-        return base
-    # words that differ only in free or cleared bits name the same indices: keep one of each
-    fixed = _distinct(base & ~(free | cleared))
-    free &= ~cleared
-    shifts = [b for b in range(free.bit_length() - 1, -1, -1) if free >> b & 1]
-    offsets = scatter_bits(bit_runs(shifts), np.arange(1 << len(shifts), dtype=np.int64))
-    return (fixed[:, None] | offsets).reshape(-1)
+class _Support(NamedTuple):
+    """The support bound: every nonzero amplitude of the state it describes sits at
+    some word of ``base`` (distinct int64 flat indices) with some subset of the
+    ``free`` bits flipped."""
+
+    base: np.ndarray
+    free: int
+
+    def candidates(self, size: int, cleared: int = 0) -> np.ndarray | None:
+        """Every flat index the bound allows, with the ``cleared`` bits at 0, when
+        with every setting of those bits they are at most ``_SUPPORT_SHARE`` of
+        ``size``; some may hold a zero amplitude. With ``cleared`` the targets' bits,
+        each index names the group of amplitudes that a gate on those targets mixes."""
+        base, free = self
+        if len(base) << (free | cleared).bit_count() > size * _SUPPORT_SHARE:
+            return None
+        if not free | cleared:
+            return base
+        # words that differ only in free or cleared bits name the same indices: keep one of each
+        fixed = _distinct(base & ~(free | cleared))
+        free &= ~cleared
+        shifts = [b for b in range(free.bit_length() - 1, -1, -1) if free >> b & 1]
+        offsets = scatter_bits(bit_runs(shifts), np.arange(1 << len(shifts), dtype=np.int64))
+        return (fixed[:, None] | offsets).reshape(-1)
+
+    def pinned(self, layout: _Layout, outcome: int) -> "_Support":
+        """The bound once the targets of ``layout`` hold ``outcome``: keep the base
+        words that hold it on their pinned bits, and set the free ones to it. A lone
+        word holds it, and is set as a Python int at a quarter of the arrays' cost."""
+        word, free = scatter_bits(layout.runs, outcome), self.free & layout.bits
+        base, pinned = self.base, layout.bits & ~free
+        if len(base) == 1:
+            return _Support(np.array([int(base[0]) & ~free | word & free]), self.free & ~free)
+        if pinned:
+            base = base[(base & pinned) == (word & pinned)]
+        if free:  # setting them alone can make two words equal
+            base = _distinct((base & ~free) | (word & free))
+        return _Support(base, self.free & ~free)
 
 
 def _sample(marginal, uniform: float) -> int:
@@ -412,13 +432,7 @@ class SimulationContext:
         self._qubit_cap = qubit_cap
         self._count = 0
         self._state = np.array([1.0 + 0j])
-        # The support bound: every nonzero amplitude of the array that the weak
-        # reference ``_bounded`` names sits at some word of ``_base`` (distinct
-        # int64 flat indices) with some subset of the ``_free`` bits flipped. A
-        # state array replaced from outside the kernels, or by ``_set_state``,
-        # has no bound until a sparse plan finds its support, and neither has
-        # one whose gates freed every bit.
-        self._bind(np.zeros(1, dtype=np.int64), 0)
+        self._bind(_Support(np.zeros(1, dtype=np.int64), 0))
         self._location = "localhost"
         self.debug = bool(debug)
         try:
@@ -481,7 +495,7 @@ class SimulationContext:
         """
         first = self._count
         if n_qubits:
-            bounded = self._is_bounded()
+            bound = self._bound()
             if first == 0:
                 # the kernels write through reshaped views, so the state is contiguous
                 self._state = np.ascontiguousarray(amplitudes, dtype=complex)
@@ -492,22 +506,22 @@ class SimulationContext:
                 except _ALLOCATION_FAILURES as exc:
                     raise _unallocatable(first + n_qubits) from exc
             self._count += n_qubits
-            if bounded:
+            if bound is not None:
                 fresh = 0 if zeroed else (1 << n_qubits) - 1
-                self._bind(self._base << n_qubits, self._free << n_qubits | fresh)
+                self._bind(_Support(bound.base << n_qubits, bound.free << n_qubits | fresh))
         return RegisterView(self, tuple(range(first, first + n_qubits)))
 
     # -- support bound ---------------------------------------------------
 
-    def _is_bounded(self) -> bool:
-        """Whether the support bound describes ``_state``."""
-        bounded = self._bounded
-        return bounded is not None and bounded() is self._state
+    def _bound(self) -> _Support | None:
+        """The support bound of ``_state``: none for an array replaced from outside
+        the kernels until a sparse plan finds its support, nor once every bit is free."""
+        bounded, support = self._bounded
+        return support if bounded() is self._state else None
 
-    def _bind(self, base: np.ndarray, free: int):
-        """Bound the support of ``_state``: some word of ``base`` with some
-        subset of the ``free`` bits flipped."""
-        self._bounded, self._base, self._free = weakref.ref(self._state), base, free
+    def _bind(self, support: _Support | None):
+        """Bound the support of ``_state`` by ``support``, or by nothing."""
+        self._bounded = weakref.ref(self._state), support
 
     # -- state transformation ------------------------------------------
 
@@ -517,16 +531,21 @@ class SimulationContext:
         ndim, axes = len(layout.shape), layout.axes
         state, kernel = self._state, op._kernel
         psi = state.reshape(layout.shape)
-        bounded = kernel != "diag" and self._is_bounded()
-        groups = None
-        if bounded and kernel == "dense":
-            groups = _candidates(self._base, self._free, state.size, layout.bits)
+        bound = self._bound()
+        groups = None if bound is None else bound.candidates(state.size, layout.bits)
         if groups is not None:
-            # a sparse state: gather the 2**k amplitudes of each group, one row apiece,
-            # multiply them and write them back in place
+            # a sparse state: the 2**k indices of each group are one row, whose
+            # amplitudes are moved, scaled or multiplied in place
             sub = np.arange(op.dimension, dtype=np.int64)
             at = groups[:, None] | scatter_bits(layout.runs, sub)
-            state[at] = state[at] @ op.matrix.T
+            if kernel == "perm":
+                state[at] = state[at[:, op._permutation_inverse]]
+            elif kernel == "diag":
+                for sub_index, phase in op._phases:
+                    # not ``*=``, which rounds a lone amplitude otherwise than a slice
+                    state[at[:, sub_index]] = state[at[:, sub_index]] * phase
+            else:
+                state[at] = state[at] @ op.matrix.T
         elif kernel == "diag":
             for sub_index, phase in op._phases:
                 psi[_selector(ndim, axes, sub_index)] *= phase
@@ -557,13 +576,13 @@ class SimulationContext:
             else:
                 columns = columns @ op.matrix.T
             view[...] = columns.reshape(view.shape)
-        if bounded:
+        if bound is not None and kernel != "diag":
             # a phase never makes a zero amplitude nonzero; any other gate can set
             # its targets' bits to anything, and no others. Once every bit is free
             # the bound allows every index, and dropping it spares the gates after
             # it this bookkeeping
-            self._free |= layout.bits
-            self._bounded = None if self._free == self._state.size - 1 else weakref.ref(self._state)
+            free = bound.free | layout.bits
+            self._bind(None if free == self._state.size - 1 else _Support(bound.base, free))
 
     def _step(self, physical: tuple[int, ...], b: int, rounds) -> tuple[int, int]:
         """The Shor step's rounds on ``physical`` (a control, then n work qubits)
@@ -589,8 +608,6 @@ class SimulationContext:
         """
         n = len(physical) - 1
         layout = _layout(self._count, physical)
-        others = (self._state.size - 1) & ~layout.bits  # the bits of the other qubits
-        bounded = bool(others) and self._is_bounded()
         view, flat = None, layout.block == (1, 1)
         if flat:
             halves = self._state.reshape(2, -1)
@@ -642,11 +659,9 @@ class SimulationContext:
         if view is not None:
             view[...] = halves.transpose(1, 0, 2).reshape(view.shape)
 
-        held = scatter_bits(layout.runs, c << n | f)
-        if bounded:
-            self._bind(_distinct(self._base & others) | held, self._free & others)
-        else:
-            self._bind(np.array([held], dtype=np.int64), others)
+        # the register's bits are freed, then pinned; no bound is the word 0, all bits free
+        bound = self._bound() or _Support(np.zeros(1, dtype=np.int64), self._state.size - 1)
+        self._bind(_Support(bound.base, bound.free | layout.bits).pinned(layout, c << n | f))
         return measured, f
 
     def _scan_support(self) -> np.ndarray | None:
@@ -674,8 +689,8 @@ class SimulationContext:
         bits name; the moved indices are the new bound. The caller has checked
         ``ops``.
         """
-        state = self._state
-        support = _candidates(self._base, self._free, state.size) if self._is_bounded() else None
+        state, bound = self._state, self._bound()
+        support = None if bound is None else bound.candidates(state.size)
         if support is None:
             support = self._scan_support()
             if support is None:
@@ -686,7 +701,7 @@ class SimulationContext:
         values = state[support]
         state[support] = 0
         state[moved] = values
-        self._bind(moved, 0)
+        self._bind(_Support(moved, 0))
         return True
 
     # -- measurement -----------------------------------------------------
@@ -716,16 +731,16 @@ class SimulationContext:
         every = range(parts.ndim)
         return np.einsum(parts, every, parts, every, layout.axes).reshape(-1)
 
-    def _candidate_marginal(self, layout: _Layout):
-        """The outcomes of the targets of ``layout`` that the support bound's
-        candidates name, distinct and sorted, with their probabilities, and the
-        candidates with the outcome of each; None when the candidates are more than
-        ``_SUPPORT_SHARE`` of the state. The caller has checked the bound.
+    def _candidate_marginal(self, layout: _Layout, bound: _Support):
+        """The outcomes of the targets of ``layout`` that the candidates of the
+        support bound ``bound`` name, distinct and sorted, with their probabilities,
+        and the candidates with the outcome of each; None when the candidates are
+        more than ``_SUPPORT_SHARE`` of the state.
 
         Each probability sums |amp|**2 of its candidates, squared as the dense
         marginal squares them; no array has an entry per outcome the bound rules out.
         """
-        support = _candidates(self._base, self._free, self._state.size)
+        support = bound.candidates(self._state.size)
         if support is None:
             return None
         sub = gather_bits(layout.runs, support)
@@ -734,22 +749,6 @@ class SimulationContext:
         outcomes = _distinct(sub)
         marginal = np.bincount(outcomes.searchsorted(sub), squares, len(outcomes))
         return outcomes, marginal, support, sub
-
-    def _pin(self, layout: _Layout, outcome: int):
-        """Pin the targets of ``layout`` to ``outcome`` in the support bound.
-
-        Every kept amplitude holds the outcome on the measured bits: keep the base
-        words that hold it on their pinned ones (a lone word does), and set the free
-        ones to it, which alone can make two words equal.
-        """
-        word, free = scatter_bits(layout.runs, outcome), self._free & layout.bits
-        base = self._base
-        if len(base) > 1:
-            pinned = layout.bits & ~free
-            base = base[(base & pinned) == (word & pinned)]
-        if free:
-            base = _distinct((base & ~free) | (word & free))
-        self._bind(base, self._free & ~free)
 
     def _measure(self, physical: tuple[int, ...]) -> tuple[int, ...]:
         """Sample the targets from their exact marginal and collapse onto the outcome.
@@ -766,8 +765,8 @@ class SimulationContext:
         if k == 0:
             return ()
         layout = _layout(self._count, physical)
-        bounded = self._is_bounded()
-        read = self._candidate_marginal(layout) if bounded else None
+        bound = self._bound()
+        read = None if bound is None else self._candidate_marginal(layout, bound)
         if read is None:
             marginal = self._marginal_probabilities(layout)
             if k == 1:
@@ -779,8 +778,8 @@ class SimulationContext:
             picked = _sample(marginal, self.rng.random())
             outcome, p = int(outcomes[picked]), marginal[picked]
         bits = tuple([(outcome >> (k - 1 - i)) & 1 for i in range(k)])
-        if bounded:
-            self._pin(layout, outcome)
+        if bound is not None:
+            self._bind(bound.pinned(layout, outcome))
         scale = 1.0 / math.sqrt(p)
         if read is not None:
             kept = sub == outcome
@@ -819,17 +818,17 @@ class SimulationContext:
         Raises NotClassicalStateError naming the first qubit in superposition.
         """
         layout = _layout(self._count, physical)
-        bounded = self._is_bounded()
-        if bounded and not self._free & layout.bits:
+        bound = self._bound()
+        if bound is not None and not bound.free & layout.bits:
             # every nonzero amplitude sits at a base word, with none of these bits
             # flipped: if those words agree on them, so does the whole state. One
             # word is read as a Python int, about 6x cheaper than an array's gather
-            if len(self._base) == 1:
-                return gather_bits(layout.runs, int(self._base[0]))
-            words = gather_bits(layout.runs, self._base)
+            if len(bound.base) == 1:
+                return gather_bits(layout.runs, int(bound.base[0]))
+            words = gather_bits(layout.runs, bound.base)
             if (words == words[0]).all():
                 return int(words[0])
-        read = self._candidate_marginal(layout) if bounded else None
+        read = None if bound is None else self._candidate_marginal(layout, bound)
         if read is None:
             outcomes, marginal = None, self._marginal_probabilities(layout)
         else:
@@ -863,8 +862,8 @@ class SimulationContext:
         about 5.
         """
         layout = _layout(self._count, physical)
-        bounded = self._is_bounded()
-        support = _candidates(self._base, self._free, self._state.size) if bounded else None
+        bound = self._bound()
+        support = None if bound is None else bound.candidates(self._state.size)
         if support is not None:
             # a sparse state: move the bound's candidates alone, in place
             values = self._state[support]
@@ -876,8 +875,8 @@ class SimulationContext:
                 index[axis] = slice(None, None, -1)
             flipped = self._state.reshape(layout.shape)[tuple(index)]
             self._state = np.ascontiguousarray(flipped).reshape(-1)
-        if bounded:
-            self._bind(self._base ^ layout.bits, self._free)
+        if bound is not None:
+            self._bind(_Support(bound.base ^ layout.bits, bound.free))
 
     # -- debug-only inspection -------------------------------------------
 
@@ -1005,7 +1004,7 @@ class RegisterView:
         moves only the nonzero amplitudes when the state is sparse enough
         (``SimulationContext._permute_support``).
         """
-        ops = tuple(ops)
+        ops = as_items(ops, "a plan")
         plan = _fused(ops)
         if plan.top >= len(self) or not plan.unitary:
             for op in ops:  # raises for the first op that does not fit or is not unitary

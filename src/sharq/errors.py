@@ -1,8 +1,9 @@
 """Exception types raised by the simulation.
 
 ``as_int`` and ``as_indices`` parse every integer argument and qubit index, refusing floats
-and a scalar where indices belong; ``as_real`` parses every rotation angle, refusing
-strings, complex numbers and non-finite values.
+and a scalar where indices belong; ``as_items`` parses every other sequence argument;
+``as_real`` parses every rotation angle and tolerance, refusing strings, complex numbers
+and non-finite values.
 """
 import math
 import numbers
@@ -95,12 +96,16 @@ def as_real(value, what: str) -> float:
     return real
 
 
-def _group(group) -> tuple[int, ...]:
+def as_items(items, what: str) -> tuple:
+    """``items`` as a tuple, if it is iterable."""
     try:
-        items = iter(group)
+        return tuple(items)
     except TypeError:
-        raise InvalidParameterError(f"qubit indices must be a sequence, got {group!r}") from None
-    return tuple(as_int(i, "qubit index") for i in items)
+        raise InvalidParameterError(f"{what} must be a sequence, got {items!r}") from None
+
+
+def _group(group) -> tuple[int, ...]:
+    return tuple([as_int(i, "qubit index") for i in as_items(group, "qubit indices")])
 
 
 def as_indices(*groups) -> tuple[tuple[int, ...], ...]:

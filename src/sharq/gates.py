@@ -85,7 +85,14 @@ class QuantumOperation:
             raise InvalidParameterError("operation needs exactly one of matrix/permutation")
         object.__setattr__(self, "targets", as_indices(self.targets)[0])
         field, dtype = ("matrix", complex) if self.permutation is None else ("permutation", np.int64)
-        action = np.asarray(getattr(self, field), dtype=dtype)
+        action = getattr(self, field)
+        try:  # a complex permutation is refused, which a cast would cut to its real parts
+            if dtype is np.int64 and np.iscomplexobj(action):
+                raise TypeError
+            action = np.asarray(action, dtype=dtype)
+        except (TypeError, ValueError, OverflowError):  # what numpy raises for such entries
+            raise InvalidParameterError(f"{self.name}: {field} holds entries that are no numbers") \
+                from None
         if action.flags.writeable:  # every cached fact assumes the action never changes
             action = action.copy()
             action.flags.writeable = False
@@ -247,6 +254,8 @@ class _GatheredFlips(NamedTuple):
 
 
 def retarget(op: QuantumOperation, new_targets) -> QuantumOperation:
+    if not isinstance(op, QuantumOperation):
+        raise InvalidParameterError(f"cannot retarget {op!r}, which is not a QuantumOperation")
     return op.retarget(new_targets)
 
 
@@ -424,8 +433,9 @@ _SPEC_PARAM = {"R_k": rotation_k, "Rx": rx, "Ry": ry, "Rz": rz}
 
 def single_qubit_gate(spec: GateSpec, target: int = 0) -> QuantumOperation:
     """Build the catalog gate described by ``spec``."""
-    if not isinstance(spec, GateSpec):
-        raise InvalidParameterError(f"a gate is described by a GateSpec, got {spec!r}")
+    if not isinstance(spec, GateSpec) or not isinstance(spec.kind, str):
+        raise InvalidParameterError(f"a gate is described by a GateSpec that names its kind, "
+                                    f"got {spec!r}")
     if spec.kind in _SPEC_FIXED:
         if spec.parameter is not None:
             raise InvalidParameterError(f"{spec.kind} takes no parameter")
@@ -499,6 +509,8 @@ def expand_to_full_matrix(op: QuantumOperation, n_qubits: int) -> np.ndarray:
     Built by explicit index arithmetic so it stays an independent oracle for
     the direct state-vector application path.
     """
+    if not isinstance(op, QuantumOperation):
+        raise InvalidParameterError(f"cannot expand {op!r}, which is not a QuantumOperation")
     n_qubits = as_int(n_qubits, "qubit count")
     if n_qubits < 0:
         raise InvalidParameterError(f"cannot expand onto a negative number of qubits, got {n_qubits}")

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotSquareError, QubitLimitExceededError, as_int
+from .errors import (DimensionMismatchError, InvalidParameterError, NotSquareError,
+                     QubitLimitExceededError, as_int, as_real)
 
 # Tolerances: unitarity checks and state comparisons accumulate round-off
 # differently, so they get separate defaults.
@@ -31,7 +32,10 @@ def require_dense(n_qubits: int, what: str):
 
 def as_matrix(a) -> np.ndarray:
     """Coerce to a 2-D complex array without copying when possible."""
-    m = np.asarray(a, dtype=complex)
+    try:
+        m = np.asarray(a, dtype=complex)
+    except (TypeError, ValueError):  # what numpy raises for entries that are no numbers
+        raise InvalidParameterError(f"expected a matrix of numbers, got {a!r}") from None
     if m.ndim == 1:
         m = m.reshape(-1, 1)
     if m.ndim != 2:
@@ -62,7 +66,7 @@ def conjugate_transpose(a) -> np.ndarray:
 
 def is_unitary(a, tol: float = UNITARY_TOL) -> bool:
     """True iff U†U and UU† both equal identity within ``tol`` (max-abs entry)."""
-    u = as_matrix(a)
+    u, tol = as_matrix(a), as_real(tol, "tolerance")
     if u.shape[0] != u.shape[1]:
         raise NotSquareError(f"unitarity is only defined for square matrices, got {u.shape}")
     eye = np.eye(u.shape[0])
@@ -74,8 +78,7 @@ def is_unitary(a, tol: float = UNITARY_TOL) -> bool:
 
 def approx_equal(a, b, tol: float = STATE_TOL) -> bool:
     """True iff same shape and max entry-wise |a-b| <= tol."""
-    a = as_matrix(a)
-    b = as_matrix(b)
+    a, b, tol = as_matrix(a), as_matrix(b), as_real(tol, "tolerance")
     if a.shape != b.shape:
         return False
     return bool(np.abs(a - b).max() <= tol)

@@ -399,7 +399,7 @@ class TestSetFromUnsigned:
         with pytest.raises(NotClassicalStateError, match="physical qubit 5 "):
             reg.set_from_unsigned(0)
         assert calls == []
-        ctx._bounded = None
+        ctx._state = ctx._state.copy()  # a replaced array has no bound
         with pytest.raises(NotClassicalStateError, match="physical qubit 5 "):
             reg.set_from_unsigned(0)
         assert len(calls) == 1
@@ -415,21 +415,21 @@ class TestSetFromUnsigned:
             register = context.allocate_register(10)
             register.apply_operations([hadamard(1), hadamard(6)]).apply_operations(plan)
             register.apply_operation(hadamard(8))
-        assert ctx._is_bounded() and (len(ctx._base), ctx._free) == (4, 1 << 1)
-        base, free, state = ctx._base.copy(), ctx._free, ctx._state
-        twin._bounded = None
+        (base, free), state = ctx._bound(), ctx._state
+        assert (len(base), free) == (4, 1 << 1)
+        twin._state = twin._state.copy()
         ctx._flip(flipped)
         twin._flip(flipped)
         assert ctx._state is state  # in place
         assert np.array_equal(ctx._state, twin._state)
         bits = engine._layout(10, flipped).bits
-        assert np.array_equal(ctx._base, base ^ bits) and ctx._free == free
+        assert np.array_equal(ctx._bound().base, base ^ bits) and ctx._bound().free == free
 
     def test_a_value_the_bound_pins_is_read_off_it_as_the_marginal_reads_it(self, monkeypatch):
         ctx = SimulationContext(seed=0)
         ctx.allocate_register(3).apply_operations([hadamard(0), hadamard(2)])
         reg = ctx.allocate_register(4).apply_operations([pauli_x(0), cnot(0, 2), toffoli(0, 2, 3)])
-        assert ctx._is_bounded() and len(ctx._base) == 4  # the sparse path: four words
+        assert len(ctx._bound().base) == 4  # the sparse path: four words
         calls = []
         original = SimulationContext._marginal_probabilities
         monkeypatch.setattr(SimulationContext, "_marginal_probabilities",
@@ -446,7 +446,7 @@ class TestSetFromUnsigned:
         with pytest.raises(NotClassicalStateError, match="physical qubit 2 "):
             view.set_from_unsigned(0)
         assert calls == []
-        ctx._bounded = None
+        ctx._state = ctx._state.copy()
         with pytest.raises(NotClassicalStateError, match="physical qubit 2 "):
             view.set_from_unsigned(0)
         assert len(calls) == 1
@@ -460,19 +460,19 @@ class TestSetFromUnsigned:
         reg = ctx.allocate_register(7)
         for value in rng.integers(0, 1 << 7, 8).tolist():
             reg.set_from_unsigned(value)
-            word, free = ctx._base.copy(), ctx._free
-            assert ctx._is_bounded() and len(word) == 1 and free == 1 << 8
+            word, free = bound = ctx._bound()
+            assert len(word) == 1 and free == 1 << 8
             order = rng.permutation(7)[:rng.integers(1, 8)].tolist()
             physical = reg.slice(order).exposed
             expected = sum(((value >> (6 - i)) & 1) << (len(order) - 1 - j)
                            for j, i in enumerate(order))
             read = ctx._classical_value(physical)
             assert read == expected and type(read) is int
-            ctx._bind(np.concatenate([word, word]), free)
+            ctx._bind(engine._Support(np.concatenate([word, word]), free))
             assert ctx._classical_value(physical) == expected
-            ctx._bounded = None
+            ctx._bind(None)
             assert ctx._classical_value(physical) == expected
-            ctx._bind(word, free)
+            ctx._bind(bound)
 
 
 class TestApplyOperation:
@@ -653,6 +653,28 @@ class TestMeasurement:
         assert value == engine.RegisterView(twin, tuple(range(18))).measure().to_unsigned()
         assert ctx._state is state and np.array_equal(state, twin._state)
         assert peak < state.nbytes / 64
+
+    @pytest.mark.parametrize("gate", [pauli_x(5), phase_t(5)], ids=["X", "T"])
+    def test_a_lone_permutation_or_phase_on_a_sparse_state_touches_only_its_candidates(self, gate):
+        # 4 nonzero amplitudes of 2**20: the gate moves or scales its candidates'
+        # groups in place, where the block take would write a fresh 16 MiB array.
+        # The twin has no bound, so it takes the dense paths
+        ctx = SimulationContext(seed=1, debug=True)
+        reg = ctx.allocate_register(20)
+        reg.apply_operations([hadamard(3), hadamard(11), pauli_x(5)])
+        twin = SimulationContext(seed=1, debug=True)
+        twin.allocate_register(20)
+        twin._state = ctx._state.copy()
+        state = ctx._state
+        tracemalloc.start()
+        try:
+            reg.apply_operation(gate)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        twin._apply(gate, gate.targets)
+        assert ctx._state is state and np.array_equal(state, twin._state)
+        assert peak < state.nbytes / 32
 
     def test_normalization_preserved_through_random_program(self, debug_ctx):
         rng = np.random.default_rng(8)
@@ -994,7 +1016,8 @@ class TestApplyOperations:
         assert np.array_equal(ctx._state, reference._state)
         assert np.array_equal(warm._state, reference._state)
         assert peak < ctx._state.nbytes / 32
-        assert np.count_nonzero(ctx._state) == 8 and len(ctx._base) == 8 and ctx._free == 0
+        assert np.count_nonzero(ctx._state) == 8
+        assert len(ctx._bound().base) == 8 and ctx._bound().free == 0
 
     def test_a_bound_at_the_share_is_trusted_and_one_qubit_past_it_is_counted(self):
         n = 12
@@ -1043,7 +1066,7 @@ class TestApplyOperations:
         reg = ctx.allocate_register(8)
         reg.apply_operation(hadamard(0))
         reg.apply_operations([cnot(0, 1)])  # the bound: the words 0 and 0b11 << 6, none free
-        assert sorted(ctx._base.tolist()) == [0, 0b11 << 6] and ctx._free == 0
+        assert sorted(ctx._bound().base.tolist()) == [0, 0b11 << 6] and ctx._bound().free == 0
         reg.apply_operation(hadamard(1))
         reg.apply_operation(hadamard(0))  # both words now stand for the same 4 indices
         twin = SimulationContext(debug=True)
@@ -1052,7 +1075,8 @@ class TestApplyOperations:
         scans = self._count_scans(ctx)
         reg.apply_operations([cnot(1, 2)])
         twin_reg.apply_operations([cnot(1, 2)])
-        assert not scans and sorted(ctx._base.tolist()) == [0, 0b011 << 5, 0b100 << 5, 0b111 << 5]
+        assert not scans
+        assert sorted(ctx._bound().base.tolist()) == [0, 0b011 << 5, 0b100 << 5, 0b111 << 5]
         assert np.array_equal(ctx._state, twin._state)
 
     def test_a_measurement_pins_its_qubits_and_names_each_word_once(self):
@@ -1068,11 +1092,11 @@ class TestApplyOperations:
         # the words disagree on qubit 1, which is pinned: the outcome keeps one
         ctx, reg = two_words(hadamard(2))
         bit = reg.measure([1]).to_unsigned()
-        assert ctx._base.tolist() == [bit * 0b11 << 6] and ctx._free == 1 << 5
+        assert ctx._bound().base.tolist() == [bit * 0b11 << 6] and ctx._bound().free == 1 << 5
         # qubits 0 and 1 freed: the outcome sets them, and the two words become one
         ctx, reg = two_words(hadamard(1), hadamard(0))
         word = reg.measure([0, 1, 2]).to_unsigned() << 5
-        assert ctx._base.tolist() == [word] and ctx._free == 0
+        assert ctx._bound().base.tolist() == [word] and ctx._bound().free == 0
         assert set(np.flatnonzero(ctx._state).tolist()) <= {word}
 
     def test_an_empty_plan_touches_nothing(self, monkeypatch):

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sharq import SimulationContext, algorithms, engine, gates
+import sharq
+from sharq import SimulationContext, algorithms, engine, gates, linalg
 from sharq.algorithms import circuit_uf, semantic_uf
 from sharq.arithmetic import OperationPlan, add_n_ops, modular_add_ops, run_on_basis
 from sharq.errors import NotUnitaryOperationError
@@ -272,8 +273,13 @@ def operations(draw, width):
     the axis move of wider ones."""
     arity = draw(st.integers(0, min(4, width)), label="arity")
     targets = tuple(draw(st.permutations(range(width)), label="targets")[:arity])
-    kind = draw(st.sampled_from(KINDS), label="kind")
-    dim = 1 << arity
+    return draw(actions(draw(st.sampled_from(KINDS), label="kind"), targets))
+
+
+@st.composite
+def actions(draw, kind, targets):
+    """A random operation of ``kind``, one of KINDS, on ``targets``."""
+    dim = 1 << len(targets)
     rng = np.random.default_rng(draw(seeds, label="seed"))
     if kind == "dense":
         return QuantumOperation(kind, targets, matrix=_random_unitary(rng, dim))
@@ -592,9 +598,10 @@ def test_plans_that_repeat_a_run_share_its_fused_ops_and_apply_as_gate_by_gate(d
 
 def _assert_inside_the_bound(ctx):
     """Every nonzero amplitude sits inside the support bound, when there is one."""
-    if not ctx._is_bounded():
+    bound = ctx._bound()
+    if bound is None:
         return
-    base, free = ctx._base.tolist(), ctx._free
+    base, free = bound.base.tolist(), bound.free
     assert len(set(base)) == len(base)
     allowed = {word & ~free for word in base}
     assert {index & ~free for index in np.flatnonzero(ctx._state).tolist()} <= allowed
@@ -637,10 +644,11 @@ def test_the_support_bound_holds_after_every_step_and_plans_apply_as_without_it(
             view.set_from_unsigned(data.draw(st.integers(0, (1 << len(view)) - 1), label="value"))
         elif step == "measure":
             value = view.measure().to_unsigned()
-            if ctx._is_bounded():  # the bound pins the measured qubits to the outcome
+            bound = ctx._bound()
+            if bound is not None:  # the bound pins the measured qubits to the outcome
                 layout = engine._layout(n, view.exposed)
-                assert not ctx._free & layout.bits
-                assert set(gates.gather_bits(layout.runs, ctx._base).tolist()) == {value}
+                assert not bound.free & layout.bits
+                assert set(gates.gather_bits(layout.runs, bound.base).tolist()) == {value}
         elif step == "plan":
             ops = data.draw(classical_plans(len(view), barriers=False), label="ops")
             twin = SimulationContext(debug=True)
@@ -671,41 +679,47 @@ def _unbounded_twin(ctx):
 
 
 @st.composite
-def dense_gates(draw, width):
-    """A random unitary on 1-3 targets of ``width`` qubits, adjacent ascending or scattered."""
+def sparse_gates(draw, width, kind):
+    """An operation of ``kind`` on 1-3 targets of ``width`` qubits, adjacent
+    ascending or scattered."""
     k = draw(st.integers(1, 3), label="k")
     if draw(st.booleans(), label="adjacent"):
         start = draw(st.integers(0, width - k), label="start")
         targets = tuple(range(start, start + k))
     else:
         targets = tuple(draw(st.permutations(range(width)), label="targets")[:k])
-    rng = np.random.default_rng(draw(seeds, label="seed"))
-    return QuantumOperation("dense", targets, matrix=_random_unitary(rng, 1 << k))
+    return draw(actions(kind, targets))
 
 
 @PROPERTY
 @given(st.data())
 def test_dense_gates_and_reads_on_a_sparse_state_match_the_dense_paths(data):
-    # a classical plan moves |0...0> to a random word, and each dense gate then
-    # frees its targets' bits: the first gate always takes the sparse path, and
-    # the later ones take it while the bound's groups stay within 1/16 of the state
+    # a classical plan moves |0...0> to a random word, and each dense gate or
+    # permutation then frees its targets' bits: the first gate always takes the
+    # sparse path, and the later ones take it while the bound's groups stay within
+    # 1/16 of the state. Phases leave the bound as it was
     n = data.draw(st.integers(7, 12), label="n")
     ctx = SimulationContext(seed=data.draw(seeds, label="ctx seed"), debug=True)
     reg = ctx.allocate_register(n)
     reg.apply_operations(data.draw(classical_plans(n, barriers=False), label="plan"))
-    steps = data.draw(st.lists(st.sampled_from(("gate", "gate", "read")), min_size=1, max_size=8),
-                      label="steps")
-    for i, step in enumerate(["gate", *steps]):
+    steps = data.draw(st.lists(st.sampled_from(("dense", "dense", *KINDS[1:], "read")),
+                               min_size=1, max_size=8), label="steps")
+    for i, step in enumerate(["dense", *steps]):
         twin = _unbounded_twin(ctx)
-        if step == "gate":
-            op = data.draw(dense_gates(n), label="op")
-            bits = engine._layout(n, op.targets).bits
-            sparse = engine._candidates(ctx._base, ctx._free, 1 << n, bits) is not None
+        if step != "read":
+            op = data.draw(sparse_gates(n, step), label="op")
+            bound = ctx._bound()
+            sparse = bound is not None and \
+                bound.candidates(1 << n, engine._layout(n, op.targets).bits) is not None
             assert sparse or i > 0
             reg.apply_operation(op)
             twin._apply(op, op.targets)
-            # the two products sum in other orders, so they agree to rounding
-            assert np.abs(ctx._state - twin._state).max() <= 1e-15
+            if step == "dense":
+                # the two products sum in other orders, so they agree to rounding
+                assert np.abs(ctx._state - twin._state).max() <= 1e-15
+            else:  # moves and scalings are exact
+                assert np.array_equal(ctx._state, twin._state)
+            assert op._kernel != "diag" or ctx._bound() is bound
         else:
             subset = list(range(n))  # every qubit in order, or a random subset
             if data.draw(st.booleans(), label="subset"):
@@ -881,3 +895,106 @@ def test_plans_with_a_gate_wider_than_a_fused_run_trace_alike_as_ints_and_arrays
         # the first size is traced one int at a time, the second as one array
         traced = run_on_basis(ops, width, np.array(values[:size], dtype=np.int64))
         assert traced.tolist() == expected[:size]
+
+
+# --- typed refusals at every public entry point --------------------------------
+
+def _seeded():
+    return SimulationContext(seed=0)
+
+
+def _three_qubits():
+    return _seeded().allocate_register(3)
+
+
+# each exported function and method with junk in one argument; the others are valid
+ENTRY_POINTS = {
+    **{call.__name__: call for call in (
+        sharq.hadamard, sharq.pauli_x, sharq.pauli_y, sharq.pauli_z, sharq.phase_s,
+        sharq.phase_t, sharq.identity_gate, sharq.walsh, sharq.rotation_k, sharq.rx,
+        sharq.qft_ops, sharq.inverse_qft_ops, sharq.hadamard_all_ops, sharq.reverse_ops,
+        sharq.bits_to_express, sharq.is_prime, sharq.is_prime_power, linalg.is_unitary,
+        linalg.as_matrix, linalg.conjugate_transpose, linalg.identity)},
+    "cnot target": lambda x: sharq.cnot(0, x),
+    "swap": lambda x: sharq.swap(0, x),
+    "toffoli target": lambda x: sharq.toffoli(0, 1, x),
+    "fredkin target": lambda x: sharq.fredkin(0, 1, x),
+    "rotation_k target": lambda x: sharq.rotation_k(2, x),
+    "rz target": lambda x: sharq.rz(0.5, x),
+    "controlled_u u": lambda x: sharq.controlled_u(x, (0,), 1),
+    "controlled_u controls": lambda x: sharq.controlled_u(hadamard(0), x, 1),
+    "retarget op": lambda x: sharq.retarget(x, (1,)),
+    "retarget targets": lambda x: sharq.retarget(hadamard(0), x),
+    "single_qubit_gate": sharq.single_qubit_gate,
+    "GateSpec kind": lambda x: sharq.single_qubit_gate(sharq.GateSpec(x, 0.5)),
+    "GateSpec parameter": lambda x: sharq.single_qubit_gate(sharq.GateSpec("Rx", x)),
+    "single_qubit_gate target": lambda x: sharq.single_qubit_gate(sharq.GateSpec("H"), x),
+    "QuantumOperation targets": lambda x: QuantumOperation("q", x, permutation=[1, 0]),
+    "QuantumOperation matrix": lambda x: QuantumOperation("q", (0,), matrix=x),
+    "QuantumOperation permutation": lambda x: QuantumOperation("q", (0,), permutation=x),
+    "expand_to_full_matrix op": lambda x: expand_to_full_matrix(x, 2),
+    "expand_to_full_matrix width": lambda x: expand_to_full_matrix(hadamard(0), x),
+    "prepare_named_state": lambda x: prepare_named_state(_seeded(), x),
+    "deutsch": lambda x: sharq.deutsch(_seeded(), x),
+    "extract_period samples": lambda x: sharq.extract_period(x, 2, 15),
+    "extract_period sample": lambda x: sharq.extract_period([x], 2, 15),
+    "extract_period m": lambda x: sharq.extract_period([sharq.PeriodSample(3, 8)], x, 15),
+    "extract_period n": lambda x: sharq.extract_period([sharq.PeriodSample(3, 8)], 2, x),
+    "semantic_uf m": lambda x: semantic_uf(x, 15),
+    "semantic_uf modulus": lambda x: semantic_uf(2, x),
+    "shor_quantum_step n": lambda x: sharq.shor_quantum_step(_seeded(), x, 2),
+    "shor_quantum_step m": lambda x: sharq.shor_quantum_step(_seeded(), 15, x),
+    "shor_quantum_step oracle": lambda x: sharq.shor_quantum_step(_seeded(), 15, 2, oracle=x),
+    "shor_factor n": lambda x: sharq.shor_factor(_seeded(), x),
+    "shor_factor force_m": lambda x: sharq.shor_factor(_seeded(), 15, force_m=x),
+    "add_n_ops": lambda x: add_n_ops(x, [1], [2]),
+    "carry_ops": lambda x: sharq.carry_ops(x, 1, 2, 3),
+    "carry_inverse_ops": lambda x: sharq.carry_inverse_ops(0, x, 2, 3),
+    "sum_ops": lambda x: sharq.sum_ops(0, 1, x),
+    "modular_add_ops": lambda x: modular_add_ops([0, 1], [2, 3], [4, 5], [6, 7], 8, x),
+    "modular_exponentiation_ops": lambda x: sharq.modular_exponentiation_ops(
+        [0], [1, 2, 3, 4], range(5, 19), x, 15),
+    "controlled_modular_multiply_ops": lambda x: sharq.controlled_modular_multiply_ops(
+        0, [1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12], [13, 14, 15, 16, 17], x, 15),
+    "run_on_basis ops": lambda x: run_on_basis(x, 3, 1),
+    "run_on_basis width": lambda x: run_on_basis([pauli_x(0)], x, 1),
+    "run_on_basis value": lambda x: run_on_basis([pauli_x(0)], 3, x),
+    "gcd": lambda x: sharq.gcd(x, 3),
+    "mod_pow": lambda x: sharq.mod_pow(2, x, 15),
+    "trial_seed": lambda x: sharq.trial_seed(0, x),
+    "SimulationContext seed": lambda x: SimulationContext(seed=x),
+    "SimulationContext cap": lambda x: SimulationContext(qubit_cap=x),
+    "allocate_register": lambda x: _seeded().allocate_register(x),
+    "set_location": lambda x: _seeded().set_location(x),
+    "slice": lambda x: _three_qubits().slice(x),
+    "slice_range": lambda x: _three_qubits().slice_range(x, 1),
+    "slice_reorder": lambda x: _three_qubits().slice_reorder(x),
+    "set_from_unsigned": lambda x: _three_qubits().set_from_unsigned(x),
+    "apply_operation": lambda x: _three_qubits().apply_operation(x),
+    "apply_operations": lambda x: _three_qubits().apply_operations(x),
+    "measure": lambda x: _three_qubits().measure(x),
+    "is_unitary tol": lambda x: linalg.is_unitary(np.eye(2), x),
+    "approx_equal": lambda x: linalg.approx_equal(x, np.eye(2)),
+    "tensor": lambda x: linalg.tensor(x, np.eye(2)),
+    "multiply": lambda x: linalg.multiply(np.eye(2), x),
+}
+
+# None, strings, lists, floats with inf and NaN, ints past 64 bits, complex numbers,
+# NumPy scalars, bools and negatives. Ints stay small where they are valid, so no
+# call allocates a wide state
+junk = st.one_of(
+    st.sampled_from([None, 2**70, -1, True, np.int64(2), np.float64(0.5), np.complex128(1j)]),
+    st.text(max_size=3), st.lists(st.integers(-1, 8), max_size=3), st.floats(),
+    st.complex_numbers(), st.integers(-2, 12))
+
+
+@PROPERTY
+@given(junk)
+def test_every_entry_point_returns_or_raises_a_typed_refusal_on_junk(value):
+    for name, call in ENTRY_POINTS.items():
+        try:
+            call(value)
+        except sharq.SharqError:
+            pass
+        except Exception as exc:
+            raise AssertionError(f"{name}({value!r}) raised {exc!r}") from exc
