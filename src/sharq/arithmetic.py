@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _fused
+from .engine import _fused, _require_operations
 from .errors import InvalidParameterError, SizeMismatchError, as_indices, as_int, as_items
 from .gates import HARD_QUBIT_LIMIT, QuantumOperation, cnot, pauli_x, toffoli, trace_subindices
 
@@ -29,6 +29,12 @@ class OperationPlan:
 
     ops: tuple[QuantumOperation, ...]
     result_indices: tuple[int, ...]
+
+    def __post_init__(self):
+        ops = as_items(self.ops, "a plan")
+        _require_operations(ops)
+        object.__setattr__(self, "ops", ops)
+        object.__setattr__(self, "result_indices", as_indices(self.result_indices)[0])
 
     def inverse(self) -> "OperationPlan":
         """The reverse circuit: inverted gates in reverse order."""

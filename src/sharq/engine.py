@@ -46,21 +46,23 @@ kernels and traces cache. ``_fused`` keeps the 64 most recently used fused plans
 any amplitude changes; fusion and the kernels trust them. The very tuple of its
 previous call gets that call's plan back unhashed, so a plan traced input by
 input costs one pass over its fused ops per input, and each plan keeps the
-``(mask, flips)`` pairs its int traces loop over. A nonempty plan of basis
-permutations alone, on a state whose nonzero amplitudes are at most
-``_SUPPORT_SHARE`` = 1/16 of it, does not pass over the state once per fused op:
-``_permute_support`` gathers the view's bits of the nonzero indices, traces them
-through the fused ops (``gates.trace_subindices``) and moves each nonzero
-amplitude once, in place. The support bound (base indices and a mask of free bits)
-is one ``_Support`` value that every kernel reads once and replaces, without reading
-the state; a measurement pins the measured qubits, and a register it pins to one
-value is read off it. While it allows at most that share, the plan takes its indices,
-and any gate gathers the 2**k amplitudes of each group of candidates it mixes into
-one row and moves (a permutation), scales (phases, which leave the bound as it was)
-or multiplies them in place, with nothing of the state's size. A state array replaced
-from outside the kernels has no bound; its support is found in one cast to bool.
-Moves and phases are bit-identical either way, the sign of a zero aside, and dense
-rows agree with the dense kernels' products to rounding.
+``(mask, flips)`` pairs its int traces loop over.
+
+The support bound (base indices and a mask of free bits) is one ``_Support`` value
+that every kernel reads once and replaces, without reading the state; it is the
+one record of sparsity. A state without one is dense: no kernel counts the nonzero
+amplitudes, and only the debug hook ``_set_state`` binds a state from them. While
+the bound allows at most ``_SUPPORT_SHARE`` = 1/16 of the state, a nonempty plan of
+basis permutations alone, or a lone one, makes no pass over it: ``_move`` gathers
+the view's bits of the candidate indices, takes their images (traced through the
+fused ops by ``gates.trace_subindices``, or the gate's basis map) and moves each
+candidate once, in place; the moved indices are the new bound, with no bit free. A
+measurement pins the measured qubits, and a register it pins to one value is read
+off the bound. Any other gate gathers the 2**k amplitudes of each group of
+candidates it mixes into one row and scales (phases, which leave the bound as it
+was) or multiplies them in place, with nothing of the state's size. Moves and
+phases are bit-identical either way, the sign of a zero aside, and dense rows agree
+with the dense kernels' products to rounding.
 """
 from __future__ import annotations
 
@@ -110,20 +112,19 @@ def _unallocatable(n_qubits: int) -> QubitLimitExceededError:
     )
 
 
-# A classical plan moves only the nonzero amplitudes while they are at most this
-# share of the state (``SimulationContext._permute_support``); denser states take
-# one pass per fused op. The support path's cost grows with the support and the
-# number of bit runs per op. Measured on random supports (2-core Xeon, numpy 2.4,
-# median of 3-5 applies), it costs at 1/16 about 0.07 of the passes on the
-# 18-qubit modular adder, 0.05 on the 18-qubit multiplier and 0.16 on the 22-qubit
-# adder, and breaks even past 1/2 on the first two and at about 2/5 on the third.
-# The share stays at 1/16 although those break-evens allow more: its index arrays
-# take about 64 bytes per nonzero amplitude, a quarter of the state's bytes at
-# 1/16 but as much as the state itself at 1/4, where the adder's gain is < 2x.
-# When the support bound allows at most this share, the support is its candidate
-# indices and the path never reads the state in full. Otherwise the support is
-# found in one cast to bool, which on a 4 MiB (18-qubit) state costs about 0.3 ms
-# with the count and the index, as much as the rest of a sparse modular add.
+# A basis permutation, a classical plan's or a lone one, moves only the support
+# bound's candidates while they are at most this share of the state
+# (``SimulationContext._move``); a state with a looser bound, or none, takes one
+# pass per fused op. The mover's cost grows with the candidates and the number of
+# bit runs per op. Measured on random supports (2-core Xeon, numpy 2.4, median of
+# 3-5 applies), it costs at 1/16 about 0.07 of the passes on the 18-qubit modular
+# adder, 0.05 on the 18-qubit multiplier and 0.16 on the 22-qubit adder, and breaks
+# even past 1/2 on the first two and at about 2/5 on the third. The share stays at
+# 1/16 although those break-evens allow more: its index arrays take about 64 bytes
+# per candidate, a quarter of the state's bytes at 1/16 but as much as the state
+# itself at 1/4, where the adder's gain is < 2x. No kernel reads the state to find
+# its support: a cast to bool with the count and the index costs about 0.3 ms on a
+# 4 MiB (18-qubit) state, as much as the rest of a sparse modular add.
 _SUPPORT_SHARE = 1 / 16
 
 # On an (a, 2**k, b) view with short columns, broadcasting M over a would be a
@@ -514,8 +515,9 @@ class SimulationContext:
     # -- support bound ---------------------------------------------------
 
     def _bound(self) -> _Support | None:
-        """The support bound of ``_state``: none for an array replaced from outside
-        the kernels until a sparse plan finds its support, nor once every bit is free."""
+        """The support bound of ``_state``: none, so that the state is dense, for an
+        array replaced from outside the kernels other than by ``_set_state``, nor
+        once every bit is free."""
         bounded, support = self._bounded
         return support if bounded() is self._state else None
 
@@ -530,17 +532,17 @@ class SimulationContext:
         layout = _layout(self._count, physical_targets)
         ndim, axes = len(layout.shape), layout.axes
         state, kernel = self._state, op._kernel
+        if kernel == "perm" and self._move(layout.runs, op._basis_images.__getitem__):
+            return
         psi = state.reshape(layout.shape)
         bound = self._bound()
         groups = None if bound is None else bound.candidates(state.size, layout.bits)
         if groups is not None:
             # a sparse state: the 2**k indices of each group are one row, whose
-            # amplitudes are moved, scaled or multiplied in place
+            # amplitudes are scaled or multiplied in place
             sub = np.arange(op.dimension, dtype=np.int64)
             at = groups[:, None] | scatter_bits(layout.runs, sub)
-            if kernel == "perm":
-                state[at] = state[at[:, op._permutation_inverse]]
-            elif kernel == "diag":
+            if kernel == "diag":
                 for sub_index, phase in op._phases:
                     # not ``*=``, which rounds a lone amplitude otherwise than a slice
                     state[at[:, sub_index]] = state[at[:, sub_index]] * phase
@@ -664,40 +666,22 @@ class SimulationContext:
         self._bind(_Support(bound.base, bound.free | layout.bits).pinned(layout, c << n | f))
         return measured, f
 
-    def _scan_support(self) -> np.ndarray | None:
-        """The flat indices of the nonzero amplitudes, found in one pass over the
-        state, or None when they are more than ``_SUPPORT_SHARE`` of it."""
-        state = self._state
-        # a bool mask is fast to count and to index, where a complex array is slow
-        # to do either. The cast is the mask ``state != 0`` (NaN counts, -0.0 does
-        # not) at about a third of its cost.
-        nonzero = state.astype(bool)
-        if np.count_nonzero(nonzero) > state.size * _SUPPORT_SHARE:
-            return None
-        return np.flatnonzero(nonzero)
+    def _move(self, runs, image) -> bool:
+        """Move each candidate of the support bound to the index whose bits on
+        ``runs`` hold ``image`` of the sub-index they held, a basis permutation that
+        the caller has checked; False, having touched nothing, when the candidates
+        are more than ``_SUPPORT_SHARE`` of the state.
 
-    def _permute_support(self, ops, physical: tuple[int, ...]) -> bool:
-        """Run the basis permutations ``ops`` on the view qubits ``physical`` by
-        moving only the nonzero amplitudes, when they are sparse enough.
-
-        The support is the support bound's candidates when they are at most
-        ``_SUPPORT_SHARE`` of the state, and otherwise what ``_scan_support``
-        finds. Returns False, having touched nothing, when more than that share
-        is nonzero. Otherwise the view's bits of each flat index are gathered
-        into its sub-index (``_Layout.runs``), ``trace_subindices`` carries those
-        through ``ops``, and each amplitude moves once to the index its flipped
-        bits name; the moved indices are the new bound. The caller has checked
-        ``ops``.
+        Each amplitude moves once, in place, and the moved indices are the new
+        bound, with no bit free. A classical plan (``image`` traces its fused ops)
+        and a lone permutation (``image`` is its basis map) share this mover.
         """
         state, bound = self._state, self._bound()
         support = None if bound is None else bound.candidates(state.size)
         if support is None:
-            support = self._scan_support()
-            if support is None:
-                return False
-        runs = _layout(self._count, physical).runs
+            return False
         sub = gather_bits(runs, support)
-        moved = support ^ scatter_bits(runs, sub ^ trace_subindices(ops, sub, len(physical)))
+        moved = support ^ scatter_bits(runs, sub ^ image(sub))
         values = state[support]
         state[support] = 0
         state[moved] = values
@@ -888,7 +872,11 @@ class SimulationContext:
             )
 
     def _set_state(self, amplitudes):
-        """Debug/test hook: overwrite the full amplitude vector."""
+        """Debug/test hook: overwrite the full amplitude vector, normalised.
+
+        The one way to bind a state from its amplitudes: the bound is the exact
+        nonzero indices when they are at most ``_SUPPORT_SHARE`` of the state, and
+        none otherwise."""
         self._require_debug()
         vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if vec.shape != (1 << self._count,):
@@ -897,6 +885,11 @@ class SimulationContext:
         if norm == 0:
             raise InvalidParameterError("cannot set a zero state")
         self._state = vec / norm
+        # a bool mask is fast to count and to index, where a complex array is slow
+        # to do either. The cast is the mask ``state != 0`` (NaN counts, -0.0 does not)
+        nonzero = self._state.astype(bool)
+        sparse = np.count_nonzero(nonzero) <= self._state.size * _SUPPORT_SHARE
+        self._bind(_Support(np.flatnonzero(nonzero), 0) if sparse else None)
 
 
 class RegisterView:
@@ -1001,8 +994,9 @@ class RegisterView:
 
         The whole plan is checked first, so a bad operation anywhere in it
         raises before any amplitude changes. A plan of basis permutations alone
-        moves only the nonzero amplitudes when the state is sparse enough
-        (``SimulationContext._permute_support``).
+        moves only the support bound's candidates when they are at most
+        ``_SUPPORT_SHARE`` of the state (``SimulationContext._move``); a state
+        with a looser bound, or none, takes one pass per fused op.
         """
         ops = as_items(ops, "a plan")
         plan = _fused(ops)
@@ -1010,10 +1004,12 @@ class RegisterView:
             for op in ops:  # raises for the first op that does not fit or is not unitary
                 self._physical(op)
                 op.require_unitary()
-        if plan.classical and self.context._permute_support(plan.ops, self._exposed[:plan.top + 1]):
+        ctx, width = self.context, plan.top + 1
+        if plan.classical and ctx._move(_layout(ctx._count, self._exposed[:width]).runs,
+                                        lambda sub: trace_subindices(plan.ops, sub, width)):
             return self
         for op in plan.ops:
-            self.context._apply(op, self._physical(op))
+            ctx._apply(op, self._physical(op))
         return self
 
     # -- measurement ----------------------------------------------------------

@@ -84,14 +84,21 @@ class QuantumOperation:
         if (self.matrix is None) == (self.permutation is None):
             raise InvalidParameterError("operation needs exactly one of matrix/permutation")
         object.__setattr__(self, "targets", as_indices(self.targets)[0])
-        field, dtype = ("matrix", complex) if self.permutation is None else ("permutation", np.int64)
+        field = "matrix" if self.permutation is None else "permutation"
         action = getattr(self, field)
-        try:  # a complex permutation is refused, which a cast would cut to its real parts
-            if dtype is np.int64 and np.iscomplexobj(action):
-                raise TypeError
-            action = np.asarray(action, dtype=dtype)
+        try:
+            if field == "matrix":
+                action = np.asarray(action, dtype=complex)
+            else:
+                # refused unless integers, as ``as_int`` refuses floats: a cast would
+                # cut 0.5 to 0 and 1j to 0
+                action = np.asarray(action)
+                if action.size and action.dtype.kind not in "biu":
+                    raise TypeError
+                action = action.astype(np.int64, copy=False)
         except (TypeError, ValueError, OverflowError):  # what numpy raises for such entries
-            raise InvalidParameterError(f"{self.name}: {field} holds entries that are no numbers") \
+            entries = "numbers" if field == "matrix" else "integers"
+            raise InvalidParameterError(f"{self.name}: {field} holds entries that are no {entries}") \
                 from None
         if action.flags.writeable:  # every cached fact assumes the action never changes
             action = action.copy()

@@ -5,6 +5,7 @@ import pytest
 
 from sharq import SimulationContext, arithmetic, engine
 from sharq.arithmetic import (
+    OperationPlan,
     add_n_ops,
     carry_inverse_ops,
     carry_ops,
@@ -124,6 +125,13 @@ class TestRunOnBasis:
         minus = QuantumOperation("minus", (), matrix=-np.eye(1))
         with pytest.raises(InvalidParameterError):
             run_on_basis((pauli_x(0), minus), 3, 0)
+
+
+class TestOperationPlan:
+    def test_sequences_are_kept_as_tuples(self):
+        plan = OperationPlan([pauli_x(0), cnot(0, 1)], [1, 0])
+        assert plan.ops == (pauli_x(0), cnot(0, 1)) and plan.result_indices == (1, 0)
+        assert plan.inverse().ops == (cnot(0, 1), pauli_x(0))
 
 
 class TestSumGate:

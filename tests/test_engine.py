@@ -939,32 +939,37 @@ class TestApplyOperations:
         finally:
             tracemalloc.stop()
         assert ctx._state is state and np.array_equal(state, reference._state)
-        assert peak < state.nbytes / 8  # the bool mask of the support count is nbytes / 16
+        assert peak < state.nbytes / 8  # a bool mask of the state alone would be nbytes / 16
 
     def test_the_sparse_support_is_exactly_the_nonzero_amplitudes(self):
-        # signed zeros are no support and a subnormal amplitude is: at the support
-        # limit, counting one zero more would take the per-op passes, and leaving
-        # the subnormal behind would break the state
+        # ``_set_state`` binds the nonzero amplitudes: signed zeros are no support and
+        # a subnormal amplitude is. At the share, binding one zero more would take
+        # the per-op passes, and leaving the subnormal behind would break the state
         n = 12
         limit = int((1 << n) * engine._SUPPORT_SHARE)
         rng = np.random.default_rng(12)
         slots = rng.permutation(1 << n)
         state = np.zeros(1 << n, dtype=complex)
         state[slots[:limit]] = rng.normal(size=limit) + 1j * rng.normal(size=limit)
-        state[slots[:3]] = 5e-324, 5e-324j, -5e-324
+        state /= np.linalg.norm(state)  # a norm near 1 keeps the subnormals
+        state[slots[:3]] = 2.0 ** -1060, 2.0 ** -1060 * 1j, -2.0 ** -1060
         state[slots[limit:limit + 8]] = -0.0
         state[slots[limit + 8:limit + 16]] = complex(0, -0.0)
         state[slots[limit + 16:limit + 24]] = complex(-0.0, -0.0)
-        assert np.count_nonzero(state != 0) == limit
         plan = (pauli_x(0), cnot(0, 3), toffoli(5, 0, 8), cnot(8, 2), pauli_x(7), toffoli(1, 6, 4))
         contexts = []
         for _ in range(2):
             ctx = SimulationContext(debug=True)
             ctx.allocate_register(3)
             view = ctx.allocate_register(n - 3).slice((4, 0, 8, 1, 6, 2, 7, 3, 5))
-            ctx._state = state.copy()
             contexts.append((ctx, view))
         (ctx, view), (reference, one_by_one) = contexts
+        ctx._set_state(state)
+        assert np.count_nonzero(ctx._state != 0) == limit
+        assert np.count_nonzero(ctx._state[slots[:3]]) == 3
+        bound = ctx._bound()
+        assert sorted(bound.base.tolist()) == sorted(slots[:limit].tolist()) and bound.free == 0
+        reference._state = ctx._state.copy()  # no bound: the dense passes
         passes = []
         ctx._apply = lambda op, physical: passes.append(op)
         view.apply_operations(plan)
@@ -972,13 +977,6 @@ class TestApplyOperations:
             one_by_one.apply_operation(op)
         assert not passes
         assert np.array_equal(ctx._state, reference._state)
-
-    @staticmethod
-    def _count_scans(ctx) -> list:
-        """One entry per pass ``ctx`` makes over its state to find the support."""
-        scans, scan = [], ctx._scan_support
-        ctx._scan_support = lambda: scans.append(1) or scan()
-        return scans
 
     @staticmethod
     def _count_passes(ctx) -> list:
@@ -989,7 +987,7 @@ class TestApplyOperations:
 
     def test_an_adder_on_a_superposed_register_never_reads_the_whole_state(self):
         # three Hadamards on one basis word bound the support by 8 indices, which
-        # are all that is read; the scan's bool mask alone would be nbytes / 16
+        # are all that is read; a bool mask of the state alone would be nbytes / 16
         plan = modular_add_ops(range(4), range(4, 8), range(8, 12), range(12, 17), 17, 13).ops
         contexts = []
         for _ in range(3):
@@ -999,12 +997,11 @@ class TestApplyOperations:
             reg.slice_range(8, 11).set_from_unsigned(13)
             reg.apply_operations(hadamard_all_ops(range(1, 4)).ops)
             contexts.append((ctx, reg))
-        (ctx, reg), (warm, warmed), (reference, scanned) = contexts
+        (ctx, reg), (warm, warmed), (reference, dense) = contexts
         warmed.apply_operations(plan)  # fuses the plan and fills every lazy cache on its path
         reference._state = reference._state.copy()  # a replaced array has no bound
-        reference_scans = self._count_scans(reference)
-        scanned.apply_operations(plan)
-        scans = self._count_scans(ctx)
+        reference_passes = self._count_passes(reference)
+        dense.apply_operations(plan)
         ctx._apply = None
         tracemalloc.start()
         try:
@@ -1012,35 +1009,35 @@ class TestApplyOperations:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert not scans and reference_scans == [1]
+        assert len(reference_passes) == len(engine._fused(plan).ops)
         assert np.array_equal(ctx._state, reference._state)
         assert np.array_equal(warm._state, reference._state)
         assert peak < ctx._state.nbytes / 32
         assert np.count_nonzero(ctx._state) == 8
         assert len(ctx._bound().base) == 8 and ctx._bound().free == 0
 
-    def test_a_bound_at_the_share_is_trusted_and_one_qubit_past_it_is_counted(self):
+    def test_a_bound_at_the_share_is_trusted_and_one_qubit_past_it_is_dense(self):
         n = 12
         assert (1 << n) * engine._SUPPORT_SHARE == 1 << 8
         plan = (cnot(0, 11), toffoli(1, 2, 10), pauli_x(9), cnot(10, 3))
         spread = [hadamard(q) for q in range(8)]
-        # (gates, scans, per-op passes): a lone X on qubit 8 frees it in the bound,
-        # 512 indices, while the support stays at the 256 of the share
-        for gates, scanned, dense in ((spread, 0, False),
-                                      ([*spread, pauli_x(8)], 1, False),
-                                      ([*spread, hadamard(8)], 1, True)):
+        # (gates, per-op passes): a lone X on qubit 8 moves the 256 candidates and
+        # binds them, while a Hadamard frees it in the bound, 512 indices
+        for gates, dense in ((spread, False), ([*spread, pauli_x(8)], False),
+                             ([*spread, hadamard(8)], True)):
             ctx = SimulationContext(seed=0, debug=True)
             reg = ctx.allocate_register(n)
             for op in gates:
                 reg.apply_operation(op)
+            if gates[-1] is pauli_x(8):
+                assert ctx._bound().free == 0 and len(ctx._bound().base) == 256
             twin = SimulationContext(debug=True)
             twin_reg = twin.allocate_register(n)
-            twin._state = ctx._state.copy()
-            scans = self._count_scans(ctx)
+            twin._state = ctx._state.copy()  # no bound: the dense passes
             passes, twin_passes = self._count_passes(ctx), self._count_passes(twin)
             reg.apply_operations(plan)
             twin_reg.apply_operations(plan)
-            assert len(scans) == scanned and bool(passes) == dense == bool(twin_passes)
+            assert bool(passes) == dense and twin_passes
             assert np.array_equal(ctx._state, twin._state)
 
     @pytest.mark.parametrize("phase", [pauli_z(9), phase_t(9), controlled_u(rotation_k(3), (9,), 8)],
@@ -1054,11 +1051,11 @@ class TestApplyOperations:
         twin = SimulationContext(debug=True)
         twin_reg = twin.allocate_register(n)
         twin._state = ctx._state.copy()  # a replaced array has no bound
-        scans = self._count_scans(ctx)
+        passes = self._count_passes(ctx)
         plan = (cnot(0, 11), toffoli(1, 2, 10))
         reg.apply_operations(plan)
         twin_reg.apply_operations(plan)
-        assert not scans
+        assert not passes
         assert np.array_equal(ctx._state, twin._state)
 
     def test_words_that_differ_only_in_free_bits_name_their_indices_once(self):
@@ -1072,10 +1069,10 @@ class TestApplyOperations:
         twin = SimulationContext(debug=True)
         twin_reg = twin.allocate_register(8)
         twin._state = ctx._state.copy()
-        scans = self._count_scans(ctx)
+        passes = self._count_passes(ctx)
         reg.apply_operations([cnot(1, 2)])
         twin_reg.apply_operations([cnot(1, 2)])
-        assert not scans
+        assert not passes
         assert sorted(ctx._bound().base.tolist()) == [0, 0b011 << 5, 0b100 << 5, 0b111 << 5]
         assert np.array_equal(ctx._state, twin._state)
 
@@ -1102,7 +1099,7 @@ class TestApplyOperations:
     def test_an_empty_plan_touches_nothing(self, monkeypatch):
         ctx, reg = self._basis(6, 0b101101)
         state, before = ctx._state, ctx._state.copy()
-        monkeypatch.setattr(ctx, "_permute_support", None)  # would count the support
+        monkeypatch.setattr(ctx, "_move", None)
         monkeypatch.setattr(ctx, "_apply", None)
         reg.apply_operations(reverse_ops([3]).ops)  # one qubit: no swaps
         assert ctx._state is state and np.array_equal(state, before)
@@ -1270,7 +1267,7 @@ class TestApplyOperations:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < ctx._state.nbytes / 4
+        assert peak < ctx._state.nbytes / 32
 
 
 class TestDoubleHadamardProperty:

@@ -120,6 +120,14 @@ class TestCatalogMatrices:
         with pytest.raises(InvalidParameterError, match=match):
             QuantumOperation("x", targets, **action)
 
+    @pytest.mark.parametrize("permutation", [
+        [0.5, 1.5], [1.0, 0.0], np.array([1.0, 0.0]), [1, 0j], ["1", "0"], [None, 1], [2**70, 0],
+    ], ids=["fractions", "whole-floats", "float-array", "complex", "strings", "None", "huge"])
+    def test_a_permutation_of_non_integers_is_refused(self, permutation):
+        # as as_int refuses floats; a cast would cut [0.5, 1.5] to the identity [0, 1]
+        with pytest.raises(InvalidParameterError, match="permutation holds .* no integers"):
+            QuantumOperation("q", (0,), permutation=permutation)
+
     @pytest.mark.parametrize("op", [
         rotation_k(4), QuantumOperation("cycle", (0, 1), permutation=[1, 2, 3, 0]),
     ], ids=["matrix", "permutation"])
