@@ -1,11 +1,13 @@
 """Command-line entry point.
 
 Commands: coin-toss, entangle, factor, state. A tally command simulates
-its circuit once; each trial then measures the prepared state with its own
-generator, seeded from the master seed and the trial index (``trial_seed``),
-so a fixed --seed pins the entire output and gives the same tallies as one
-fresh context per trial. Exit status: 0 success, 1 usage, 2 precondition
-failure, 3 resource exhaustion.
+its circuit once; each trial then measures the prepared state with one reused
+generator, set per trial to the state ``trial_seed`` gives for the master seed
+and the trial index (``engine._trial_generators``). NumPy freezes the
+SeedSequence and PCG64 streams (NEP 19), so the states are exact, a fixed
+--seed pins the entire output, and the tallies are those of one fresh context
+per trial. Exit status: 0 success, 1 usage, 2 precondition failure, 3 resource
+exhaustion.
 """
 from __future__ import annotations
 

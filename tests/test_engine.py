@@ -705,6 +705,22 @@ class TestClassicalResult:
         assert str(result) == "10100110"
         assert len(result) == 8
 
+    def test_bits_are_parsed_into_a_tuple_of_ints(self):
+        result = ClassicalResult([True, np.int64(0), 1])
+        assert result.bits == (1, 0, 1) and all(type(b) is int for b in result.bits)
+        assert result == ClassicalResult((1, 0, 1))
+
+    @pytest.mark.parametrize("bits", [None, 0.5, "a", "01", [2, 3], [0, -1], [1, 0.0], 1])
+    def test_anything_but_a_sequence_of_bits_is_refused(self, bits):
+        with pytest.raises(InvalidParameterError):
+            ClassicalResult(bits)
+
+    def test_a_measurement_skips_the_parse(self, monkeypatch):
+        reg = SimulationContext(seed=3).allocate_register(2).apply_operation(hadamard(1))
+        monkeypatch.setattr(ClassicalResult, "__post_init__", lambda self: pytest.fail("parsed"))
+        result = reg.measure()
+        assert type(result) is ClassicalResult and result.bits in {(0, 0), (0, 1)}
+
 
 class TestPeek:
     def test_hidden_from_public_surface(self):
@@ -773,6 +789,44 @@ class TestSeeds:
     def test_a_negative_trial_seed_is_an_invalid_parameter(self, master_seed, trial_index):
         with pytest.raises(InvalidParameterError, match="must be >= 0"):
             engine.trial_seed(master_seed, trial_index)
+
+    @pytest.mark.parametrize("master_seed", [0, 7, 2**31 - 1, 2**32, 2**64 + 3, 2**130 + 5])
+    def test_each_trial_generator_is_in_the_state_of_its_trial_seed(self, master_seed):
+        # 2**32 and up are two-word trial indices, and a master past 3 words
+        # overflows SeedSequence's 4-word pool
+        for trial in (0, 1, 999, 2**32 - 1, 2**32, 2**32 + 1):
+            rng = next(engine._trial_generators(master_seed, trial, trial + 1))
+            expected = np.random.default_rng(engine.trial_seed(master_seed, trial))
+            assert rng.bit_generator.state == expected.bit_generator.state
+
+    @pytest.mark.parametrize("start, stop", [(0, engine._TRIAL_CHUNK + 3),
+                                             (2**32 - 3, 2**32 + 2), (2**64 - 2, 2**64 + 1)])
+    def test_trial_generators_cross_chunks_and_word_boundaries(self, start, stop):
+        states = [rng.bit_generator.state
+                  for rng in engine._trial_generators(2024, start, stop)]
+        assert states == [np.random.default_rng(engine.trial_seed(2024, t)).bit_generator.state
+                          for t in range(start, stop)]
+
+    def test_a_huge_trial_count_keeps_memory_bounded(self):
+        def first(n, trials):
+            reg = SimulationContext(seed=5).allocate_register(3)
+            reg.apply_operation(hadamard(0)).apply_operation(hadamard(2))
+            return [r.bits for r in itertools.islice(engine._measure_trials(reg, 5, trials), n)]
+
+        tracemalloc.start()
+        try:
+            huge = first(5, 10**12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert huge == first(5, 5)
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("master_seed", [-1, np.int64(-3), 1.5, "7"])
+    def test_trials_refuse_a_bad_master_seed(self, master_seed):
+        reg = SimulationContext(seed=0).allocate_register(1)
+        with pytest.raises(InvalidParameterError):
+            next(engine._measure_trials(reg, master_seed, 5))
 
     def test_every_seed_numpy_takes_still_seeds(self):
         draws = [SimulationContext(seed=seed).rng.random()

@@ -901,6 +901,19 @@ def test_plans_with_a_gate_wider_than_a_fused_run_trace_alike_as_ints_and_arrays
         assert traced.tolist() == expected[:size]
 
 
+# --- per-trial generators ---------------------------------------------------------
+
+@PROPERTY
+@given(st.integers(0, 2**160), st.integers(0, 2**70), st.integers(1, 6))
+def test_trial_generators_are_in_the_full_state_of_their_trial_seeds(master, start, count):
+    # masters and trial indices of any width: past 4 words of entropy in all,
+    # SeedSequence mixes the rest into its 4-word pool
+    states = [rng.bit_generator.state
+              for rng in engine._trial_generators(master, start, start + count)]
+    assert states == [np.random.default_rng(engine.trial_seed(master, t)).bit_generator.state
+                      for t in range(start, start + count)]
+
+
 # --- typed refusals at every public entry point --------------------------------
 
 def _seeded():
@@ -968,6 +981,8 @@ ENTRY_POINTS = {
     "gcd": lambda x: sharq.gcd(x, 3),
     "mod_pow": lambda x: sharq.mod_pow(2, x, 15),
     "trial_seed": lambda x: sharq.trial_seed(0, x),
+    "ClassicalResult bits": lambda x: sharq.ClassicalResult(x).to_unsigned(),
+    "ClassicalResult bit": lambda x: sharq.ClassicalResult((1, x)).to_unsigned(),
     "SimulationContext seed": lambda x: SimulationContext(seed=x),
     "SimulationContext cap": lambda x: SimulationContext(qubit_cap=x),
     "allocate_register": lambda x: _seeded().allocate_register(x),
