@@ -53,16 +53,19 @@ that every kernel reads once and replaces, without reading the state; it is the
 one record of sparsity. A state without one is dense: no kernel counts the nonzero
 amplitudes, and only the debug hook ``_set_state`` binds a state from them. While
 the bound allows at most ``_SUPPORT_SHARE`` = 1/16 of the state, a nonempty plan of
-basis permutations alone, or a lone one, makes no pass over it: ``_move`` gathers
-the view's bits of the candidate indices, takes their images (traced through the
-fused ops by ``gates.trace_subindices``, or the gate's basis map) and moves each
-candidate once, in place; the moved indices are the new bound, with no bit free. A
-measurement pins the measured qubits, and a register it pins to one value is read
-off the bound. Any other gate gathers the 2**k amplitudes of each group of
-candidates it mixes into one row and scales (phases, which leave the bound as it
-was) or multiplies them in place, with nothing of the state's size. Moves and
-phases are bit-identical either way, the sign of a zero aside, and dense rows agree
-with the dense kernels' products to rounding.
+basis permutations alone, a lone one, or a register reset makes no pass over it:
+``_move`` moves each candidate index once, in place, and the moved indices are the
+new bound, with no bit free. A reset XORs the differing bits into each index;
+``_mover`` gathers the view's bits and takes their images (traced through the fused
+ops by ``gates.trace_subindices``, or the gate's basis map). With a looser bound, a
+basis permutation none of whose targets is a free bit, such as a reset's Not plan,
+maps the base words through ``_mover`` and frees nothing. A measurement pins the
+measured qubits, and a register it pins to one value is read off the bound. Any
+other gate gathers the 2**k amplitudes of each group of candidates it mixes into
+one row and scales (phases, which leave the bound as it was) or multiplies them in
+place, with nothing of the state's size. Moves and phases are bit-identical either
+way, the sign of a zero aside, and dense rows agree with the dense kernels'
+products to rounding.
 """
 from __future__ import annotations
 
@@ -89,7 +92,7 @@ from .errors import (
     as_items,
 )
 from .gates import (_SLICE_MOVE_ARITY, HARD_QUBIT_LIMIT, QuantumOperation, bit_runs,
-                    gather_bits, scatter_bits, trace_subindices, word_flips)
+                    gather_bits, pauli_x, scatter_bits, trace_subindices, word_flips)
 
 DEFAULT_QUBIT_CAP = 26
 
@@ -188,6 +191,15 @@ def _selector(ndim: int, axes: tuple[int, ...], sub_index: int) -> tuple:
     for j, axis in enumerate(axes):
         index[axis] = (sub_index >> (k - 1 - j)) & 1
     return tuple(index)
+
+
+def _mover(runs, image):
+    """The map of flat indices that sets each one's bits on ``runs`` to ``image``
+    of the sub-index they hold, and keeps its other bits."""
+    def move(words):
+        sub = gather_bits(runs, words)
+        return words ^ scatter_bits(runs, sub ^ image(sub))
+    return move
 
 
 def _compose(group: list[QuantumOperation], union: set[int]) -> QuantumOperation:
@@ -648,8 +660,10 @@ class SimulationContext:
         layout = _layout(self._count, physical_targets)
         ndim, axes = len(layout.shape), layout.axes
         state, kernel = self._state, op._kernel
-        if kernel == "perm" and self._move(layout.runs, op._basis_images.__getitem__):
-            return
+        if kernel == "perm":
+            move = _mover(layout.runs, op._basis_images.__getitem__)
+            if self._move(move):
+                return
         psi = state.reshape(layout.shape)
         bound = self._bound()
         groups = None if bound is None else bound.candidates(state.size, layout.bits)
@@ -694,13 +708,17 @@ class SimulationContext:
             else:
                 columns = columns @ op.matrix.T
             view[...] = columns.reshape(view.shape)
-        if bound is not None and kernel != "diag":
-            # a phase never makes a zero amplitude nonzero; any other gate can set
-            # its targets' bits to anything, and no others. Once every bit is free
-            # the bound allows every index, and dropping it spares the gates after
-            # it this bookkeeping
-            free = bound.free | layout.bits
-            self._bind(None if free == self._state.size - 1 else _Support(bound.base, free))
+        if bound is None or kernel == "diag":
+            return  # a phase never makes a zero amplitude nonzero
+        if kernel == "perm" and not bound.free & layout.bits:
+            # no word is free on the targets, so each moves as a whole and frees nothing
+            self._bind(_Support(move(bound.base), bound.free))
+            return
+        # any other gate can set its targets' bits to anything, and no others. Once
+        # every bit is free the bound allows every index, and dropping it spares the
+        # gates after it this bookkeeping
+        free = bound.free | layout.bits
+        self._bind(None if free == self._state.size - 1 else _Support(bound.base, free))
 
     def _step(self, physical: tuple[int, ...], b: int, rounds) -> tuple[int, int]:
         """The Shor step's rounds on ``physical`` (a control, then n work qubits)
@@ -782,22 +800,21 @@ class SimulationContext:
         self._bind(_Support(bound.base, bound.free | layout.bits).pinned(layout, c << n | f))
         return measured, f
 
-    def _move(self, runs, image) -> bool:
-        """Move each candidate of the support bound to the index whose bits on
-        ``runs`` hold ``image`` of the sub-index they held, a basis permutation that
-        the caller has checked; False, having touched nothing, when the candidates
-        are more than ``_SUPPORT_SHARE`` of the state.
+    def _move(self, move) -> bool:
+        """Move each candidate of the support bound to ``move`` of it, a basis
+        permutation of flat indices that the caller has checked; False, having
+        touched nothing, when the candidates are more than ``_SUPPORT_SHARE`` of
+        the state.
 
         Each amplitude moves once, in place, and the moved indices are the new
-        bound, with no bit free. A classical plan (``image`` traces its fused ops)
-        and a lone permutation (``image`` is its basis map) share this mover.
+        bound, with no bit free. A classical plan and a lone permutation move
+        through ``_mover``, and a register reset by one flat XOR.
         """
         state, bound = self._state, self._bound()
         support = None if bound is None else bound.candidates(state.size)
         if support is None:
             return False
-        sub = gather_bits(runs, support)
-        moved = support ^ scatter_bits(runs, sub ^ image(sub))
+        moved = move(support)
         values = state[support]
         state[support] = 0
         state[moved] = values
@@ -950,34 +967,6 @@ class SimulationContext:
             value = value << 1 | int(p_one >= 1.0 - _CLASSICAL_ATOL)
         return value
 
-    def _flip(self, physical: tuple[int, ...]):
-        """Not on every qubit of ``physical`` at once.
-
-        When the support bound allows at most ``_SUPPORT_SHARE`` of the state, each
-        candidate index moves in place to the index with those bits flipped.
-        Otherwise it is one copy with their axes reversed: reversing a length-2
-        axis swaps the halves where that qubit is 0 and 1, which is exactly what
-        Not does, and the copy keeps the state contiguous. A hand-built index of
-        reversed slices costs about 3 µs on 7 qubits, where ``np.flip`` costs
-        about 5.
-        """
-        layout = _layout(self._count, physical)
-        bound = self._bound()
-        support = None if bound is None else bound.candidates(self._state.size)
-        if support is not None:
-            # a sparse state: move the bound's candidates alone, in place
-            values = self._state[support]
-            self._state[support] = 0
-            self._state[support ^ layout.bits] = values
-        else:
-            index = [slice(None)] * len(layout.shape)
-            for axis in layout.axes:
-                index[axis] = slice(None, None, -1)
-            flipped = self._state.reshape(layout.shape)[tuple(index)]
-            self._state = np.ascontiguousarray(flipped).reshape(-1)
-        if bound is not None:
-            self._bind(_Support(bound.base ^ layout.bits, bound.free))
-
     # -- debug-only inspection -------------------------------------------
 
     def _require_debug(self):
@@ -1072,16 +1061,22 @@ class RegisterView:
         """Encode ``value`` big-endian by applying Not to the differing qubits.
 
         All targeted qubits must already be in collapsed basis states. Their
-        value is read off the support bound when it pins them, and the Nots are
-        applied together, in one pass over the state.
+        value is read off the support bound when it pins them. While the bound's
+        candidates are at most ``_SUPPORT_SHARE`` of the state, each moves by one
+        XOR of the differing bits (``SimulationContext._move``); otherwise the
+        Nots are a plan (``apply_operations``), which keeps a bound that leaves
+        none of them free.
         """
         value, width = as_int(value, "register value"), len(self)
         if not 0 <= value < (1 << width):
             raise ValueOutOfRangeError(f"{value} does not fit in {width} qubits")
-        flips = value ^ self.context._classical_value(self._exposed)
-        differing = tuple(q for i, q in enumerate(self._exposed) if flips >> (width - 1 - i) & 1)
-        if differing:
-            self.context._flip(differing)
+        ctx = self.context
+        flips = value ^ ctx._classical_value(self._exposed)
+        if flips:
+            bits = scatter_bits(_layout(ctx._count, self._exposed).runs, flips)
+            if not ctx._move(lambda words: words ^ bits):
+                self.apply_operations([pauli_x(i) for i in range(width)
+                                       if flips >> (width - 1 - i) & 1])
         return self
 
     # -- operations ---------------------------------------------------------
@@ -1121,8 +1116,8 @@ class RegisterView:
                 self._physical(op)
                 op.require_unitary()
         ctx, width = self.context, plan.top + 1
-        if plan.classical and ctx._move(_layout(ctx._count, self._exposed[:width]).runs,
-                                        lambda sub: trace_subindices(plan.ops, sub, width)):
+        if plan.classical and ctx._move(_mover(_layout(ctx._count, self._exposed[:width]).runs,
+                                               lambda sub: trace_subindices(plan.ops, sub, width))):
             return self
         for op in plan.ops:
             ctx._apply(op, self._physical(op))

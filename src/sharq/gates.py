@@ -289,7 +289,9 @@ def gather_bits(runs, words):
     """The sub-indices that the ``bit_runs`` ``runs`` read out of ``words``, an int
     or an int64 array; built from the first run's term, so one run is one pass."""
     terms = (((words >> shift) & mask) << place for shift, mask, place in runs)
-    sub = next(terms, words & 0)
+    sub = next(terms, None)
+    if sub is None:  # no runs: every sub-index is 0
+        return words & 0
     for term in terms:
         sub |= term
     return sub

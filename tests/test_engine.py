@@ -406,24 +406,47 @@ class TestSetFromUnsigned:
 
     @pytest.mark.parametrize("flipped", [(9,), (0, 4), (7, 2, 5), (1, 3, 6, 8)])
     def test_a_sparse_flip_moves_the_candidates_in_place_as_the_copy_does(self, flipped):
-        # the classical plan moves 4 words, and the last Hadamard frees a bit: 8
-        # candidates, within 1/16 of 1024. The twin has no bound, so it takes the
-        # axis-reversing copy
-        plan = [pauli_x(0), cnot(0, 4), cnot(6, 2), toffoli(6, 2, 7), cnot(1, 9)]
+        # on the other qubits a classical plan moves 4 words, and the last Hadamard
+        # frees a bit: 8 candidates, within 1/16 of 1024. The reset Nots every
+        # qubit of ``flipped``, one of which the plan set. The twin has no bound,
+        # so it takes the Not plan's dense passes
+        q = [i for i in range(10) if i not in flipped]
+        plan = [pauli_x(flipped[0]), cnot(q[0], q[2]), toffoli(q[1], q[2], q[3]), cnot(q[1], q[4])]
         ctx, twin = (SimulationContext(seed=0, debug=True) for _ in range(2))
         for context in (ctx, twin):
             register = context.allocate_register(10)
-            register.apply_operations([hadamard(1), hadamard(6)]).apply_operations(plan)
-            register.apply_operation(hadamard(8))
+            register.apply_operations([hadamard(q[0]), hadamard(q[1])]).apply_operations(plan)
+            register.apply_operation(hadamard(q[5]))
         (base, free), state = ctx._bound(), ctx._state
-        assert (len(base), free) == (4, 1 << 1)
+        assert (len(base), free) == (4, 1 << (9 - q[5]))
         twin._state = twin._state.copy()
-        ctx._flip(flipped)
-        twin._flip(flipped)
+        k = len(flipped)
+        for context in (ctx, twin):  # the view reads 1 << k - 1, and every bit is flipped
+            engine.RegisterView(context, flipped).set_from_unsigned((1 << k - 1) ^ ((1 << k) - 1))
         assert ctx._state is state  # in place
         assert np.array_equal(ctx._state, twin._state)
+        # the bound is the moved candidates, with no bit free
         bits = engine._layout(10, flipped).bits
-        assert np.array_equal(ctx._bound().base, base ^ bits) and ctx._bound().free == free
+        moved = engine._Support(base ^ bits, free).candidates(1 << 10)
+        assert ctx._bound().free == 0
+        assert np.array_equal(np.sort(ctx._bound().base), np.sort(moved))
+
+    def test_a_dense_reset_of_scattered_qubits_builds_no_state_sized_copy(self):
+        # the Not plan fuses to one 3-qubit permutation, whose slice cycles move
+        # eighths of the state in place
+        ctx = SimulationContext(seed=0)
+        ctx.allocate_register(20)
+        ctx._state = ctx._state.copy()  # a replaced array has no bound: the reset is dense
+        state = ctx._state
+        tracemalloc.start()
+        try:
+            engine.RegisterView(ctx, (2, 9, 15)).set_from_unsigned(0b111)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ctx._state is state
+        assert np.flatnonzero(state).tolist() == [engine._layout(20, (2, 9, 15)).bits]
+        assert peak < state.nbytes
 
     def test_a_value_the_bound_pins_is_read_off_it_as_the_marginal_reads_it(self, monkeypatch):
         ctx = SimulationContext(seed=0)
@@ -460,8 +483,11 @@ class TestSetFromUnsigned:
         reg = ctx.allocate_register(7)
         for value in rng.integers(0, 1 << 7, 8).tolist():
             reg.set_from_unsigned(value)
-            word, free = bound = ctx._bound()
-            assert len(word) == 1 and free == 1 << 8
+            # the reset spells the other register's free bit out as two words
+            base, free = ctx._bound()
+            assert np.array_equal(np.sort(base), [value, value | 1 << 8]) and free == 0
+            word, free = bound = engine._Support(np.array([value]), 1 << 8)
+            ctx._bind(bound)
             order = rng.permutation(7)[:rng.integers(1, 8)].tolist()
             physical = reg.slice(order).exposed
             expected = sum(((value >> (6 - i)) & 1) << (len(order) - 1 - j)

@@ -671,6 +671,33 @@ def test_the_support_bound_holds_after_every_step_and_plans_apply_as_without_it(
         _assert_inside_the_bound(ctx)
 
 
+def test_a_permutation_on_bits_no_word_leaves_free_keeps_a_loose_bound_exact():
+    # H on qubits 0-8 of 12 leaves 512 candidates, past the share of 256, so each
+    # gate below takes a dense pass. Qubits 9-11 are free in no word: the X and the
+    # CNOT move the one base word and free nothing, and so does the reset's Not
+    ctx = SimulationContext(seed=3, debug=True)
+    reg = ctx.allocate_register(12).apply_operations([hadamard(q) for q in range(9)])
+    free = ctx._bound().free
+    assert ctx._bound().candidates(1 << 12) is None
+    reg.apply_operation(pauli_x(9))  # bits 2, 1, 0 are qubits 9, 10, 11
+    assert ctx._bound().free == free and ctx._bound().base.tolist() == [0b100]
+    reg.apply_operation(cnot(9, 11))
+    assert ctx._bound().free == free and ctx._bound().base.tolist() == [0b101]
+    _assert_inside_the_bound(ctx)
+    reg.slice_from(9).set_from_unsigned(0b111)
+    assert ctx._bound().free == free and ctx._bound().base.tolist() == [0b111]
+    # a read of the 9 pins them: the bound is one word again, and a classical plan
+    # moves it alone
+    value = reg.slice_to(8).measure().to_unsigned()
+    base, free = ctx._bound()
+    assert base.tolist() == [value << 3 | 0b111] and free == 0
+    ops = [cnot(9, 10), toffoli(0, 11, 10), pauli_x(4)]
+    assert not _passes_over_the_state(ctx, reg.exposed, ops)
+    _assert_inside_the_bound(ctx)
+    assert len(ctx._bound().base) == 1 and ctx._bound().free == 0
+    assert reg.measure().to_unsigned() == ctx._bound().base[0]
+
+
 def _unbounded_twin(ctx):
     """A context holding a copy of ``ctx``'s state with no support bound, so that
     its gates and reads take the dense paths, and a copy of its generator."""
