@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -718,6 +719,26 @@ class TestMeasurement:
             total = np.sum(np.abs(ctx._state) ** 2)
             assert abs(total - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize("n", [1, 3, 12])
+    def test_a_read_of_every_qubit_collapses_as_the_slice_zeroing_did(self, debug_ctx, n):
+        for seed in range(4):
+            ctx = debug_ctx(seed=seed)
+            reg = ctx.allocate_register(n)
+            ctx._set_state(random_state(np.random.default_rng(seed), n))
+            assert ctx._bound() is None  # a dense read
+            before = ctx._state.copy()
+            outcome = reg.measure().to_unsigned()
+            # the collapse of the (1, 2**n) block: the columns before and after the
+            # kept one zeroed, and the kept one scaled by 1/sqrt of its probability
+            probs = np.abs(before)
+            probs *= probs
+            expected = before.copy()
+            expected[:outcome] = 0
+            expected[outcome + 1:] = 0
+            expected[outcome:outcome + 1] *= 1.0 / math.sqrt(probs[outcome])
+            assert np.array_equal(ctx._state, expected)
+            assert abs(np.linalg.norm(ctx._state) - 1.0) <= 1e-12
+
 
 class TestClassicalResult:
     def test_paper_values(self):
@@ -847,6 +868,23 @@ class TestSeeds:
             tracemalloc.stop()
         assert huge == first(5, 5)
         assert peak < 1 << 20
+
+    def test_each_trial_measures_once_into_one_restore_buffer(self):
+        trials = 40
+        reg = SimulationContext(seed=3).allocate_register(3)
+        reg.apply_operation(hadamard(0)).apply_operation(cnot(0, 2))
+        ctx, states, read = reg.context, [], []
+        with mock.patch.object(engine.SimulationContext, "_measure", autospec=True,
+                               side_effect=engine.SimulationContext._measure) as spy:
+            for n, result in enumerate(engine._measure_trials(reg, 3, trials), 1):
+                assert spy.call_count == n
+                assert ctx._bound() is None  # the buffer is read densely
+                states.append(ctx._state)
+                read.append(result.bits)
+        assert spy.call_count == trials
+        assert all(state is states[0] for state in states)
+        # each trial restores the snapshot: both outcomes keep coming
+        assert set(read[1:]) == {(0, 0, 0), (1, 0, 1)}
 
     @pytest.mark.parametrize("master_seed", [-1, np.int64(-3), 1.5, "7"])
     def test_trials_refuse_a_bad_master_seed(self, master_seed):

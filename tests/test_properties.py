@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sharq
@@ -926,6 +926,48 @@ def test_plans_with_a_gate_wider_than_a_fused_run_trace_alike_as_ints_and_arrays
         # the first size is traced one int at a time, the second as one array
         traced = run_on_basis(ops, width, np.array(values[:size], dtype=np.int64))
         assert traced.tolist() == expected[:size]
+
+
+# --- sampling ------------------------------------------------------------------------
+
+def _array_pick(marginal: np.ndarray, uniform: float) -> int:
+    """The inverse-CDF rule on arrays: floored weights, ``cumsum``, a right-side
+    search of ``uniform`` times the total, clamped to the last outcome."""
+    cumulative = (marginal * (marginal >= engine.PROBABILITY_FLOOR)).cumsum()
+    outcome = int(cumulative.searchsorted(uniform * cumulative[-1], side="right"))
+    return min(outcome, len(marginal) - 1)
+
+
+# zeros, entries below the floor and at it, and weights of any sum
+probabilities = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, engine.PROBABILITY_FLOOR, exclude_max=True),
+    st.just(engine.PROBABILITY_FLOOR),
+    st.floats(0.0, 3.0),
+)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(st.lists(probabilities, min_size=2, max_size=engine._SCALAR_OUTCOMES),
+       st.floats(0.0, 1.0, exclude_max=True))
+# draws exactly at the cumulative boundaries 0.25 and 0.5, then 0.5, 1 and 2 of 4
+@example([0.25, 0.0, 0.25, 1e-13, 0.5], 0.5)
+@example([0.5, 0.5, 1.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], 0.5)
+@example([0.0, 0.0], 0.0)
+def test_small_marginals_pick_on_python_floats_as_on_arrays(values, drawn):
+    marginal = np.array(values)
+    cumulative = (marginal * (marginal >= engine.PROBABILITY_FLOOR)).cumsum()
+    uniforms = {0.0, drawn}
+    if cumulative[-1] > 0:
+        # uniforms that put the draw at each cumulative boundary and a step to either side
+        for edge in cumulative / cumulative[-1]:
+            for uniform in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
+                if uniform < 1.0:
+                    uniforms.add(float(uniform))
+    for uniform in sorted(uniforms):
+        expected = _array_pick(marginal, uniform)
+        assert engine._sample(values, uniform) == expected
+        assert engine._sample(marginal, uniform) == expected  # numpy scalars, the same sums
 
 
 # --- per-trial generators ---------------------------------------------------------
