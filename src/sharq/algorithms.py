@@ -10,7 +10,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arithmetic import OperationPlan, _multiply_round, reverse_ops, run_on_basis
-from .engine import _ALLOCATION_FAILURES, _SUPPORT_SHARE, RegisterView, SimulationContext
+from .engine import _ALLOCATION_FAILURES, RegisterView, SimulationContext
 from .errors import (InvalidParameterError, OracleCompilationError, QubitLimitExceededError,
                      SizeMismatchError, as_indices, as_int, as_items)
 from .gates import QuantumOperation, cnot, controlled_u, hadamard, pauli_x, rotation_k
@@ -151,31 +151,6 @@ def _check_oracle(oracle: str):
         raise InvalidParameterError(f"oracle must be 'semantic' or 'circuit', got {oracle!r}")
 
 
-def _sources(n_value: int):
-    """``source(a, words)``: a**-1 * y mod N for the y < N in the int64 array
-    ``words``; ``source(a)`` alone is the source of every work value, y itself
-    past N, written into one buffer. Its two index buffers (N and 2**n entries)
-    are allocated here, or refused, before the step touches the state.
-    """
-    width = 1 << bits_to_express(n_value)
-    try:
-        y = np.arange(n_value, dtype=np.int64)
-        buffer = np.arange(width, dtype=np.int64)
-    except _ALLOCATION_FAILURES as exc:
-        raise QubitLimitExceededError(f"the multiply index for N={n_value} needs {width} "
-                                      "entries, which cannot be allocated") from exc
-    head = buffer[:n_value]
-
-    # every product is < N**2: see _EXACT_PRODUCT_LIMIT
-    def source(a: int, words: np.ndarray | None = None) -> np.ndarray:
-        if words is not None:
-            return words * pow(a, -1, n_value) % n_value
-        np.multiply(y, pow(a, -1, n_value), out=head)
-        np.remainder(head, n_value, out=head)
-        return buffer
-    return source
-
-
 def shor_quantum_step(ctx: SimulationContext, n_value: int, m: int,
                       oracle: str = "semantic",
                       register: RegisterView | None = None) -> PeriodSample:
@@ -190,17 +165,15 @@ def shor_quantum_step(ctx: SimulationContext, n_value: int, m: int,
     on a 2n-qubit REG1. The step leaves ``register`` (n+1 qubits of ``ctx``)
     fully collapsed, the control at the last bit read; pass it back to reuse it.
 
-    The step is one engine call, ``SimulationContext._step``, which simulates
-    every round by its effect and then reads the work register: the control
-    never goes into superposition, and a round gathers a**-1 * y mod N for the
-    work values y, takes one inner product and combines in place. While the work
-    support (1 at the start; a round's multiplier maps it to its union with
-    a * support mod N) is at most ``_SUPPORT_SHARE`` of the 2**n work values,
-    the round reads and writes those values alone. The multiply's indices are
-    always computed (``_sources``). With ``oracle="circuit"`` each distinct
-    multiplier other than 1 is first compiled by ``circuit_uf``, which refuses a
-    round that does not compute a * y mod N; the step then runs the same indices,
-    so a seed samples alike through either oracle.
+    The step is one engine call, ``SimulationContext._step``, which sets the
+    register to 1, simulates every round by its effect and reads the work
+    register: the control never goes into superposition, and a round gathers
+    a**-1 * y mod N for the work values y, takes one inner product and combines
+    in place. This function validates and computes the 2n multipliers. With
+    ``oracle="circuit"`` each distinct multiplier other than 1 is first compiled
+    by ``circuit_uf``, which refuses a round that does not compute a * y mod N;
+    the step then runs the same indices, so a seed samples alike through either
+    oracle.
 
     Exactness: the states are those of the gate sequence up to rounding, not bit
     for bit, since the round's sums run in another order; a sampled bit can
@@ -225,25 +198,7 @@ def shor_quantum_step(ctx: SimulationContext, n_value: int, m: int,
     if oracle == "circuit":
         for a in set(multipliers) - {1}:
             circuit_uf(a, n_value)
-    source = _sources(n_value)
-    register.set_from_unsigned(1)
-
-    def rounds():
-        # the work values that may be nonzero, as a set and sorted in ``words``; both
-        # are None once they are more than ``_SUPPORT_SHARE`` of the 2**n. Lazy: a
-        # dense ``source(a)`` rewrites one buffer, which the round before has read
-        support, words = {1}, np.array([1])
-        for a in multipliers:
-            if a != 1 and support is not None:
-                support.update([w * a % n_value for w in support])
-                if len(support) > (1 << n) * _SUPPORT_SHARE:
-                    support = words = None
-                else:
-                    words = np.fromiter(support, np.int64, len(support))
-                    words.sort()
-            yield (None if a == 1 else source(a, words)), words
-
-    measured, f_value = ctx._step(register.exposed, 0, rounds())
+    measured, f_value = ctx._step(register.exposed, n_value, multipliers)
     return PeriodSample(measured, 1 << (2 * n), f_value)
 
 

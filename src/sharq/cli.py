@@ -94,14 +94,15 @@ def _resolve_seed(seed) -> int:
 
 
 def _emit_tally(args, seed: int, tally: Counter, elapsed_ms: int):
+    # ``tally`` counts bit tuples of one length, which sort as their bitstrings do
     total = sum(tally.values())
+    rows = [("".join(map(str, bits)), count) for bits, count in sorted(tally.items())]
     if args.output == "json":
-        for outcome in sorted(tally):
-            print(json.dumps({"outcome": outcome, "count": tally[outcome]}))
+        for outcome, count in rows:
+            print(json.dumps({"outcome": outcome, "count": count}))
         print(json.dumps({"seed": seed, "trials": total, "elapsed_ms": elapsed_ms}))
     else:
-        for outcome in sorted(tally):
-            count = tally[outcome]
+        for outcome, count in rows:
             print(f"{outcome}: {count} ({count / total:.4f})")
         print(f"seed={seed} trials={total} elapsed_ms={elapsed_ms}")
 
@@ -111,8 +112,7 @@ def _run_tally(args, prepare) -> int:
     seed = _resolve_seed(args.seed)
     start = time.perf_counter()
     register = prepare(SimulationContext(seed=seed, qubit_cap=args.qubit_cap))
-    tally = Counter(result.to_bitstring()
-                    for result in _measure_trials(register, seed, args.trials))
+    tally = Counter(result.bits for result in _measure_trials(register, seed, args.trials))
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     _emit_tally(args, seed, tally, elapsed_ms)
     return EXIT_OK

@@ -17,14 +17,15 @@ ascending targets the state is an ``(a, 2**k, b)`` array: a permutation is one
 matrix product. On other targets a permutation of up to ``_SLICE_MOVE_ARITY`` = 8
 qubits moves slices in place; a dense gate, or a wider permutation, moves the
 target axes last and back. The Shor step is one kernel call
-(``SimulationContext._step``): with the control collapsed, each round simulates H,
-the controlled multiply, the readout gate and the control's measurement by their
-effect on the work half, one gather, one inner product and one combination in
-place, with no operation and no table, touching only the work values of a sparse
-support; the work register's read ends the call. Its states equal the gates' up
-to rounding, since its sums run in another order, so a bit it reads can differ only
-where the uniform lands within rounding of a boundary. ``_layout`` is the one place
-that maps targets to axes, for gates, the step, marginals, collapse, resets and peeks.
+(``SimulationContext._step``) given N and the multipliers: it sets the register to
+1, and with the control collapsed each round simulates H, the controlled multiply,
+the readout gate and the control's measurement by their effect on the work half,
+one gather, one inner product and one combination in place, with no operation and
+no table, touching only the work values of a sparse support; the work register's
+read ends the call. Its states equal the gates' up to rounding, since its sums run
+in another order, so a bit it reads can differ only where the uniform lands within
+rounding of a boundary. ``_layout`` is the one place that maps targets to axes, for
+gates, the step, marginals, collapse, resets and peeks.
 
 A measurement reads its marginal in one pass that sums squares straight into
 the 2**k outcomes (one dot product per outcome when the targets lead, an
@@ -737,29 +738,37 @@ class SimulationContext:
         free = bound.free | layout.bits
         self._bind(None if free == self._state.size - 1 else _Support(bound.base, free))
 
-    def _step(self, physical: tuple[int, ...], b: int, rounds) -> tuple[int, int]:
-        """The Shor step's rounds on ``physical`` (a control, then n work qubits)
-        whose control holds ``b`` (every amplitude with it at 1 - b is zero), then
-        the work register's read. Returns the bits read, round i at bit i, and f.
+    def _step(self, physical: tuple[int, ...], modulus: int, multipliers) -> tuple[int, int]:
+        """The Shor step for N on ``physical`` (a control, then n work qubits): the
+        register is set to 1, one round runs per multiplier a, and the work register
+        is read. Returns the bits read, round i at bit i, and f. The two index arrays
+        (N and 2**n entries) are allocated first, or refused before any amplitude or
+        draw changes; the caller keeps N within ``algorithms._EXACT_PRODUCT_LIMIT``.
 
-        Round i is H on the control, the controlled multiply U, the readout phase
-        and H, and the control's measurement, simulated by their effect. With psi
-        the work half and phi = exp(-i pi m / 2**i) U psi, m the bits read so far,
-        it reads c with p_c = (|psi|^2 + (-1)^c Re<psi, phi>) / 2 from one
+        Round i is H on the control, the controlled multiply U by a, the readout
+        phase and H, and the control's measurement, simulated by their effect. With
+        psi the work half and phi = exp(-i pi m / 2**i) U psi, m the bits read so
+        far, it reads c with p_c = (|psi|^2 + (-1)^c Re<psi, phi>) / 2 from one
         ``rng.random()`` (``_sample``); psi becomes (psi + (-1)^c phi) / (2
-        sqrt(p_c)) in place, in half b, whatever c: the control's bit is a label.
-        ``rounds`` yields one ``(source, words)`` per round, asked for once the
-        round before is done. U psi takes at each work value the amplitude at its
-        entry of ``source``, or its own when ``source`` is None (U = 1). With
-        ``words`` (sorted, distinct, and off which the caller guarantees psi and
-        phi are zero) ``source`` has one entry per word, and only those work values
-        are read and written. The read samples f from |work|^2, summed over the
-        other qubits, zeroes half b and writes f, scaled by 1/sqrt(p_f), at the
-        last bit. The halves are a view when the register is the whole state in
-        order, and otherwise the axis move's copy, written back once. The bound
-        comes out exact on the register; the other qubits keep theirs.
+        sqrt(p_c)) in place, in half 0, whatever c: the control's bit is a label.
+        U psi takes at each work value y < N the amplitude at a**-1 * y mod N, and
+        past N its own. While the work support ({1}, and a round adds a * support
+        mod N) is at most ``_SUPPORT_SHARE`` of the 2**n work values, the round
+        reads and writes those values alone. The read samples f from |work|^2,
+        summed over the other qubits, zeroes half 0 and writes f, scaled by
+        1/sqrt(p_f), at the last bit. The halves are a view when the register is the
+        whole state in order, and otherwise the axis move's copy, written back once.
+        The bound comes out exact on the register; the other qubits keep theirs.
         """
         n = len(physical) - 1
+        try:
+            y = np.arange(modulus, dtype=np.int64)
+            sources = np.arange(1 << n, dtype=np.int64)  # past N each value is its own
+        except _ALLOCATION_FAILURES as exc:
+            raise QubitLimitExceededError(f"the multiply index for N={modulus} needs {1 << n} "
+                                          "entries, which cannot be allocated") from exc
+        head = sources[:modulus]
+        RegisterView(self, physical).set_from_unsigned(1)
         layout = _layout(self._count, physical)
         view, flat = None, layout.block == (1, 1)
         if flat:
@@ -768,9 +777,25 @@ class SimulationContext:
             # (2, rows, 2**n), one row per value of the other qubits, written back below
             view = self._state.reshape(layout.shape).transpose(layout.rest + layout.axes)
             halves = view.reshape(-1, 2, 1 << n).transpose(1, 0, 2)
-        half, random = halves[b], self.rng.random
-        measured, c = 0, b
-        for i, (source, words) in enumerate(rounds):
+        half, random = halves[0], self.rng.random
+        measured, c = 0, 0
+        support, words = {1}, np.array([1])  # both None once past the share
+        for i, a in enumerate(multipliers):
+            if a != 1 and support is not None:
+                support.update([w * a % modulus for w in support])
+                if len(support) > (1 << n) * _SUPPORT_SHARE:
+                    support = words = None
+                else:
+                    words = np.fromiter(support, np.int64, len(support))
+                    words.sort()
+            if a == 1:
+                source = None
+            elif words is not None:
+                source = words * pow(a, -1, modulus) % modulus
+            else:
+                np.multiply(y, pow(a, -1, modulus), out=head)
+                np.remainder(head, modulus, out=head)
+                source = sources
             # H gives the |1> branch (-1)**c, and the readout rotates it by
             # exp(2*pi*i * ((c << i) - measured) / 2**(i+1)): together this phase
             phase = cmath.exp(-1j * math.pi * measured / (1 << i))
@@ -800,7 +825,7 @@ class SimulationContext:
                 if words is not None:
                     half[at] = psi
 
-        # the read: all the mass is in half b, and the other half is written at f alone
+        # the read: all the mass is in half 0, zeroed before half c gets f alone
         moved = None  # the last gather, freed before the squares are built
         squares = np.abs(half)
         squares *= squares
@@ -865,24 +890,26 @@ class SimulationContext:
         every = range(parts.ndim)
         return np.einsum(parts, every, parts, every, layout.axes).reshape(-1)
 
-    def _candidate_marginal(self, layout: _Layout, bound: _Support):
-        """The outcomes of the targets of ``layout`` that the candidates of the
-        support bound ``bound`` name, distinct and sorted, with their probabilities,
-        and the candidates with the outcome of each; None when the candidates are
-        more than ``_SUPPORT_SHARE`` of the state.
+    def _read(self, layout: _Layout, bound: _Support | None):
+        """The outcomes of the targets of ``layout``, their probabilities, and the
+        candidates with the outcome of each.
 
-        Each probability sums |amp|**2 of its candidates, squared as the dense
-        marginal squares them; no array has an entry per outcome the bound rules out.
+        While the support bound ``bound`` allows at most ``_SUPPORT_SHARE`` of the
+        state, the outcomes are those its candidates name, distinct and sorted, and
+        each probability sums |amp|**2 of its candidates, squared as the dense
+        marginal squares them; no array has an entry per outcome the bound rules
+        out. Otherwise the read is dense: the outcomes and candidates are None, and
+        the marginal, one entry per outcome in order, is ``_marginal_probabilities``.
         """
-        support = bound.candidates(self._state.size)
+        support = None if bound is None else bound.candidates(self._state.size)
         if support is None:
-            return None
+            return None, self._marginal_probabilities(layout), None
         sub = gather_bits(layout.runs, support)
         squares = np.abs(self._state[support])
         squares *= squares
         outcomes = _distinct(sub)
         marginal = np.bincount(outcomes.searchsorted(sub), squares, len(outcomes))
-        return outcomes, marginal, support, sub
+        return outcomes, marginal, (support, sub)
 
     def _measure(self, physical: tuple[int, ...]) -> tuple[int, ...]:
         """Sample the targets from their exact marginal and collapse onto the outcome.
@@ -896,18 +923,14 @@ class SimulationContext:
         amplitude back, scaled. The support bound, if the state has one, then pins
         the measured qubits to the outcome. While the bound allows at most
         ``_SUPPORT_SHARE`` of the state, the read and the collapse touch its
-        candidates alone (``_candidate_marginal``).
+        candidates alone (``_read``).
         """
         k = len(physical)
         if k == 0:
             return ()
         layout = _layout(self._count, physical)
         bound = self._bound()
-        read = None if bound is None else self._candidate_marginal(layout, bound)
-        if read is None:
-            outcomes, marginal = None, self._marginal_probabilities(layout)
-        else:
-            outcomes, marginal, support, sub = read
+        outcomes, marginal, candidates = self._read(layout, bound)
         if len(marginal) <= _SCALAR_OUTCOMES:
             marginal = marginal.tolist()
         picked = _sample(marginal, self.rng.random())
@@ -916,7 +939,8 @@ class SimulationContext:
         if bound is not None:
             self._bind(bound.pinned(layout, outcome))
         scale = 1.0 / math.sqrt(p)
-        if read is not None:
+        if candidates is not None:
+            support, sub = candidates
             kept = sub == outcome
             self._state[support[~kept]] = 0
             self._state[support[kept]] *= scale
@@ -969,21 +993,16 @@ class SimulationContext:
             words = gather_bits(layout.runs, bound.base)
             if (words == words[0]).all():
                 return int(words[0])
-        read = None if bound is None else self._candidate_marginal(layout, bound)
-        if read is None:
-            outcomes, marginal = None, self._marginal_probabilities(layout)
-        else:
-            outcomes, marginal = read[:2]
+        outcomes, marginal, _ = self._read(layout, bound)
         top = int(np.argmax(marginal))
         if marginal[top] >= 1.0 - _CLASSICAL_ATOL:
             return top if outcomes is None else int(outcomes[top])
         # not jointly one basis state: look for the first qubit in superposition
+        if outcomes is None:
+            outcomes = np.arange(len(marginal))
         value, k = 0, len(physical)
         for i, qubit in enumerate(physical):
-            if outcomes is None:
-                p_one = marginal.reshape(1 << i, 2, -1)[:, 1].sum()
-            else:
-                p_one = marginal @ (outcomes >> (k - 1 - i) & 1)
+            p_one = marginal @ (outcomes >> (k - 1 - i) & 1)
             if _CLASSICAL_ATOL < p_one < 1.0 - _CLASSICAL_ATOL:
                 raise NotClassicalStateError(
                     f"physical qubit {qubit} is in superposition; initialize only classical qubits"

@@ -399,6 +399,28 @@ class TestShorQuantumStep:
         limit = algorithms._EXACT_PRODUCT_LIMIT
         assert (limit - 1) ** 2 < 1 << 63 <= limit ** 2
 
+    def test_index_arrays_that_cannot_be_allocated_are_refused_before_the_state(
+            self, debug_ctx, monkeypatch):
+        # the step allocates its N- and 2**n-entry index arrays before it sets the
+        # register or draws: a refused N-entry array raises the cap's error, not
+        # numpy's, and leaves the state and the generator as they were
+        ctx = debug_ctx(seed=1)
+        work = ctx.allocate_register(5).set_from_unsigned(5)
+        before, draws = ctx._state.copy(), ctx.rng.bit_generator.state
+        arange = np.arange
+
+        def refusing(*args, **kwargs):
+            if args[:1] == (15,):
+                raise MemoryError
+            return arange(*args, **kwargs)
+
+        monkeypatch.setattr(np, "arange", refusing)
+        with pytest.raises(QubitLimitExceededError, match="cannot be allocated"):
+            shor_quantum_step(ctx, 15, 8, register=work)
+        monkeypatch.undo()
+        assert np.array_equal(ctx._state, before)
+        assert ctx.rng.bit_generator.state == draws
+
     def test_circuit_oracle_runs_at_its_real_width(self):
         # N=3 has n=2: the step runs on the control plus 2 work qubits. m=2
         # has period 2, so the sample is k*16/2: the support {0, 8}. Both

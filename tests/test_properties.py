@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sharq
-from sharq import SimulationContext, algorithms, engine, gates, linalg
+from sharq import SimulationContext, engine, gates, linalg
 from sharq.algorithms import circuit_uf, semantic_uf
 from sharq.arithmetic import OperationPlan, add_n_ops, modular_add_ops, run_on_basis
 from sharq.errors import NotUnitaryOperationError
@@ -160,15 +160,16 @@ def _reference_round(ctx, physical, a, modulus, b, measured, i):
 @settings(PROPERTY, max_examples=15)
 @given(st.data())
 def test_the_step_kernel_is_the_rounds_gates_then_the_work_read(placement, data):
-    # _step against the gates on a twin context with the same generator, round by
-    # round, then the work register's _measure: the probabilities agree to 1e-12,
-    # the bits and the work value agree unless the uniform is within 1e-12 of a
-    # boundary, and the states agree to rounding over the sampled path's
-    # probability; a = 1 and the step's indices, on a register alone, after other
+    # _step against the gates on a twin context with the same generator, which
+    # sets the register to 1 and then runs round by round, then the work
+    # register's _measure: the probabilities agree to 1e-12, the bits and the work
+    # value agree unless the uniform is within 1e-12 of a boundary, and the states
+    # agree to rounding over the sampled path's probability; a = 1 and work
+    # supports within the share and past it, on a register alone, after other
     # qubits, between them or shuffled among them (each placement its own 15
-    # examples, so that none goes undrawn). From a sparse start three rounds
-    # touch the words alone, and the support bound covers every nonzero amplitude
-    # after the read
+    # examples, so that none goes undrawn). The register starts at any classical
+    # value, the other qubits at one value spread by Hadamards or dense, and the
+    # support bound covers every nonzero amplitude after the read
     modulus = data.draw(st.integers(2, 77), label="N")
     coprime = [c for c in range(1, modulus) if math.gcd(c, modulus) == 1]
     n = modulus.bit_length()
@@ -181,53 +182,37 @@ def test_the_step_kernel_is_the_rounds_gates_then_the_work_read(placement, data)
         if first is None:
             first = data.draw(st.integers(1, width - k - 1), label="first")
         physical = tuple(range(first, first + k))
+    others = tuple(q for q in range(width) if q not in physical)
     seed = data.draw(seeds, label="seed")
     kernel_ctx, oracle_ctx = (SimulationContext(seed=seed, debug=True) for _ in range(2))
-    b = data.draw(st.integers(0, 1), label="b")
-    source = algorithms._sources(modulus)
+    start = data.draw(st.integers(0, (1 << k) - 1), label="register")
     if data.draw(st.booleans(), label="sparse"):
-        # the control at b, the work at 1 and the other qubits at some value;
-        # Hadamards on some low work bits keep every work value below 2**(n-1) <= N,
-        # and on other qubits spread the rest
-        others = [q for q in range(width) if q not in physical]
-        spread = data.draw(st.lists(st.sampled_from(list(physical[2:]) + others), max_size=3,
-                                    unique=True), label="H")
+        spread = data.draw(st.lists(st.sampled_from(others), max_size=3, unique=True)
+                           if others else st.just([]), label="H")
         rest = data.draw(st.integers(0, (1 << (width - k)) - 1), label="rest")
         for ctx in (kernel_ctx, oracle_ctx):
             full = ctx.allocate_register(width)
-            engine.RegisterView(ctx, physical + tuple(others)).set_from_unsigned(
-                (b << n | 1) << (width - k) | rest)
+            engine.RegisterView(ctx, physical + others).set_from_unsigned(
+                start << (width - k) | rest)
             full.apply_operations([hadamard(q) for q in spread])
-        support = {1}
-        for q in spread:
-            if q in physical:
-                support |= {y ^ 1 << (n - physical.index(q)) for y in support}
-        rounds = 3
     else:
+        # a random state of the other qubits; a replaced array has no bound
         state = random_state(np.random.default_rng(seed), width)
-        bit = (np.arange(1 << width) >> (width - 1 - physical[0])) & 1
-        state[bit != b] = 0
+        state[bits_of(np.arange(1 << width), width, physical) != start] = 0
         for ctx in (kernel_ctx, oracle_ctx):
             ctx.allocate_register(width)
             ctx._set_state(state)
-        support, rounds = None, 2
+            ctx._state = ctx._state.copy()
+    rounds = data.draw(st.integers(1, 4), label="rounds")
     multipliers = data.draw(st.lists(st.sampled_from(coprime), min_size=rounds, max_size=rounds),
                             label="a")
 
-    def step_rounds(support):
-        for a in multipliers:
-            words = None
-            if support is not None:
-                if a != 1:
-                    support |= {w * a % modulus for w in support}
-                words = np.array(sorted(support), dtype=np.int64)
-            yield (None if a == 1 else source(a, words)), words
-
     with mock.patch.object(engine, "_sample", wraps=engine._sample) as spy:
-        measured, f = kernel_ctx._step(physical, b, step_rounds(support))
+        measured, f = kernel_ctx._step(physical, modulus, multipliers)
+    engine.RegisterView(oracle_ctx, physical).set_from_unsigned(1)
     draws = [call.args for call in spy.call_args_list]
     assert len(draws) == rounds + 1
-    path = 1.0  # the probability of the bits read
+    path, b = 1.0, 0  # the probability of the bits read, and the control's bit
     for i, a in enumerate(multipliers):
         (p0, p1), uniform = draws[i]
         marginal, expected = _reference_round(oracle_ctx, physical, a, modulus, b,
