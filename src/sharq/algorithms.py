@@ -168,12 +168,12 @@ def shor_quantum_step(ctx: SimulationContext, n_value: int, m: int,
     The step is one engine call, ``SimulationContext._step``, which sets the
     register to 1, simulates every round by its effect and reads the work
     register: the control never goes into superposition, and a round gathers
-    a**-1 * y mod N for the work values y, takes one inner product and combines
-    in place. This function validates and computes the 2n multipliers. With
-    ``oracle="circuit"`` each distinct multiplier other than 1 is first compiled
-    by ``circuit_uf``, which refuses a round that does not compute a * y mod N;
-    the step then runs the same indices, so a seed samples alike through either
-    oracle.
+    a**-1 * y mod N for the work values y < N, takes one inner product (none when
+    a = 1, as the work half keeps unit norm) and combines in place. This function
+    validates and computes the 2n multipliers. With ``oracle="circuit"`` each
+    distinct multiplier other than 1 is first compiled by ``circuit_uf``, which
+    refuses a round that does not compute a * y mod N; the step then runs the
+    same indices, so a seed samples alike through either oracle.
 
     Exactness: the states are those of the gate sequence up to rounding, not bit
     for bit, since the round's sums run in another order; a sampled bit can
@@ -190,6 +190,8 @@ def shor_quantum_step(ctx: SimulationContext, n_value: int, m: int,
 
     if register is None:
         register = ctx.allocate_register(n + 1)
+    elif not isinstance(register, RegisterView):
+        raise InvalidParameterError(f"the work register is a RegisterView, got {register!r}")
     elif register.context is not ctx:
         raise InvalidParameterError("the work register belongs to another context")
     elif len(register) != n + 1:
@@ -232,9 +234,10 @@ def extract_period(samples, m: int, n_value: int) -> int | None:
     for sample in as_items(samples, "samples"):
         if not isinstance(sample, PeriodSample):
             raise InvalidParameterError(f"a sample is a PeriodSample, got {sample!r}")
-        if sample.measured == 0:
+        measured = as_int(sample.measured, "measured sample")
+        if measured == 0:
             continue  # degenerate: carries no period information
-        for d in _convergent_denominators(sample.measured, sample.modulus):
+        for d in _convergent_denominators(measured, as_int(sample.modulus, "sample modulus")):
             if 1 <= d <= n_value:
                 candidates.add(d)
             if d > 1 and 2 * d <= n_value:

@@ -10,22 +10,21 @@ significant bit, so a 4-qubit register reading |0101> converts to the
 unsigned integer 5. Internally physical qubit 0 is the most significant bit
 of the flat state index.
 
-Gates are applied by structure class (``QuantumOperation._kernel``). A diagonal
-gate multiplies, in place, the slices whose phase is not 1. On adjacent
-ascending targets the state is an ``(a, 2**k, b)`` array: a permutation is one
-``take`` along its middle axis (U_f over a whole register) and a dense gate one
-matrix product. On other targets a permutation of up to ``_SLICE_MOVE_ARITY`` = 8
-qubits moves slices in place; a dense gate, or a wider permutation, moves the
-target axes last and back. The Shor step is one kernel call
-(``SimulationContext._step``) given N and the multipliers: it sets the register to
-1, and with the control collapsed each round simulates H, the controlled multiply,
-the readout gate and the control's measurement by their effect on the work half,
-one gather, one inner product and one combination in place, with no operation and
-no table, touching only the work values of a sparse support; the work register's
-read ends the call. Its states equal the gates' up to rounding, since its sums run
-in another order, so a bit it reads can differ only where the uniform lands within
-rounding of a boundary. ``_layout`` is the one place that maps targets to axes, for
-gates, the step, marginals, collapse, resets and peeks.
+Gates are applied by structure class (``QuantumOperation._kernel``). A diagonal gate
+multiplies, in place, the slices whose phase is not 1. On adjacent ascending targets
+the state is an ``(a, 2**k, b)`` array: a permutation is one ``take`` along its
+middle axis (U_f over a whole register) and a dense gate one matrix product. On
+other targets a permutation of up to ``_SLICE_MOVE_ARITY`` = 8 qubits moves slices
+in place; a dense gate, or a wider permutation, moves the target axes last and back.
+The Shor step is one kernel call (``SimulationContext._step``) given N and the
+multipliers: it sets the register to 1, and each round simulates H, the controlled
+multiply, the readout gate and the control's measurement by their effect on the
+unit-norm work half, with the control collapsed: one gather of the N work values
+below N (or of a sparse support's), one inner product and one combination in place;
+the work register's read ends the call. Its states equal the gates' up to rounding,
+since its sums run in another order, so a bit it reads can differ only where the
+uniform lands within rounding of a boundary. ``_layout`` is the one place that maps
+targets to axes, for gates, the step, marginals, collapse, resets and peeks.
 
 A measurement reads its marginal in one pass that sums squares straight into
 the 2**k outcomes (one dot product per outcome when the targets lead, an
@@ -742,32 +741,34 @@ class SimulationContext:
         """The Shor step for N on ``physical`` (a control, then n work qubits): the
         register is set to 1, one round runs per multiplier a, and the work register
         is read. Returns the bits read, round i at bit i, and f. The two index arrays
-        (N and 2**n entries) are allocated first, or refused before any amplitude or
-        draw changes; the caller keeps N within ``algorithms._EXACT_PRODUCT_LIMIT``.
+        of N entries are allocated first, or refused before any amplitude or draw
+        changes; the caller keeps N within ``algorithms._EXACT_PRODUCT_LIMIT``.
 
         Round i is H on the control, the controlled multiply U by a, the readout
         phase and H, and the control's measurement, simulated by their effect. With
         psi the work half and phi = exp(-i pi m / 2**i) U psi, m the bits read so
-        far, it reads c with p_c = (|psi|^2 + (-1)^c Re<psi, phi>) / 2 from one
+        far, it reads c with p_c = (1 + (-1)^c Re<psi, phi>) / 2 from one
         ``rng.random()`` (``_sample``); psi becomes (psi + (-1)^c phi) / (2
         sqrt(p_c)) in place, in half 0, whatever c: the control's bit is a label.
-        U psi takes at each work value y < N the amplitude at a**-1 * y mod N, and
-        past N its own. While the work support ({1}, and a round adds a * support
-        mod N) is at most ``_SUPPORT_SHARE`` of the 2**n work values, the round
-        reads and writes those values alone. The read samples f from |work|^2,
-        summed over the other qubits, zeroes half 0 and writes f, scaled by
-        1/sqrt(p_f), at the last bit. The halves are a view when the register is the
-        whole state in order, and otherwise the axis move's copy, written back once.
-        The bound comes out exact on the register; the other qubits keep theirs.
+        |psi| stays 1 (``set_from_unsigned(1)`` puts the whole unit-norm state in half
+        0, and a round divides by sqrt(p_c) of its c), so a = 1 makes no pass. U psi
+        takes at each y < N the amplitude at a**-1 * y mod N, which permutes [0, N):
+        no amplitude sits past N, and a round touches ``half[..., :N]`` alone, or,
+        while the work support ({1}, and a round adds a * support mod N) is at most
+        ``_SUPPORT_SHARE`` of the 2**n work values, those values alone. The read
+        samples f from |work|^2, summed over the other qubits, zeroes half 0 and
+        writes f, scaled by 1/sqrt(p_f), at the last bit. The halves are a view when
+        the register is the whole state in order, and otherwise the axis move's copy,
+        written back once. The bound comes out exact on the register; the other
+        qubits keep theirs.
         """
         n = len(physical) - 1
         try:
             y = np.arange(modulus, dtype=np.int64)
-            sources = np.arange(1 << n, dtype=np.int64)  # past N each value is its own
+            sources = np.empty(modulus, dtype=np.int64)
         except _ALLOCATION_FAILURES as exc:
-            raise QubitLimitExceededError(f"the multiply index for N={modulus} needs {1 << n} "
+            raise QubitLimitExceededError(f"the multiply index for N={modulus} needs {modulus} "
                                           "entries, which cannot be allocated") from exc
-        head = sources[:modulus]
         RegisterView(self, physical).set_from_unsigned(1)
         layout = _layout(self._count, physical)
         view, flat = None, layout.block == (1, 1)
@@ -778,6 +779,7 @@ class SimulationContext:
             view = self._state.reshape(layout.shape).transpose(layout.rest + layout.axes)
             halves = view.reshape(-1, 2, 1 << n).transpose(1, 0, 2)
         half, random = halves[0], self.rng.random
+        below = half[..., :modulus]  # the dense rounds' work values
         measured, c = 0, 0
         support, words = {1}, np.array([1])  # both None once past the share
         for i, a in enumerate(multipliers):
@@ -788,26 +790,22 @@ class SimulationContext:
                 else:
                     words = np.fromiter(support, np.int64, len(support))
                     words.sort()
-            if a == 1:
-                source = None
-            elif words is not None:
-                source = words * pow(a, -1, modulus) % modulus
-            else:
-                np.multiply(y, pow(a, -1, modulus), out=head)
-                np.remainder(head, modulus, out=head)
-                source = sources
             # H gives the |1> branch (-1)**c, and the readout rotates it by
             # exp(2*pi*i * ((c << i) - measured) / 2**(i+1)): together this phase
             phase = cmath.exp(-1j * math.pi * measured / (1 << i))
             at = words if flat or words is None else (slice(None), words)
-            psi = half if words is None else half[at]
-            norm = float(np.vdot(psi, psi).real)
-            if source is None:
-                moved, overlap = None, norm * phase.real
+            psi = below if words is None else half[at]
+            if a == 1:
+                moved, overlap = None, phase.real
             else:
+                if words is not None:
+                    source = words * pow(a, -1, modulus) % modulus
+                else:
+                    source = np.multiply(y, pow(a, -1, modulus), out=sources)
+                    np.remainder(source, modulus, out=source)
                 moved = half.take(source, axis=-1)
                 overlap = (phase * complex(np.vdot(psi, moved))).real
-            p = ((norm + overlap) / 2, (norm - overlap) / 2)
+            p = ((1 + overlap) / 2, (1 - overlap) / 2)
             c = _sample(p, random())
             measured |= c << i
             # psi becomes scale * psi + weight * U psi, which is one product when U = 1;

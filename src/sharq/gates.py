@@ -81,6 +81,8 @@ class QuantumOperation:
     permutation: np.ndarray | None = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise InvalidParameterError(f"an operation's name is a string, got {self.name!r}")
         if (self.matrix is None) == (self.permutation is None):
             raise InvalidParameterError("operation needs exactly one of matrix/permutation")
         object.__setattr__(self, "targets", as_indices(self.targets)[0])

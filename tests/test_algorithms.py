@@ -26,7 +26,7 @@ from sharq.errors import (
     QubitLimitExceededError,
     SizeMismatchError,
 )
-from sharq.gates import QuantumOperation, expand_to_full_matrix
+from sharq.gates import QuantumOperation, expand_to_full_matrix, hadamard
 
 
 def dft_matrix(n_qubits: int) -> np.ndarray:
@@ -377,8 +377,8 @@ class TestShorQuantumStep:
 
     def test_a_semantic_step_peaks_within_three_states(self):
         # N=32767 has n=15: a 16-qubit, 1 MiB state. The step holds the state, the
-        # multiply's two index buffers of N and 2**n entries, and a round's gathered
-        # half or the last read's squares, about 2.3 states; with a 2**16-entry
+        # multiply's two index buffers of N entries, and a round's gathered work
+        # values or the last read's squares, about 2.3 states; with a 2**16-entry
         # oracle table and its inverse per multiplier it peaked at 6.5
         state_bytes = 16 << 16
         tracemalloc.start()
@@ -401,7 +401,7 @@ class TestShorQuantumStep:
 
     def test_index_arrays_that_cannot_be_allocated_are_refused_before_the_state(
             self, debug_ctx, monkeypatch):
-        # the step allocates its N- and 2**n-entry index arrays before it sets the
+        # the step allocates its two N-entry index arrays before it sets the
         # register or draws: a refused N-entry array raises the cap's error, not
         # numpy's, and leaves the state and the generator as they were
         ctx = debug_ctx(seed=1)
@@ -420,6 +420,48 @@ class TestShorQuantumStep:
         monkeypatch.undo()
         assert np.array_equal(ctx._state, before)
         assert ctx.rng.bit_generator.state == draws
+
+    @pytest.mark.parametrize("n_value, multipliers", [
+        (15, [1, 4, 1, 2, 8, 1, 4]),  # n=4: past the share of 1 value from the first a
+        (33, [32, 1, 2, 1, 32, 1])])  # n=6: the support {1, 2, 31, 32} stays within 4
+    def test_a_round_takes_one_inner_product_and_none_when_a_is_1(
+            self, monkeypatch, n_value, multipliers):
+        # the work half keeps unit norm, so a round reads its outcome off
+        # Re<psi, phi> alone, and a round that multiplies by 1 makes no pass. A
+        # Hadamard on a qubit outside the step's register spreads it over two rows
+        ctx = SimulationContext(seed=5)
+        register = ctx.allocate_register(n_value.bit_length() + 2)
+        register.apply_operation(hadamard(0))
+        calls = []
+        vdot = np.vdot
+
+        def counting(*args):
+            calls.append(args)
+            return vdot(*args)
+
+        monkeypatch.setattr(np, "vdot", counting)
+        for i, a in enumerate(multipliers):
+            calls.clear()
+            ctx._step(register.exposed[1:], n_value, multipliers[:i + 1])
+            assert len(calls) == sum(b != 1 for b in multipliers[:i + 1]), (n_value, i)
+
+    def test_no_index_array_spans_the_work_register(self, monkeypatch):
+        # N=33 has n=6: every work value an amplitude can reach is below N, so the
+        # step asks for no array of 2**n = 64 entries, only its two of 33
+        sizes = []
+
+        def recording(allocate):
+            def allocating(*args, **kwargs):
+                out = allocate(*args, **kwargs)
+                sizes.append(out.size)
+                return out
+            return allocating
+
+        for name in ("arange", "empty"):
+            monkeypatch.setattr(np, name, recording(getattr(np, name)))
+        shor_quantum_step(SimulationContext(seed=1), 33, 5)
+        assert sizes.count(33) == 2
+        assert 64 not in sizes
 
     def test_circuit_oracle_runs_at_its_real_width(self):
         # N=3 has n=2: the step runs on the control plus 2 work qubits. m=2

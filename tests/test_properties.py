@@ -1003,6 +1003,7 @@ ENTRY_POINTS = {
     "QuantumOperation targets": lambda x: QuantumOperation("q", x, permutation=[1, 0]),
     "QuantumOperation matrix": lambda x: QuantumOperation("q", (0,), matrix=x),
     "QuantumOperation permutation": lambda x: QuantumOperation("q", (0,), permutation=x),
+    "QuantumOperation name": lambda x: QuantumOperation(x, (0,), matrix=np.eye(2)).inverse(),
     "expand_to_full_matrix op": lambda x: expand_to_full_matrix(x, 2),
     "expand_to_full_matrix width": lambda x: expand_to_full_matrix(hadamard(0), x),
     "prepare_named_state": lambda x: prepare_named_state(_seeded(), x),
@@ -1011,11 +1012,14 @@ ENTRY_POINTS = {
     "extract_period sample": lambda x: sharq.extract_period([x], 2, 15),
     "extract_period m": lambda x: sharq.extract_period([sharq.PeriodSample(3, 8)], x, 15),
     "extract_period n": lambda x: sharq.extract_period([sharq.PeriodSample(3, 8)], 2, x),
+    "extract_period measured": lambda x: sharq.extract_period([sharq.PeriodSample(x, 16)], 2, 15),
+    "extract_period modulus": lambda x: sharq.extract_period([sharq.PeriodSample(3, x)], 2, 15),
     "semantic_uf m": lambda x: semantic_uf(x, 15),
     "semantic_uf modulus": lambda x: semantic_uf(2, x),
     "shor_quantum_step n": lambda x: sharq.shor_quantum_step(_seeded(), x, 2),
     "shor_quantum_step m": lambda x: sharq.shor_quantum_step(_seeded(), 15, x),
     "shor_quantum_step oracle": lambda x: sharq.shor_quantum_step(_seeded(), 15, 2, oracle=x),
+    "shor_quantum_step register": lambda x: sharq.shor_quantum_step(_seeded(), 15, 8, register=x),
     "shor_factor n": lambda x: sharq.shor_factor(_seeded(), x),
     "shor_factor force_m": lambda x: sharq.shor_factor(_seeded(), 15, force_m=x),
     "add_n_ops": lambda x: add_n_ops(x, [1], [2]),
