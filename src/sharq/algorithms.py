@@ -34,7 +34,7 @@ class PeriodSample:
 def hadamard_all_ops(indices) -> OperationPlan:
     """One Hadamard per index; from |0...0> this is the uniform superposition."""
     (indices,) = as_indices(indices)
-    return OperationPlan(tuple(hadamard(i) for i in indices), tuple(indices))
+    return OperationPlan._built(tuple(hadamard(i) for i in indices), indices)
 
 
 def _controlled_phase(k: int, control: int, target: int) -> QuantumOperation:
@@ -54,7 +54,7 @@ def qft_ops(indices) -> OperationPlan:
         for k in range(2, len(indices) - j + 1):
             ops.append(_controlled_phase(k, control=indices[j + k - 1], target=target))
     ops.extend(reverse_ops(indices).ops)
-    return OperationPlan(tuple(ops), tuple(indices))
+    return OperationPlan._built(tuple(ops), indices)
 
 
 def inverse_qft_ops(indices) -> OperationPlan:
@@ -222,7 +222,8 @@ def _convergent_denominators(numerator: int, denominator: int) -> list[int]:
 def extract_period(samples, m: int, n_value: int) -> int | None:
     """Recover the period from step samples, or None to signal a resample.
 
-    Each sample c is expanded as c/modulus by continued fractions; convergent
+    Each sample c is expanded as c/modulus by continued fractions; a sample
+    outside 0 <= c < modulus is refused with ``InvalidParameterError``. Convergent
     denominators d <= N (and their doubles, since the reduced fraction can
     lose a shared factor of two) are validated against m**d mod N == 1.
     Samples whose denominators fail individually are combined by least
@@ -235,9 +236,13 @@ def extract_period(samples, m: int, n_value: int) -> int | None:
         if not isinstance(sample, PeriodSample):
             raise InvalidParameterError(f"a sample is a PeriodSample, got {sample!r}")
         measured = as_int(sample.measured, "measured sample")
+        modulus = as_int(sample.modulus, "sample modulus")
+        if not 0 <= measured < modulus:
+            raise InvalidParameterError(
+                f"a sample must lie in [0, modulus), got {measured} for modulus {modulus}")
         if measured == 0:
             continue  # degenerate: carries no period information
-        for d in _convergent_denominators(measured, as_int(sample.modulus, "sample modulus")):
+        for d in _convergent_denominators(measured, modulus):
             if 1 <= d <= n_value:
                 candidates.add(d)
             if d > 1 and 2 * d <= n_value:

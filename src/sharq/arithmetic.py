@@ -25,7 +25,13 @@ from .gates import HARD_QUBIT_LIMIT, QuantumOperation, cnot, pauli_x, toffoli, t
 
 @dataclass(frozen=True)
 class OperationPlan:
-    """An ordered gate sequence plus the indices holding the semantic output."""
+    """An ordered gate sequence plus the indices holding the semantic output.
+
+    ``ops`` is parsed into a tuple of operations and ``result_indices`` into a
+    tuple of distinct ints; anything else is refused with ``InvalidParameterError``.
+    A builder assembles its plan through ``_built``, which trusts the operations
+    it built and the indices it parsed, and skips the second parse.
+    """
 
     ops: tuple[QuantumOperation, ...]
     result_indices: tuple[int, ...]
@@ -36,9 +42,18 @@ class OperationPlan:
         object.__setattr__(self, "ops", ops)
         object.__setattr__(self, "result_indices", as_indices(self.result_indices)[0])
 
+    @classmethod
+    def _built(cls, ops: tuple[QuantumOperation, ...],
+               result_indices: tuple[int, ...]) -> "OperationPlan":
+        plan = object.__new__(cls)
+        object.__setattr__(plan, "ops", ops)
+        object.__setattr__(plan, "result_indices", result_indices)
+        return plan
+
     def inverse(self) -> "OperationPlan":
         """The reverse circuit: inverted gates in reverse order."""
-        return OperationPlan(tuple(op.inverse() for op in reversed(self.ops)), self.result_indices)
+        return OperationPlan._built(tuple(op.inverse() for op in reversed(self.ops)),
+                                    self.result_indices)
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -87,7 +102,7 @@ def run_on_basis(ops, width: int, value):
 def sum_ops(carry: int, x: int, y: int) -> OperationPlan:
     """y <- carry XOR x XOR y; carry and x unchanged."""
     carry, x, y = as_indices((carry, x, y))[0]
-    return OperationPlan(_sum(carry, x, y), (y,))
+    return OperationPlan._built(_sum(carry, x, y), (y,))
 
 
 def _sum(carry, x, y):
@@ -97,7 +112,7 @@ def _sum(carry, x, y):
 def carry_ops(carry: int, x: int, y: int, ancilla: int) -> OperationPlan:
     """y <- x XOR y; ancilla accumulates the carry (majority) term."""
     carry, x, y, ancilla = as_indices((carry, x, y, ancilla))[0]
-    return OperationPlan(_carry(carry, x, y, ancilla), (y, ancilla))
+    return OperationPlan._built(_carry(carry, x, y, ancilla), (y, ancilla))
 
 
 def _carry(carry, x, y, ancilla):
@@ -107,7 +122,7 @@ def _carry(carry, x, y, ancilla):
 def carry_inverse_ops(carry: int, x: int, y: int, ancilla: int) -> OperationPlan:
     """The carry gate run backwards (all constituent gates are self-inverse)."""
     forward = carry_ops(carry, x, y, ancilla)
-    return OperationPlan(tuple(reversed(forward.ops)), (y,))
+    return OperationPlan._built(tuple(reversed(forward.ops)), forward.result_indices[:1])
 
 
 # --- n-qubit adder ----------------------------------------------------------
@@ -140,7 +155,7 @@ def add_n_ops(x_indices, y_indices, ancilla_indices) -> OperationPlan:
     for i in range(n - 2, -1, -1):
         ops.extend(reversed(_carry(carries[i], xs[i], ys[i], carries[i + 1])))
         ops.extend(_sum(carries[i], xs[i], ys[i]))
-    return OperationPlan(tuple(ops), (anc[0], *y))
+    return OperationPlan._built(tuple(ops), (anc[0], *y))
 
 
 # --- modular adder ----------------------------------------------------------
@@ -185,7 +200,7 @@ def modular_add_ops(x_indices, y_indices, modulus_indices, scratch_indices,
     ops.append(cnot(overflow, flag))            # clear the flag
     ops.append(pauli_x(overflow))
     ops.extend(add_x.ops)                       # b := (a + b) mod N
-    return OperationPlan(tuple(ops), tuple(y))
+    return OperationPlan._built(tuple(ops), y)
 
 
 # --- controlled modular multiplier -------------------------------------------
@@ -234,7 +249,7 @@ def controlled_modular_multiply_ops(control: int, x_indices, y_indices,
     ops.append(pauli_x(control))
     ops.extend(toffoli(control, x[i], y[i]) for i in range(n))
     ops.append(pauli_x(control))
-    return OperationPlan(tuple(ops), tuple(y))
+    return OperationPlan._built(tuple(ops), y)
 
 
 # --- modular exponentiation ---------------------------------------------------
@@ -272,7 +287,7 @@ def modular_exponentiation_ops(reg1_indices, reg2_indices, ancilla_indices,
                                    factor, modulus))
         factor = (factor * factor) % modulus
     ops.extend(set_modulus)  # clear the modulus register back to |0>
-    return OperationPlan(tuple(ops), tuple(reg2))
+    return OperationPlan._built(tuple(ops), reg2)
 
 
 def _multiply_round(control: int, acc, temp, n_reg, scratch,
@@ -301,4 +316,4 @@ def reverse_ops(indices) -> OperationPlan:
     for i in range(len(indices) // 2):
         a, b = indices[i], indices[len(indices) - 1 - i]
         ops.extend((cnot(a, b), cnot(b, a), cnot(a, b)))
-    return OperationPlan(tuple(ops), tuple(reversed(indices)))
+    return OperationPlan._built(tuple(ops), indices[::-1])

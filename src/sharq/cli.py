@@ -1,13 +1,13 @@
 """Command-line entry point.
 
 Commands: coin-toss, entangle, factor, state. A tally command simulates
-its circuit once; each trial then measures the prepared state with one reused
-generator, set per trial to the state ``trial_seed`` gives for the master seed
-and the trial index (``engine._trial_generators``). NumPy freezes the
-SeedSequence and PCG64 streams (NEP 19), so the states are exact, a fixed
---seed pins the entire output, and the tallies are those of one fresh context
-per trial. Exit status: 0 success, 1 usage, 2 precondition failure, 3 resource
-exhaustion.
+its circuit once; each trial then measures the prepared state with its one
+uniform, the first draw of the generator ``trial_seed`` gives for the master
+seed and the trial index, derived with no generator
+(``engine._trial_uniforms``). NumPy freezes the SeedSequence and PCG64 streams
+(NEP 19), so the uniforms are exact, a fixed --seed pins the entire output, and
+the tallies are those of one fresh context per trial. Exit status: 0 success,
+1 usage, 2 precondition failure, 3 resource exhaustion.
 """
 from __future__ import annotations
 
@@ -112,7 +112,7 @@ def _run_tally(args, prepare) -> int:
     seed = _resolve_seed(args.seed)
     start = time.perf_counter()
     register = prepare(SimulationContext(seed=seed, qubit_cap=args.qubit_cap))
-    tally = Counter(result.bits for result in _measure_trials(register, seed, args.trials))
+    tally = Counter(_measure_trials(register, seed, args.trials))
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     _emit_tally(args, seed, tally, elapsed_ms)
     return EXIT_OK

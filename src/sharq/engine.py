@@ -79,6 +79,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -428,17 +429,16 @@ def trial_seed(master_seed: int, trial_index: int) -> np.random.SeedSequence:
 
 
 # SeedSequence's hash constants (NumPy's bit_generator.pyx) and PCG64's multiplier
-# (pcg64.h). NEP 19 freezes both streams, so the states derived from them below
+# (pcg64.h). NEP 19 freezes both streams, so the uniforms derived from them below
 # stay those of default_rng(trial_seed(m, t)).
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-# Trials whose generator states are derived in one vectorized pass: the CLI's
-# default 1000 trials take one. From 64 to 4096 a trial costs about the same,
-# 4-5 us with its draw (2-core Xeon, numpy 2.4), and memory stays bounded.
+# Trials whose seed hashes run in one vectorized pass: the CLI's default 1000
+# trials take one, and memory stays bounded.
 _TRIAL_CHUNK = 1024
 
 
@@ -490,20 +490,19 @@ def _seed_sequence_states(entropy: list[np.ndarray]) -> list[list[int]]:
     return [(halves[2 * j + 1] << 32 | halves[2 * j]).tolist() for j in range(4)]
 
 
-def _trial_generators(master_seed: int, start: int, stop: int):
-    """Yield one reused Generator, set in turn to trial t's state for t in [start, stop).
+def _trial_uniforms(master_seed: int, start: int, stop: int):
+    """Yield trial t's one uniform, as a Python float, for t in [start, stop).
 
-    Trial t's state, and so every draw after it, is that of
+    Trial t's uniform is the first ``random()`` of
     ``np.random.default_rng(trial_seed(master_seed, t))``. For a chunk of at most
     ``_TRIAL_CHUNK`` trials at a time, SeedSequence's hash runs across the trial
-    axis (``_seed_sequence_states``) and PCG64's seeding in 128-bit ints; the
-    generator's state is then set per trial. A chunk stays below the next multiple
-    of 2**32, so the trial index's words above the lowest are the same throughout.
+    axis (``_seed_sequence_states``); PCG64's seeding, its next step and its
+    XSL-RR output then run in 128-bit ints, and the output's top 53 bits scale to
+    [0, 1) as ``random()`` scales them. A chunk stays below the next multiple of
+    2**32, so the trial index's words above the lowest are the same throughout.
     """
     master_seed, start = _trial_entropy(master_seed, start)
     master = _words(master_seed)
-    rng = np.random.Generator(np.random.PCG64(0))
-    bit_generator = rng.bit_generator
     while start < stop:
         low, high = start & _MASK32, start >> 32
         n = min(stop - start, _TRIAL_CHUNK, (1 << 32) - low)
@@ -512,13 +511,13 @@ def _trial_generators(master_seed: int, start: int, stop: int):
         if high:
             entropy += [np.full(n, word, np.uint32) for word in _words(high)]
         for seed_hi, seed_lo, seq_hi, seq_lo in zip(*_seed_sequence_states(entropy)):
-            # PCG64's set_seed: state 0, inc = initseq << 1 | 1, step, += initstate, step
+            # PCG64's set_seed: state 0, inc = initseq << 1 | 1, step, += initstate,
+            # step; then random()'s step and the output of the state it reaches
             inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
             state = (((seed_hi << 64 | seed_lo) + inc) * _PCG64_MULT + inc) & _MASK128
-            bit_generator.state = {"bit_generator": "PCG64",
-                                   "state": {"state": state, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
-            yield rng
+            state = (state * _PCG64_MULT + inc) & _MASK128
+            rot, word = state >> 122, (state >> 64 ^ state) & _MASK64
+            yield (((word >> rot | word << (64 - rot)) & _MASK64) >> 11) * 2**-53
         start += n
 
 
@@ -1203,19 +1202,27 @@ def _measure_trials(register: RegisterView, master_seed: int, trials: int):
 
     The state it holds now is the snapshot. Trial t copies it into one restore
     buffer, reused by every trial (so ``ctx._state`` is that one array, which no
-    support bound names: each trial reads densely), and measures with one
-    reused generator whose state is set to that of
-    ``default_rng(trial_seed(master_seed, t))`` (``_trial_generators``), so it
-    reads what a fresh context with that seed would read after the same
-    measurement-free circuit. The states are derived a chunk of trials at a time,
-    with no per-trial SeedSequence or generator; NEP 19 freezes the SeedSequence
-    and PCG64 streams, so the derivation stays exact. Memory does not grow with
-    ``trials``. Yields one ClassicalResult per trial.
+    support bound names: each trial reads densely), and reads it with trial t's
+    one uniform, the first draw of ``default_rng(trial_seed(master_seed, t))``
+    (``_trial_uniforms``): ``ctx.rng`` is a draw source whose ``random`` yields
+    the next of them; ``_measure`` draws once per read of one or more qubits.
+    So each trial reads what a fresh context with that seed
+    would read after the same measurement-free circuit. The uniforms are derived
+    a chunk of trials at a time, with no per-trial SeedSequence or generator;
+    NEP 19 freezes the SeedSequence and PCG64 streams, so the derivation stays
+    exact. Once the trials end, or the iterator is closed, ``ctx.rng`` is the
+    context's own generator again. Memory does not grow with ``trials``. Yields
+    each trial's bits, a tuple of ints.
     """
-    ctx = register.context
-    prepared = ctx._state
+    _trial_entropy(master_seed, 0)  # refused before any trial, even one that draws nothing
+    ctx, physical = register.context, register._exposed
+    own, prepared = ctx.rng, ctx._state
     restored = np.empty_like(prepared)
-    for rng in _trial_generators(master_seed, 0, trials):
-        np.copyto(restored, prepared)
-        ctx._state, ctx.rng = restored, rng
-        yield register.measure()
+    ctx.rng = SimpleNamespace(random=_trial_uniforms(master_seed, 0, trials).__next__)
+    try:
+        for _ in range(trials):
+            np.copyto(restored, prepared)
+            ctx._state = restored
+            yield ctx._measure(physical)
+    finally:
+        ctx.rng = own

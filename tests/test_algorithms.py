@@ -590,6 +590,14 @@ class TestExtractPeriod:
     def test_zero_sample_is_degenerate(self):
         assert extract_period([PeriodSample(0, 256)], 8, 15) is None
 
+    @pytest.mark.parametrize("measured, modulus", [
+        (20, 16), (16, 16), (4, -16), (-4, 16), (5, 0), (0, 0), (0, -1)])
+    def test_a_sample_outside_its_modulus_is_refused(self, measured, modulus):
+        # (20, 16) and (4, -16) expand to fractions whose denominators hold the period
+        # 4, and (5, 0) to none, as if the sample were degenerate
+        with pytest.raises(InvalidParameterError, match=r"\[0, modulus\)"):
+            extract_period([PeriodSample(64, 256), PeriodSample(measured, modulus)], 2, 15)
+
     def test_three_quarters_sample(self):
         assert extract_period([PeriodSample(192, 256)], 8, 15) == 4
 

@@ -6,7 +6,7 @@ import pytest
 
 from sharq import SimulationContext
 from sharq.cli import main
-from sharq.engine import trial_seed
+from sharq.engine import _TRIAL_CHUNK, trial_seed
 from sharq.gates import NAMED_STATES, hadamard, prepare_named_state
 
 
@@ -264,10 +264,13 @@ TALLY_CIRCUITS = {
 class TestTallyPath:
     """The circuit is simulated once and every trial measured from the prepared state."""
 
-    @pytest.mark.parametrize("seed", [0, 9, 2024])
+    @pytest.mark.parametrize("seed, trials", [
+        pytest.param(0, 200, id="0"), pytest.param(9, 200, id="9"),
+        pytest.param(2024, 200, id="2024"),
+        # uniforms past the first chunk come from a second vectorized hash
+        pytest.param(7, _TRIAL_CHUNK + 6, id="7-past-a-chunk")])
     @pytest.mark.parametrize("command", sorted(TALLY_CIRCUITS), ids=" ".join)
-    def test_tally_equals_one_fresh_context_per_trial(self, capsys, command, seed):
-        trials = 200
+    def test_tally_equals_one_fresh_context_per_trial(self, capsys, command, seed, trials):
         code, out, _ = run_cli(capsys, *command, "--trials", str(trials), "--seed", str(seed),
                                "--output", "json")
         assert code == 0

@@ -839,26 +839,26 @@ class TestSeeds:
 
     @pytest.mark.parametrize("master_seed", [0, 7, 2**31 - 1, 2**32, 2**64 + 3, 2**130 + 5])
     def test_each_trial_generator_is_in_the_state_of_its_trial_seed(self, master_seed):
+        # each trial's uniform is the first draw of its trial seed's generator;
         # 2**32 and up are two-word trial indices, and a master past 3 words
         # overflows SeedSequence's 4-word pool
-        for trial in (0, 1, 999, 2**32 - 1, 2**32, 2**32 + 1):
-            rng = next(engine._trial_generators(master_seed, trial, trial + 1))
-            expected = np.random.default_rng(engine.trial_seed(master_seed, trial))
-            assert rng.bit_generator.state == expected.bit_generator.state
+        for trial in (0, 1, 999, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 2, 2**64 + 2):
+            uniform = next(engine._trial_uniforms(master_seed, trial, trial + 1))
+            assert type(uniform) is float
+            assert uniform == np.random.default_rng(engine.trial_seed(master_seed, trial)).random()
 
     @pytest.mark.parametrize("start, stop", [(0, engine._TRIAL_CHUNK + 3),
                                              (2**32 - 3, 2**32 + 2), (2**64 - 2, 2**64 + 1)])
     def test_trial_generators_cross_chunks_and_word_boundaries(self, start, stop):
-        states = [rng.bit_generator.state
-                  for rng in engine._trial_generators(2024, start, stop)]
-        assert states == [np.random.default_rng(engine.trial_seed(2024, t)).bit_generator.state
-                          for t in range(start, stop)]
+        uniforms = list(engine._trial_uniforms(2024, start, stop))
+        assert uniforms == [np.random.default_rng(engine.trial_seed(2024, t)).random()
+                            for t in range(start, stop)]
 
     def test_a_huge_trial_count_keeps_memory_bounded(self):
         def first(n, trials):
             reg = SimulationContext(seed=5).allocate_register(3)
             reg.apply_operation(hadamard(0)).apply_operation(hadamard(2))
-            return [r.bits for r in itertools.islice(engine._measure_trials(reg, 5, trials), n)]
+            return list(itertools.islice(engine._measure_trials(reg, 5, trials), n))
 
         tracemalloc.start()
         try:
@@ -876,15 +876,31 @@ class TestSeeds:
         ctx, states, read = reg.context, [], []
         with mock.patch.object(engine.SimulationContext, "_measure", autospec=True,
                                side_effect=engine.SimulationContext._measure) as spy:
-            for n, result in enumerate(engine._measure_trials(reg, 3, trials), 1):
+            for n, bits in enumerate(engine._measure_trials(reg, 3, trials), 1):
                 assert spy.call_count == n
                 assert ctx._bound() is None  # the buffer is read densely
                 states.append(ctx._state)
-                read.append(result.bits)
+                read.append(bits)
         assert spy.call_count == trials
         assert all(state is states[0] for state in states)
         # each trial restores the snapshot: both outcomes keep coming
         assert set(read[1:]) == {(0, 0, 0), (1, 0, 1)}
+
+    def test_the_register_measures_after_the_trials_through_its_own_generator(self):
+        reg = SimulationContext(seed=11).allocate_register(2)
+        reg.apply_operation(hadamard(0)).apply_operation(cnot(0, 1))
+        ctx = reg.context
+        own, draws = ctx.rng, ctx.rng.bit_generator.state
+        trials = engine._measure_trials(reg, 11, 5)
+        next(trials)
+        assert ctx.rng is not own
+        trials.close()  # an iterator closed early hands the generator back too
+        assert ctx.rng is own
+        assert len(list(engine._measure_trials(reg, 11, 5))) == 5
+        assert ctx.rng is own and own.bit_generator.state == draws  # the trials drew none
+        reg.apply_operation(hadamard(1))
+        assert len(reg.measure()) == 2
+        assert own.bit_generator.state != draws  # this read drew from it
 
     @pytest.mark.parametrize("master_seed", [-1, np.int64(-3), 1.5, "7"])
     def test_trials_refuse_a_bad_master_seed(self, master_seed):

@@ -955,17 +955,17 @@ def test_small_marginals_pick_on_python_floats_as_on_arrays(values, drawn):
         assert engine._sample(marginal, uniform) == expected  # numpy scalars, the same sums
 
 
-# --- per-trial generators ---------------------------------------------------------
+# --- per-trial uniforms -----------------------------------------------------------
 
 @PROPERTY
 @given(st.integers(0, 2**160), st.integers(0, 2**70), st.integers(1, 6))
 def test_trial_generators_are_in_the_full_state_of_their_trial_seeds(master, start, count):
-    # masters and trial indices of any width: past 4 words of entropy in all,
-    # SeedSequence mixes the rest into its 4-word pool
-    states = [rng.bit_generator.state
-              for rng in engine._trial_generators(master, start, start + count)]
-    assert states == [np.random.default_rng(engine.trial_seed(master, t)).bit_generator.state
-                      for t in range(start, start + count)]
+    # each uniform is the first draw of its trial seed's generator, for masters and
+    # trial indices of any width: past 4 words of entropy in all, SeedSequence
+    # mixes the rest into its 4-word pool
+    uniforms = list(engine._trial_uniforms(master, start, start + count))
+    assert uniforms == [np.random.default_rng(engine.trial_seed(master, t)).random()
+                        for t in range(start, start + count)]
 
 
 # --- typed refusals at every public entry point --------------------------------
