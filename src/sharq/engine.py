@@ -24,12 +24,15 @@ below N (or of a sparse support's), one inner product and one combination in pla
 the work register's read ends the call. Its states equal the gates' up to rounding,
 since its sums run in another order, so a bit it reads can differ only where the
 uniform lands within rounding of a boundary. ``_layout`` is the one place that maps
-targets to axes, for gates, the step, marginals, collapse, resets and peeks.
+targets to axes, for gates, the step, marginals, collapse, resets and peeks, one axis
+per run of adjacent ascending targets; ``_selector`` addresses a target value there.
 
 A measurement reads its marginal in one pass that sums squares straight into
 the 2**k outcomes (one dot product per outcome when the targets lead, an
 ``einsum`` of the float view otherwise), draws one uniform, and collapses in
-place: the slices of the other outcomes are zeroed and the kept one rescaled.
+place: on each run's axis the values before and after the outcome's are zeroed
+inside the slice kept so far, and the kept slice is rescaled. Arrays a read cannot
+allocate raise ``ResourceExhaustedError``, with the amplitudes unchanged.
 A marginal of at most ``_SCALAR_OUTCOMES`` = 16 outcomes is sampled on Python
 floats, the array rule's picks at a few scalar operations' cost, and a read of
 every qubit in order keeps its one amplitude through one ``fill``. It builds no
@@ -91,6 +94,7 @@ from .errors import (
     InvalidParameterError,
     NotClassicalStateError,
     QubitLimitExceededError,
+    ResourceExhaustedError,
     SizeMismatchError,
     ValueOutOfRangeError,
     as_indices,
@@ -121,6 +125,15 @@ def _unallocatable(n_qubits: int) -> QubitLimitExceededError:
     )
 
 
+def _unreadable(n_qubits: int, layout: _Layout) -> ResourceExhaustedError:
+    """A read's refusal, naming its largest array: the squares, one float per
+    amplitude, when at most one qubit is not read, one float per outcome otherwise."""
+    a, b, k = *(layout.block or (0, 0)), layout.bits.bit_count()
+    return ResourceExhaustedError(f"a read of {k} of {n_qubits} qubits needs "
+                                  f"{8 << (n_qubits if 0 < a * b <= 2 else k)} bytes, which "
+                                  "cannot be allocated; the amplitudes are unchanged")
+
+
 # A basis permutation, a classical plan's or a lone one, moves only the support
 # bound's candidates while they are at most this share of the state
 # (``SimulationContext._move``); a state with a looser bound, or none, takes one
@@ -145,9 +158,9 @@ _KRON_WIDTH = 32
 class _Layout(NamedTuple):
     """How the flat state is viewed when a given tuple of qubits are the targets."""
 
-    shape: tuple[int, ...]  # one length-2 axis per target, one merged axis per run of others
-    axes: tuple[int, ...]  # the axis of each target, in target order
-    rest: tuple[int, ...]  # the merged axes
+    shape: tuple[int, ...]  # in qubit order, one axis per run of targets and per run of others
+    axes: tuple[int, ...]  # the axis of each run of targets, in target order
+    rest: tuple[int, ...]  # the axes of the other qubits
     block: tuple[int, int] | None  # (a, b) when the state is an (a, 2**k, b) array
     runs: tuple[tuple[int, int, int], ...]  # ``bit_runs`` of the targets' bits in a flat index
     bits: int  # the targets' bits in a flat index, as one mask
@@ -158,44 +171,38 @@ def _layout(n_qubits: int, physical: tuple[int, ...]) -> _Layout:
     """The one map from target qubits to axes and bits, for gates, marginals,
     collapse, peeks and the sparse path.
 
-    Qubits stay in order; a run of non-target qubits becomes one merged axis.
-    ``block`` is set when the targets are adjacent and ascending.
+    Qubits stay in order: each run of adjacent ascending targets (a ``bit_runs`` run)
+    is one axis, indexed by its big-endian value, as each run of other qubits is one
+    merged axis. ``block`` is set when the targets are one run.
     """
-    targets = set(physical)
-    shape, rest, axis_of, run = [], [], {}, 0
-    for q in range(n_qubits):
-        if q not in targets:
-            run += 1
-            continue
-        if run:
+    runs = bit_runs([n_qubits - 1 - q for q in physical])
+    shape, rest, axis_of, q = [], [], {}, 0
+    for shift, mask, place in sorted(runs, reverse=True):  # by first qubit
+        first = n_qubits - shift - mask.bit_length()
+        if first > q:
             rest.append(len(shape))
-            shape.append(1 << run)
-            run = 0
-        axis_of[q] = len(shape)
-        shape.append(2)
-    if run or not shape:
+            shape.append(1 << (first - q))
+        axis_of[place] = len(shape)
+        shape.append(mask + 1)
+        q = n_qubits - shift
+    if q < n_qubits or not shape:
         rest.append(len(shape))
-        shape.append(1 << run)
-    k = len(physical)
-    first = physical[0] if k else n_qubits
-    block = None
-    if physical == tuple(range(first, first + k)):
-        block = (1 << first, 1 << (n_qubits - first - k))
-    axes = tuple(axis_of[q] for q in physical)
-    shifts = [n_qubits - 1 - q for q in physical]
-    return _Layout(tuple(shape), axes, tuple(rest), block, bit_runs(shifts),
-                   sum(1 << shift for shift in shifts))
+        shape.append(1 << (n_qubits - q))
+    shift, mask, _ = runs[0] if runs else (0, 0, 0)
+    block = (1 << (n_qubits - shift - mask.bit_length()), 1 << shift) if len(runs) < 2 else None
+    return _Layout(tuple(shape), tuple(axis_of[place] for _, _, place in runs), tuple(rest),
+                   block, runs, sum(mask << shift for shift, mask, _ in runs))
 
 
-def _selector(ndim: int, axes: tuple[int, ...], sub_index: int) -> tuple:
-    """Index of the slice where the targets on ``axes`` hold ``sub_index`` (big-endian).
+def _selector(layout: _Layout, sub_index: int) -> tuple:
+    """Index of the slice where the targets of ``layout`` hold ``sub_index``
+    (big-endian): each run's axis takes that run's bits of it.
 
     The trailing Ellipsis keeps the slice a view even when every axis is a target.
     """
-    index = [slice(None)] * ndim + [Ellipsis]
-    k = len(axes)
-    for j, axis in enumerate(axes):
-        index[axis] = (sub_index >> (k - 1 - j)) & 1
+    index = [slice(None)] * len(layout.shape) + [Ellipsis]
+    for axis, (_, mask, place) in zip(layout.axes, layout.runs):
+        index[axis] = sub_index >> place & mask
     return tuple(index)
 
 
@@ -674,7 +681,6 @@ class SimulationContext:
     def _apply(self, op: QuantumOperation, physical_targets: tuple[int, ...]):
         """Apply ``op`` on ``physical_targets``; the caller has checked it."""
         layout = _layout(self._count, physical_targets)
-        ndim, axes = len(layout.shape), layout.axes
         state, kernel = self._state, op._kernel
         if kernel == "perm":
             move = _mover(layout.runs, op._basis_images.__getitem__)
@@ -696,7 +702,7 @@ class SimulationContext:
                 state[at] = state[at] @ op.matrix.T
         elif kernel == "diag":
             for sub_index, phase in op._phases:
-                psi[_selector(ndim, axes, sub_index)] *= phase
+                psi[_selector(layout, sub_index)] *= phase
         elif layout.block is not None:
             a, b = layout.block
             if kernel == "perm":
@@ -710,14 +716,14 @@ class SimulationContext:
         elif kernel == "perm" and op.arity <= _SLICE_MOVE_ARITY:
             for cycle in op._cycles:
                 # the amplitudes at sub-index cycle[i] move to cycle[i + 1]
-                slot = [psi[_selector(ndim, axes, s)] for s in cycle]
+                slot = [psi[_selector(layout, s)] for s in cycle]
                 carried = slot[-1].copy()
                 for i in range(len(cycle) - 1, 0, -1):
                     slot[i][...] = slot[i - 1]
                 slot[0][...] = carried
         else:
             # the one axis move: targets last, in target order, and back in place
-            view = psi.transpose(layout.rest + axes)
+            view = psi.transpose(layout.rest + layout.axes)
             columns = view.reshape(-1, op.dimension)
             if kernel == "perm":
                 columns = columns.take(op._permutation_inverse, axis=1)
@@ -802,6 +808,7 @@ class SimulationContext:
                 else:
                     source = np.multiply(y, pow(a, -1, modulus), out=sources)
                     np.remainder(source, modulus, out=source)
+                moved = None  # the last round's gather, freed before this one is built
                 moved = half.take(source, axis=-1)
                 overlap = (phase * complex(np.vdot(psi, moved))).real
             p = ((1 + overlap) / 2, (1 - overlap) / 2)
@@ -896,11 +903,15 @@ class SimulationContext:
         each probability sums |amp|**2 of its candidates, squared as the dense
         marginal squares them; no array has an entry per outcome the bound rules
         out. Otherwise the read is dense: the outcomes and candidates are None, and
-        the marginal, one entry per outcome in order, is ``_marginal_probabilities``.
+        the marginal, one entry per outcome in order, is ``_marginal_probabilities``,
+        refused with ``ResourceExhaustedError`` when it cannot be allocated.
         """
         support = None if bound is None else bound.candidates(self._state.size)
         if support is None:
-            return None, self._marginal_probabilities(layout), None
+            try:
+                return None, self._marginal_probabilities(layout), None
+            except _ALLOCATION_FAILURES as exc:
+                raise _unreadable(self._count, layout) from exc
         sub = gather_bits(layout.runs, support)
         squares = np.abs(self._state[support])
         squares *= squares
@@ -911,16 +922,17 @@ class SimulationContext:
     def _measure(self, physical: tuple[int, ...]) -> tuple[int, ...]:
         """Sample the targets from their exact marginal and collapse onto the outcome.
 
-        One read pass gives the marginal (``_marginal_probabilities``) and one
-        uniform draw the outcome (``_sample``), on Python floats for at most
-        ``_SCALAR_OUTCOMES`` outcomes. The collapse is in place, with no mask: the
-        slices of the other outcomes are zeroed and the kept one is rescaled, and it
-        allocates nothing of the state's size; a read of every qubit in order keeps
-        one amplitude, so it zeroes the state with one ``fill`` and writes that
-        amplitude back, scaled. The support bound, if the state has one, then pins
-        the measured qubits to the outcome. While the bound allows at most
-        ``_SUPPORT_SHARE`` of the state, the read and the collapse touch its
-        candidates alone (``_read``).
+        One read pass gives the marginal (``_read``) and one uniform draw the
+        outcome (``_sample``, on Python floats for at most ``_SCALAR_OUTCOMES``
+        outcomes); arrays for either that cannot be allocated raise
+        ``ResourceExhaustedError`` with the amplitudes unchanged. The collapse is in
+        place and allocates nothing of the state's size: a read of every qubit in
+        order zeroes the state with one ``fill`` and writes its one amplitude back,
+        scaled; any other dense read zeroes, on each run's ``_layout`` axis, the
+        values before and after the outcome's inside the slice kept so far, and
+        rescales the kept slice. The support bound, if any, then pins the measured
+        qubits; while it allows at most ``_SUPPORT_SHARE`` of the state, the read
+        and the collapse touch its candidates alone.
         """
         k = len(physical)
         if k == 0:
@@ -930,7 +942,10 @@ class SimulationContext:
         outcomes, marginal, candidates = self._read(layout, bound)
         if len(marginal) <= _SCALAR_OUTCOMES:
             marginal = marginal.tolist()
-        picked = _sample(marginal, self.rng.random())
+        try:
+            picked = _sample(marginal, self.rng.random())
+        except _ALLOCATION_FAILURES as exc:  # the cumulative weights of many outcomes
+            raise _unreadable(self._count, layout) from exc
         outcome, p = picked if outcomes is None else int(outcomes[picked]), marginal[picked]
         bits = tuple([(outcome >> (k - 1 - i)) & 1 for i in range(k)])
         if bound is not None:
@@ -948,27 +963,20 @@ class SimulationContext:
             self._state.fill(0)
             self._state[outcome] = kept
             return bits
-        if layout.block is not None:
-            # the (a, 2**k * b) array, flat when a == 1: the kept outcome is the
-            # columns [lo, hi), and the columns before and after it are zeroed
-            a, b = layout.block
-            lo, hi = outcome * b, (outcome + 1) * b
-            psi = self._state if a == 1 else self._state.reshape(a, -1)
-            if lo:
-                psi[..., :lo] = 0
-            if hi < psi.shape[-1]:
-                psi[..., hi:] = 0
-            kept = psi[..., lo:hi]
-        else:
-            # target by target, zero the slice that disagrees with its bit inside
-            # the slice that agrees with the bits before it: at most one pass of writes
-            psi = self._state.reshape(layout.shape)
-            index = [slice(None)] * len(layout.shape) + [Ellipsis]
-            for axis, bit in zip(layout.axes, bits):
-                index[axis] = 1 - bit
+        # run by run, zero the values before and after the run's value inside the
+        # slice kept so far: at most one pass of writes
+        psi = self._state.reshape(layout.shape)
+        index = [slice(None)] * len(layout.shape) + [Ellipsis]
+        for axis, (_, mask, place) in zip(layout.axes, layout.runs):
+            value = outcome >> place & mask
+            if value:
+                index[axis] = slice(value)
                 psi[tuple(index)] = 0
-                index[axis] = bit
-            kept = psi[tuple(index)]
+            if value < mask:
+                index[axis] = slice(value + 1, None)
+                psi[tuple(index)] = 0
+            index[axis] = value
+        kept = psi[tuple(index)]
         kept *= scale
         return bits
 

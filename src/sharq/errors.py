@@ -71,7 +71,9 @@ class SemanticOracleNotMaterializableError(SharqError):
 
 
 class ResourceExhaustedError(SharqError):
-    """The retry budget for a probabilistic procedure ran out."""
+    """A budget ran out: the retry budget of a probabilistic procedure, or the
+    memory for a measurement's squares, marginal or cumulative weights (the
+    amplitudes are left unchanged)."""
 
 
 def as_int(value, what: str) -> int:

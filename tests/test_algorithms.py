@@ -376,18 +376,27 @@ class TestShorQuantumStep:
         assert (sizes and max(sizes) <= 1 << 8) if oracle == "circuit" else not sizes
 
     def test_a_semantic_step_peaks_within_three_states(self):
-        # N=32767 has n=15: a 16-qubit, 1 MiB state. The step holds the state, the
-        # multiply's two index buffers of N entries, and a round's gathered work
-        # values or the last read's squares, about 2.3 states; with a 2**16-entry
-        # oracle table and its inverse per multiplier it peaked at 6.5
+        # N=32767 and N=32761 have n=15: a 16-qubit, 1 MiB state. Above the state,
+        # the step holds the multiply's two index buffers of N entries (0.5 state)
+        # and either one round's gather of the work values (0.5) or the read's
+        # squares and cumulative weights (0.75): 1.25 states. With the last round's
+        # gather still alive while the next was built it took 1.5, and with a
+        # 2**16-entry oracle table and its inverse per multiplier the step peaked at
+        # 6.5 states in all. At N=32767, m=2 the order of 2 is 15, so every round
+        # stays sparse and the peak is the read's; at N=32761, m=3 the rounds go dense
         state_bytes = 16 << 16
-        tracemalloc.start()
-        try:
-            shor_quantum_step(SimulationContext(seed=1), 32767, 2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert state_bytes < peak <= 3 * state_bytes
+        for modulus, m in ((32767, 2), (32761, 3)):
+            tracemalloc.start()
+            try:
+                ctx = SimulationContext(seed=1)
+                register = ctx.allocate_register(16)
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                shor_quantum_step(ctx, modulus, m, register=register)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert state_bytes <= before and peak - before <= 1.3 * state_bytes, (modulus, m)
 
     def test_an_n_past_exact_int64_products_is_refused_before_allocation(self):
         # a**-1 * y < N**2 must fit in int64; past that N the register would hold

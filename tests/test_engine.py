@@ -46,6 +46,7 @@ from sharq.errors import (
     NotClassicalStateError,
     NotUnitaryOperationError,
     QubitLimitExceededError,
+    ResourceExhaustedError,
     SizeMismatchError,
     ValueOutOfRangeError,
 )
@@ -721,23 +722,46 @@ class TestMeasurement:
 
     @pytest.mark.parametrize("n", [1, 3, 12])
     def test_a_read_of_every_qubit_collapses_as_the_slice_zeroing_did(self, debug_ctx, n):
-        for seed in range(4):
+        # every qubit in order, then partial reads: one run of adjacent targets, runs
+        # plus a stray, descending and scattered targets. Bit for bit, the amplitudes
+        # of the outcome are scaled by 1/sqrt of the engine's own marginal entry, and
+        # every other amplitude is zeroed
+        reads = {1: [(0,)], 3: [(0, 1, 2), (1, 2), (2, 0), (2, 1, 0)],
+                 12: [tuple(range(12)), (4, 5, 6), (9, 10, 11), (8, 9, 10, 2),
+                      (3, 4, 0, 1), (11, 10, 9), (0, 5, 11), (6,)]}[n]
+        index = np.arange(1 << n)
+        for targets, seed in itertools.product(reads, range(4)):
             ctx = debug_ctx(seed=seed)
             reg = ctx.allocate_register(n)
             ctx._set_state(random_state(np.random.default_rng(seed), n))
             assert ctx._bound() is None  # a dense read
             before = ctx._state.copy()
-            outcome = reg.measure().to_unsigned()
-            # the collapse of the (1, 2**n) block: the columns before and after the
-            # kept one zeroed, and the kept one scaled by 1/sqrt of its probability
-            probs = np.abs(before)
-            probs *= probs
-            expected = before.copy()
-            expected[:outcome] = 0
-            expected[outcome + 1:] = 0
-            expected[outcome:outcome + 1] *= 1.0 / math.sqrt(probs[outcome])
-            assert np.array_equal(ctx._state, expected)
+            marginal = ctx._marginal_probabilities(engine._layout(n, targets))
+            outcome = reg.measure(list(targets)).to_unsigned()
+            k = len(targets)
+            sub = sum((index >> (n - 1 - q) & 1) << (k - 1 - j) for j, q in enumerate(targets))
+            expected = np.where(sub == outcome, before * (1 / math.sqrt(marginal[outcome])), 0)
+            assert np.array_equal(ctx._state, expected), targets
             assert abs(np.linalg.norm(ctx._state) - 1.0) <= 1e-12
+
+    def test_a_read_whose_squares_cannot_be_allocated_is_refused(self, debug_ctx, monkeypatch):
+        # a full dense read at 12 qubits squares the state: when numpy cannot build
+        # the squares, the read and the value check raise the typed refusal, naming
+        # the read and its bytes, and leave the amplitudes as they were
+        ctx = debug_ctx(seed=1)
+        reg = ctx.allocate_register(12)
+        ctx._set_state(random_state(np.random.default_rng(1), 12))
+        before = ctx._state.copy()
+
+        def refusing(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(np, "abs", refusing)
+        message = "a read of 12 of 12 qubits needs 32768 bytes"
+        for read in (reg.measure, lambda: reg.set_from_unsigned(5)):
+            with pytest.raises(ResourceExhaustedError, match=message):
+                read()
+            assert np.array_equal(ctx._state, before)
 
 
 class TestClassicalResult:
