@@ -138,10 +138,11 @@ circuit_uf.cache_info, circuit_uf.cache_clear = _circuit_uf.cache_info, _circuit
 
 # --- the quantum step of factoring --------------------------------------------
 
-# Up to this N, (N - 1)**2 < 2**63, so y * a**-1 for y, a**-1 < N is exact in
-# int64. That covers every N of up to 31 bits, whose register of at most 32 qubits
-# is a state of up to 64 GiB. Past it the register has 33 qubits, a 128 GiB state;
-# the step refuses such an N rather than trust that it cannot be allocated.
+# Up to this N, (N - 1)**2 < 2**63, so the step's product of two values below N
+# (an index entry and a multiplier mod N) is exact in int64. That covers every N
+# of up to 31 bits, whose register of at most 32 qubits is a state of up to
+# 64 GiB. Past it the register has 33 qubits, a 128 GiB state; the step refuses
+# such an N rather than trust that it cannot be allocated.
 _EXACT_PRODUCT_LIMIT = 3037000500
 
 

@@ -16,12 +16,17 @@ the state is an ``(a, 2**k, b)`` array: a permutation is one ``take`` along its
 middle axis (U_f over a whole register) and a dense gate one matrix product. On
 other targets a permutation of up to ``_SLICE_MOVE_ARITY`` = 8 qubits moves slices
 in place; a dense gate, or a wider permutation, moves the target axes last and back.
+Each of these builds its output before it writes, so one whose output cannot be
+allocated raises ``ResourceExhaustedError`` with the state as the gate found it.
 The Shor step is one kernel call (``SimulationContext._step``) given N and the
 multipliers: it sets the register to 1, and each round simulates H, the controlled
 multiply, the readout gate and the control's measurement by their effect on the
 unit-norm work half, with the control collapsed: one gather of the N work values
-below N (or of a sparse support's), one inner product and one combination in place;
-the work register's read ends the call. Its states equal the gates' up to rounding,
+below N (or of a sparse support's) into the control-1 half, which no round writes,
+one inner product and one combination in place; the work register's read ends the
+call. On the whole state in order, past its one index array, the step's only
+arrays larger than the sparse support are the read's weights and their cumulative
+sum. Its states equal the gates' up to rounding,
 since its sums run in another order, so a bit it reads can differ only where the
 uniform lands within rounding of a boundary. ``_layout`` is the one place that maps
 targets to axes, for gates, the step, marginals, collapse, resets and peeks, one axis
@@ -118,20 +123,19 @@ _CLASSICAL_ATOL = 1e-9
 _ALLOCATION_FAILURES = (MemoryError, ValueError)
 
 
-def _unallocatable(n_qubits: int) -> QubitLimitExceededError:
-    return QubitLimitExceededError(
-        f"a {n_qubits}-qubit amplitude array needs {16 << n_qubits} bytes, "
-        f"which cannot be allocated"
-    )
+def _unallocatable(what: str, nbytes: int, then: str,
+                   error: type = ResourceExhaustedError) -> Exception:
+    """The one refusal of an array numpy cannot build: ``what`` needs ``nbytes``
+    bytes, and ``then`` says what is left as it was."""
+    return error(f"{what} needs {nbytes} bytes, which cannot be allocated; {then}")
 
 
 def _unreadable(n_qubits: int, layout: _Layout) -> ResourceExhaustedError:
     """A read's refusal, naming its largest array: the squares, one float per
     amplitude, when at most one qubit is not read, one float per outcome otherwise."""
     a, b, k = *(layout.block or (0, 0)), layout.bits.bit_count()
-    return ResourceExhaustedError(f"a read of {k} of {n_qubits} qubits needs "
-                                  f"{8 << (n_qubits if 0 < a * b <= 2 else k)} bytes, which "
-                                  "cannot be allocated; the amplitudes are unchanged")
+    return _unallocatable(f"a read of {k} of {n_qubits} qubits",
+                          8 << (n_qubits if 0 < a * b <= 2 else k), "the amplitudes are unchanged")
 
 
 # A basis permutation, a classical plan's or a lone one, moves only the support
@@ -627,7 +631,8 @@ class SimulationContext:
         try:
             fresh = np.zeros(1 << n_qubits, dtype=complex)
         except _ALLOCATION_FAILURES as exc:
-            raise _unallocatable(n_qubits) from exc
+            raise _unallocatable(f"a {n_qubits}-qubit amplitude array", 16 << n_qubits,
+                                 "the context is unchanged", QubitLimitExceededError) from exc
         fresh[0] = 1.0
         return self._allocate_with_amplitudes(fresh, n_qubits, zeroed=True)
 
@@ -656,7 +661,9 @@ class SimulationContext:
                 try:
                     self._state = (self._state[:, None] * amplitudes[None, :]).reshape(-1)
                 except _ALLOCATION_FAILURES as exc:
-                    raise _unallocatable(first + n_qubits) from exc
+                    raise _unallocatable(f"a {first + n_qubits}-qubit amplitude array",
+                                         16 << (first + n_qubits), "the context is unchanged",
+                                         QubitLimitExceededError) from exc
             self._count += n_qubits
             if bound is not None:
                 fresh = 0 if zeroed else (1 << n_qubits) - 1
@@ -705,13 +712,17 @@ class SimulationContext:
                 psi[_selector(layout, sub_index)] *= phase
         elif layout.block is not None:
             a, b = layout.block
-            if kernel == "perm":
-                moved = self._state.reshape(a, op.dimension, b).take(op._permutation_inverse, axis=1)
-            elif op.dimension * b <= _KRON_WIDTH and a > b:
-                matrix = op.matrix if b == 1 else np.kron(op.matrix, np.eye(b))
-                moved = self._state.reshape(a, -1) @ matrix.T
-            else:
-                moved = np.matmul(op.matrix, self._state.reshape(a, op.dimension, b))
+            try:
+                if kernel == "perm":
+                    moved = state.reshape(a, op.dimension, b).take(op._permutation_inverse, axis=1)
+                elif op.dimension * b <= _KRON_WIDTH and a > b:
+                    matrix = op.matrix if b == 1 else np.kron(op.matrix, np.eye(b))
+                    moved = state.reshape(a, -1) @ matrix.T
+                else:
+                    moved = np.matmul(op.matrix, state.reshape(a, op.dimension, b))
+            except _ALLOCATION_FAILURES as exc:
+                raise _unallocatable(f"{op.name} on physical qubits {list(physical_targets)}",
+                                     state.nbytes, "the state is as the gate found it") from exc
             self._state = moved.reshape(-1)
         elif kernel == "perm" and op.arity <= _SLICE_MOVE_ARITY:
             for cycle in op._cycles:
@@ -724,11 +735,15 @@ class SimulationContext:
         else:
             # the one axis move: targets last, in target order, and back in place
             view = psi.transpose(layout.rest + layout.axes)
-            columns = view.reshape(-1, op.dimension)
-            if kernel == "perm":
-                columns = columns.take(op._permutation_inverse, axis=1)
-            else:
-                columns = columns @ op.matrix.T
+            try:  # a copy of the state in the new order, then its product
+                columns = view.reshape(-1, op.dimension)
+                if kernel == "perm":
+                    columns = columns.take(op._permutation_inverse, axis=1)
+                else:
+                    columns = columns @ op.matrix.T
+            except _ALLOCATION_FAILURES as exc:
+                raise _unallocatable(f"{op.name} on physical qubits {list(physical_targets)}",
+                                     2 * state.nbytes, "the state is as the gate found it") from exc
             view[...] = columns.reshape(view.shape)
         if bound is None or kernel == "diag":
             return  # a phase never makes a zero amplitude nonzero
@@ -745,8 +760,8 @@ class SimulationContext:
     def _step(self, physical: tuple[int, ...], modulus: int, multipliers) -> tuple[int, int]:
         """The Shor step for N on ``physical`` (a control, then n work qubits): the
         register is set to 1, one round runs per multiplier a, and the work register
-        is read. Returns the bits read, round i at bit i, and f. The two index arrays
-        of N entries are allocated first, or refused before any amplitude or draw
+        is read. Returns the bits read, round i at bit i, and f. The one index array
+        of N entries is allocated first, or refused before any amplitude or draw
         changes; the caller keeps N within ``algorithms._EXACT_PRODUCT_LIMIT``.
 
         Round i is H on the control, the controlled multiply U by a, the readout
@@ -760,20 +775,26 @@ class SimulationContext:
         takes at each y < N the amplitude at a**-1 * y mod N, which permutes [0, N):
         no amplitude sits past N, and a round touches ``half[..., :N]`` alone, or,
         while the work support ({1}, and a round adds a * support mod N) is at most
-        ``_SUPPORT_SHARE`` of the 2**n work values, those values alone. The read
-        samples f from |work|^2, summed over the other qubits, zeroes half 0 and
-        writes f, scaled by 1/sqrt(p_f), at the last bit. The halves are a view when
-        the register is the whole state in order, and otherwise the axis move's copy,
-        written back once. The bound comes out exact on the register; the other
-        qubits keep theirs.
+        ``_SUPPORT_SHARE`` of the 2**n work values, those values alone. The index
+        array holds y * h**-1 mod N, h the last dense round's a (1 at first), and a
+        dense round turns it into y * a**-1 in place. No round writes half 1, so U psi
+        is gathered there, and the read squares half 0 there too. On the whole state
+        in order, the step then allocates, past the sparse rounds' arrays of the
+        support's size, only the read's weights and their cumulative sum. The read
+        samples f from |work|^2, summed over the other qubits, zeroes both halves
+        and writes f, scaled by 1/sqrt(p_f), at the last bit; when its weights
+        cannot be allocated it raises ``ResourceExhaustedError`` and leaves the
+        rounds' state unread, with no bound. The halves are a view when the register
+        is the whole state in order, and otherwise the axis move's copy, written
+        back once. The bound comes out exact on the register; the other qubits keep
+        theirs.
         """
         n = len(physical) - 1
         try:
-            y = np.arange(modulus, dtype=np.int64)
-            sources = np.empty(modulus, dtype=np.int64)
+            sources = np.arange(modulus, dtype=np.int64)
         except _ALLOCATION_FAILURES as exc:
-            raise QubitLimitExceededError(f"the multiply index for N={modulus} needs {modulus} "
-                                          "entries, which cannot be allocated") from exc
+            raise _unallocatable(f"the multiply index for N={modulus}", 8 * modulus,
+                                 "the state is unchanged", QubitLimitExceededError) from exc
         RegisterView(self, physical).set_from_unsigned(1)
         layout = _layout(self._count, physical)
         view, flat = None, layout.block == (1, 1)
@@ -783,9 +804,9 @@ class SimulationContext:
             # (2, rows, 2**n), one row per value of the other qubits, written back below
             view = self._state.reshape(layout.shape).transpose(layout.rest + layout.axes)
             halves = view.reshape(-1, 2, 1 << n).transpose(1, 0, 2)
-        half, random = halves[0], self.rng.random
-        below = half[..., :modulus]  # the dense rounds' work values
-        measured, c = 0, 0
+        half, spare, random = halves[0], halves[1], self.rng.random
+        below, gathered = half[..., :modulus], spare[..., :modulus]  # for the dense rounds
+        measured, c, h = 0, 0, 1
         support, words = {1}, np.array([1])  # both None once past the share
         for i, a in enumerate(multipliers):
             if a != 1 and support is not None:
@@ -804,12 +825,12 @@ class SimulationContext:
                 moved, overlap = None, phase.real
             else:
                 if words is not None:
-                    source = words * pow(a, -1, modulus) % modulus
+                    source, out = words * pow(a, -1, modulus) % modulus, spare[..., :len(words)]
                 else:
-                    source = np.multiply(y, pow(a, -1, modulus), out=sources)
+                    source = np.multiply(sources, h * pow(a, -1, modulus) % modulus, out=sources)
                     np.remainder(source, modulus, out=source)
-                moved = None  # the last round's gather, freed before this one is built
-                moved = half.take(source, axis=-1)
+                    h, out = a, gathered
+                moved = half.take(source, -1, out, "wrap")
                 overlap = (phase * complex(np.vdot(psi, moved))).real
             p = ((1 + overlap) / 2, (1 - overlap) / 2)
             c = _sample(p, random())
@@ -829,17 +850,25 @@ class SimulationContext:
                 if words is not None:
                     half[at] = psi
 
-        # the read: all the mass is in half 0, zeroed before half c gets f alone
-        moved = None  # the last gather, freed before the squares are built
-        squares = np.abs(half)
+        # the read: half 0's squares go in half 1, and both are zeroed before half c gets f
+        sources = source = None
+        squares = np.abs(half, out=spare.real)
         squares *= squares
-        marginal = squares if flat else squares.sum(axis=0)
-        f = _sample(marginal, random())
-        kept = half[..., f] * (1.0 / math.sqrt(marginal[f]))
-        half.fill(0)
-        halves[c][..., f] = kept
-        if view is not None:
-            view[...] = halves.transpose(1, 0, 2).reshape(view.shape)
+        try:
+            marginal = squares if flat else squares.sum(axis=0)
+            f = _sample(marginal, random())
+            kept = half[..., f] * (1.0 / math.sqrt(marginal[f]))
+            halves.fill(0)
+            halves[c][..., f] = kept
+        except _ALLOCATION_FAILURES as exc:
+            spare.fill(0)  # the rounds' state stays, with the control's label 0 and no bound
+            self._bind(None)
+            raise _unallocatable(f"the Shor step's read of {n} work qubits",
+                                 (16 if flat else 24) << n,
+                                 "its rounds ran and the register is left uncollapsed") from exc
+        finally:
+            if view is not None:  # the copy goes back, read or refused
+                view[...] = halves.transpose(1, 0, 2).reshape(view.shape)
 
         # the register's bits are freed, then pinned; no bound is the word 0, all bits free
         bound = self._bound() or _Support(np.zeros(1, dtype=np.int64), self._state.size - 1)
@@ -1167,8 +1196,12 @@ class RegisterView:
         if plan.classical and ctx._move(_mover(_layout(ctx._count, self._exposed[:width]).runs,
                                                lambda sub: trace_subindices(plan.ops, sub, width))):
             return self
-        for op in plan.ops:
-            ctx._apply(op, self._physical(op))
+        for ran, op in enumerate(plan.ops):
+            try:
+                ctx._apply(op, self._physical(op))
+            except ResourceExhaustedError as exc:
+                raise ResourceExhaustedError(
+                    f"{exc}; {ran} of the plan's {len(plan.ops)} fused ops ran") from exc
         return self
 
     # -- measurement ----------------------------------------------------------
@@ -1209,7 +1242,8 @@ def _measure_trials(register: RegisterView, master_seed: int, trials: int):
     """Measure ``register`` once per trial, each time from the state it holds now.
 
     The state it holds now is the snapshot. Trial t copies it into one restore
-    buffer, reused by every trial (so ``ctx._state`` is that one array, which no
+    buffer (refused with ``ResourceExhaustedError`` before any trial when it cannot
+    be allocated), reused by every trial (so ``ctx._state`` is that one array, which no
     support bound names: each trial reads densely), and reads it with trial t's
     one uniform, the first draw of ``default_rng(trial_seed(master_seed, t))``
     (``_trial_uniforms``): ``ctx.rng`` is a draw source whose ``random`` yields
@@ -1225,7 +1259,11 @@ def _measure_trials(register: RegisterView, master_seed: int, trials: int):
     _trial_entropy(master_seed, 0)  # refused before any trial, even one that draws nothing
     ctx, physical = register.context, register._exposed
     own, prepared = ctx.rng, ctx._state
-    restored = np.empty_like(prepared)
+    try:
+        restored = np.empty_like(prepared)
+    except _ALLOCATION_FAILURES as exc:
+        raise _unallocatable(f"the trials' restore buffer of {ctx._count} qubits",
+                             prepared.nbytes, "no trial ran") from exc
     ctx.rng = SimpleNamespace(random=_trial_uniforms(master_seed, 0, trials).__next__)
     try:
         for _ in range(trials):

@@ -72,8 +72,10 @@ class SemanticOracleNotMaterializableError(SharqError):
 
 class ResourceExhaustedError(SharqError):
     """A budget ran out: the retry budget of a probabilistic procedure, or the
-    memory for a measurement's squares, marginal or cumulative weights (the
-    amplitudes are left unchanged)."""
+    memory for an array built after the state: a measurement's squares, marginal
+    or cumulative weights, a dense gate's product (the amplitudes are left as the
+    read or the gate found them), the Shor step's read, or the trials' restore
+    buffer."""
 
 
 def as_int(value, what: str) -> int:

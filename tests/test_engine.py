@@ -763,6 +763,28 @@ class TestMeasurement:
                 read()
             assert np.array_equal(ctx._state, before)
 
+    def test_a_read_whose_cumulative_weights_cannot_be_allocated_is_refused(
+            self, debug_ctx, monkeypatch):
+        # five targets have 32 outcomes, past the scalar pick: when the pick's
+        # weights or cumulative sum cannot be built, the read raises the typed
+        # refusal, naming the read and its marginal's bytes, and leaves the
+        # amplitudes as they were
+        ctx = debug_ctx(seed=2)
+        reg = ctx.allocate_register(7)
+        ctx._set_state(random_state(np.random.default_rng(2), 7))
+        before, sample = ctx._state.copy(), engine._sample
+
+        def refusing(marginal, uniform):
+            if isinstance(marginal, np.ndarray):
+                raise MemoryError
+            return sample(marginal, uniform)
+
+        monkeypatch.setattr(engine, "_sample", refusing)
+        with pytest.raises(ResourceExhaustedError, match="a read of 5 of 7 qubits needs 256 bytes"):
+            reg.measure(range(5))
+        assert np.array_equal(ctx._state, before)
+        assert len(reg.measure(range(4))) == 4  # 16 outcomes: the scalar pick
+
 
 class TestClassicalResult:
     def test_paper_values(self):
@@ -926,6 +948,22 @@ class TestSeeds:
         assert len(reg.measure()) == 2
         assert own.bit_generator.state != draws  # this read drew from it
 
+    def test_a_restore_buffer_that_cannot_be_allocated_is_refused_before_any_trial(
+            self, monkeypatch):
+        reg = SimulationContext(seed=4).allocate_register(3).apply_operation(hadamard(1))
+        ctx = reg.context
+        own, draws, prepared = ctx.rng, ctx.rng.bit_generator.state, ctx._state
+
+        def refusing(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(np, "empty_like", refusing)
+        with pytest.raises(ResourceExhaustedError, match="restore buffer of 3 qubits needs 128 "
+                                                         "bytes.*no trial ran"):
+            next(engine._measure_trials(reg, 4, 5))
+        assert ctx.rng is own and own.bit_generator.state == draws
+        assert ctx._state is prepared
+
     @pytest.mark.parametrize("master_seed", [-1, np.int64(-3), 1.5, "7"])
     def test_trials_refuse_a_bad_master_seed(self, master_seed):
         reg = SimulationContext(seed=0).allocate_register(1)
@@ -965,6 +1003,31 @@ class TestApplyOperations:
         reg = ctx.allocate_register(n)
         ctx._set_state(random_state(np.random.default_rng(n), n))
         return ctx, reg
+
+    def test_a_dense_gate_whose_product_cannot_be_allocated_is_refused(self, monkeypatch):
+        # on a dense 12-qubit state, H on qubit 0 is the broadcast product. When it
+        # cannot be built the gate raises the typed refusal, naming the gate, its
+        # qubits and the state-sized bytes, with the state as the gate found it; a
+        # plan adds how many of its fused ops ran, here the X before the H
+        ctx, reg = self._random(12)
+        twin, twin_reg = self._random(12)
+        twin_reg.apply_operation(pauli_x(5))
+
+        def refusing(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(np, "matmul", refusing)
+        gate = r"H on physical qubits \[0\] needs 65536 bytes, which cannot be allocated"
+        with pytest.raises(ResourceExhaustedError, match=gate + ".*1 of the plan's 2 fused ops ran"):
+            reg.apply_operations([pauli_x(5), hadamard(0)])
+        assert np.array_equal(ctx._state, twin._state)
+        with pytest.raises(ResourceExhaustedError, match=gate + "; the state is as the gate found it$"):
+            reg.apply_operation(hadamard(0))
+        assert np.array_equal(ctx._state, twin._state)
+        monkeypatch.undo()
+        reg.apply_operation(hadamard(0))  # the same gate runs once numpy can build it
+        twin_reg.apply_operation(hadamard(0))
+        assert np.array_equal(ctx._state, twin._state)
 
     @pytest.mark.parametrize("junk", ["H", None, 3, hadamard, [hadamard(0)]],
                              ids=["name", "None", "int", "factory", "nested plan"])

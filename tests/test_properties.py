@@ -207,10 +207,15 @@ def test_the_step_kernel_is_the_rounds_gates_then_the_work_read(placement, data)
     multipliers = data.draw(st.lists(st.sampled_from(coprime), min_size=rounds, max_size=rounds),
                             label="a")
 
-    with mock.patch.object(engine, "_sample", wraps=engine._sample) as spy:
+    draws, sample = [], engine._sample
+
+    def recording(marginal, uniform):
+        draws.append((np.copy(marginal), uniform))  # the read zeroes its squares after it
+        return sample(marginal, uniform)
+
+    with mock.patch.object(engine, "_sample", recording):
         measured, f = kernel_ctx._step(physical, modulus, multipliers)
     engine.RegisterView(oracle_ctx, physical).set_from_unsigned(1)
-    draws = [call.args for call in spy.call_args_list]
     assert len(draws) == rounds + 1
     path, b = 1.0, 0  # the probability of the bits read, and the control's bit
     for i, a in enumerate(multipliers):
