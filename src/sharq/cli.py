@@ -93,10 +93,10 @@ def _resolve_seed(seed) -> int:
     return int(np.random.SeedSequence().generate_state(1)[0])
 
 
-def _emit_tally(args, seed: int, tally: Counter, elapsed_ms: int):
-    # ``tally`` counts bit tuples of one length, which sort as their bitstrings do
+def _emit_tally(args, seed: int, tally: Counter, width: int, elapsed_ms: int):
+    # ``tally`` counts int outcomes, which sort as their bitstrings at one width do
     total = sum(tally.values())
-    rows = [("".join(map(str, bits)), count) for bits, count in sorted(tally.items())]
+    rows = [(f"{outcome:0{width}b}", count) for outcome, count in sorted(tally.items())]
     if args.output == "json":
         for outcome, count in rows:
             print(json.dumps({"outcome": outcome, "count": count}))
@@ -114,7 +114,7 @@ def _run_tally(args, prepare) -> int:
     register = prepare(SimulationContext(seed=seed, qubit_cap=args.qubit_cap))
     tally = Counter(_measure_trials(register, seed, args.trials))
     elapsed_ms = int((time.perf_counter() - start) * 1000)
-    _emit_tally(args, seed, tally, elapsed_ms)
+    _emit_tally(args, seed, tally, len(register), elapsed_ms)
     return EXIT_OK
 
 

@@ -15,9 +15,10 @@ multiplies, in place, the slices whose phase is not 1. On adjacent ascending tar
 the state is an ``(a, 2**k, b)`` array: a permutation is one ``take`` along its
 middle axis (U_f over a whole register) and a dense gate one matrix product. On
 other targets a permutation of up to ``_SLICE_MOVE_ARITY`` = 8 qubits moves slices
-in place; a dense gate, or a wider permutation, moves the target axes last and back.
-Each of these builds its output before it writes, so one whose output cannot be
-allocated raises ``ResourceExhaustedError`` with the state as the gate found it.
+in place through two slot-sized buffers; a dense gate, or a wider permutation, moves
+the target axes last and back. Each of these, the sparse rows and ``_move`` below
+build their arrays before they write, so one whose arrays cannot be allocated raises
+``ResourceExhaustedError`` with the state as the gate found it.
 The Shor step is one kernel call (``SimulationContext._step``) given N and the
 multipliers: it sets the register to 1, and each round simulates H, the controlled
 multiply, the readout gate and the control's measurement by their effect on the
@@ -73,10 +74,10 @@ basis permutation none of whose targets is a free bit, such as a reset's Not pla
 maps the base words through ``_mover`` and frees nothing. A measurement pins the
 measured qubits, and a register it pins to one value is read off the bound. Any
 other gate gathers the 2**k amplitudes of each group of candidates it mixes into
-one row and scales (phases, which leave the bound as it was) or multiplies them in
-place, with nothing of the state's size. Moves and phases are bit-identical either
-way, the sign of a zero aside, and dense rows agree with the dense kernels'
-products to rounding.
+rows, scales them (phases, which leave the bound as it was) or multiplies them, and
+writes them back, with nothing of the state's size. Moves and phases are
+bit-identical either way, the sign of a zero aside, and dense rows agree with the
+dense kernels' products to rounding.
 """
 from __future__ import annotations
 
@@ -128,6 +129,13 @@ def _unallocatable(what: str, nbytes: int, then: str,
     """The one refusal of an array numpy cannot build: ``what`` needs ``nbytes``
     bytes, and ``then`` says what is left as it was."""
     return error(f"{what} needs {nbytes} bytes, which cannot be allocated; {then}")
+
+
+def _unappliable(op: QuantumOperation, physical: tuple[int, ...],
+                 nbytes: int) -> ResourceExhaustedError:
+    """A gate's refusal: an array it builds before its first write needs ``nbytes``."""
+    return _unallocatable(f"{op.name} on physical qubits {list(physical)}", nbytes,
+                          "the state is as the gate found it")
 
 
 def _unreadable(n_qubits: int, layout: _Layout) -> ResourceExhaustedError:
@@ -695,18 +703,26 @@ class SimulationContext:
                 return
         psi = state.reshape(layout.shape)
         bound = self._bound()
-        groups = None if bound is None else bound.candidates(state.size, layout.bits)
+        try:
+            groups = None if bound is None else bound.candidates(state.size, layout.bits)
+            # a sparse state: its rows are built and multiplied first, then written back
+            if groups is not None and kernel == "diag":
+                # one row per sub-index whose phase is not 1, holding that amplitude of
+                # every group: numpy scales a row in one inner loop, so its amplitudes
+                # round as a slice's do (lone amplitudes can round otherwise)
+                sub, phases = zip(*op._phases)
+                at = scatter_bits(layout.runs, np.array(sub, dtype=np.int64))[:, None] | groups
+                rows = state[at] * np.array(phases)[:, None]
+            elif groups is not None:
+                # the 2**k amplitudes of each group are one row, multiplied by the matrix
+                sub = np.arange(op.dimension, dtype=np.int64)
+                at = groups[:, None] | scatter_bits(layout.runs, sub)
+                rows = state[at] @ op.matrix.T
+        except _ALLOCATION_FAILURES as exc:  # an index, a gather and a product per amplitude
+            count = len(bound.base) << (bound.free | layout.bits).bit_count()
+            raise _unappliable(op, physical_targets, 40 * count) from exc
         if groups is not None:
-            # a sparse state: the 2**k indices of each group are one row, whose
-            # amplitudes are scaled or multiplied in place
-            sub = np.arange(op.dimension, dtype=np.int64)
-            at = groups[:, None] | scatter_bits(layout.runs, sub)
-            if kernel == "diag":
-                for sub_index, phase in op._phases:
-                    # not ``*=``, which rounds a lone amplitude otherwise than a slice
-                    state[at[:, sub_index]] = state[at[:, sub_index]] * phase
-            else:
-                state[at] = state[at] @ op.matrix.T
+            state[at] = rows
         elif kernel == "diag":
             for sub_index, phase in op._phases:
                 psi[_selector(layout, sub_index)] *= phase
@@ -721,17 +737,24 @@ class SimulationContext:
                 else:
                     moved = np.matmul(op.matrix, state.reshape(a, op.dimension, b))
             except _ALLOCATION_FAILURES as exc:
-                raise _unallocatable(f"{op.name} on physical qubits {list(physical_targets)}",
-                                     state.nbytes, "the state is as the gate found it") from exc
+                raise _unappliable(op, physical_targets, state.nbytes) from exc
             self._state = moved.reshape(-1)
         elif kernel == "perm" and op.arity <= _SLICE_MOVE_ARITY:
+            # every slot moves through two buffers, built before the first write:
+            # a copy between two views of the state would build a temporary each time
+            first = psi[_selector(layout, 0)]
+            try:
+                carried, spare = np.empty_like(first), np.empty_like(first)
+            except _ALLOCATION_FAILURES as exc:
+                raise _unappliable(op, physical_targets, 2 * first.nbytes) from exc
             for cycle in op._cycles:
                 # the amplitudes at sub-index cycle[i] move to cycle[i + 1]
                 slot = [psi[_selector(layout, s)] for s in cycle]
-                carried = slot[-1].copy()
+                np.copyto(carried, slot[-1])
                 for i in range(len(cycle) - 1, 0, -1):
-                    slot[i][...] = slot[i - 1]
-                slot[0][...] = carried
+                    np.copyto(spare, slot[i - 1])
+                    np.copyto(slot[i], spare)
+                np.copyto(slot[0], carried)
         else:
             # the one axis move: targets last, in target order, and back in place
             view = psi.transpose(layout.rest + layout.axes)
@@ -742,8 +765,7 @@ class SimulationContext:
                 else:
                     columns = columns @ op.matrix.T
             except _ALLOCATION_FAILURES as exc:
-                raise _unallocatable(f"{op.name} on physical qubits {list(physical_targets)}",
-                                     2 * state.nbytes, "the state is as the gate found it") from exc
+                raise _unappliable(op, physical_targets, 2 * state.nbytes) from exc
             view[...] = columns.reshape(view.shape)
         if bound is None or kernel == "diag":
             return  # a phase never makes a zero amplitude nonzero
@@ -794,7 +816,7 @@ class SimulationContext:
             sources = np.arange(modulus, dtype=np.int64)
         except _ALLOCATION_FAILURES as exc:
             raise _unallocatable(f"the multiply index for N={modulus}", 8 * modulus,
-                                 "the state is unchanged", QubitLimitExceededError) from exc
+                                 "the state is unchanged") from exc
         RegisterView(self, physical).set_from_unsigned(1)
         layout = _layout(self._count, physical)
         view, flat = None, layout.block == (1, 1)
@@ -879,18 +901,23 @@ class SimulationContext:
         """Move each candidate of the support bound to ``move`` of it, a basis
         permutation of flat indices that the caller has checked; False, having
         touched nothing, when the candidates are more than ``_SUPPORT_SHARE`` of
-        the state.
+        the state. Arrays it cannot allocate raise ``ResourceExhaustedError`` before
+        it writes.
 
         Each amplitude moves once, in place, and the moved indices are the new
         bound, with no bit free. A classical plan and a lone permutation move
         through ``_mover``, and a register reset by one flat XOR.
         """
         state, bound = self._state, self._bound()
-        support = None if bound is None else bound.candidates(state.size)
-        if support is None:
-            return False
-        moved = move(support)
-        values = state[support]
+        try:
+            support = None if bound is None else bound.candidates(state.size)
+            if support is None:
+                return False
+            moved, values = move(support), state[support]
+        except _ALLOCATION_FAILURES as exc:  # an index, its image and a value per candidate
+            count = len(bound.base) << bound.free.bit_count()
+            raise _unallocatable(f"a move of {count} candidate amplitudes", 32 * count,
+                                 "the state is unchanged") from exc
         state[support] = 0
         state[moved] = values
         self._bind(_Support(moved, 0))
@@ -948,12 +975,12 @@ class SimulationContext:
         marginal = np.bincount(outcomes.searchsorted(sub), squares, len(outcomes))
         return outcomes, marginal, (support, sub)
 
-    def _measure(self, physical: tuple[int, ...]) -> tuple[int, ...]:
+    def _measure(self, physical: tuple[int, ...]) -> int:
         """Sample the targets from their exact marginal and collapse onto the outcome.
 
         One read pass gives the marginal (``_read``) and one uniform draw the
-        outcome (``_sample``, on Python floats for at most ``_SCALAR_OUTCOMES``
-        outcomes); arrays for either that cannot be allocated raise
+        outcome, an int big-endian in ``physical`` order (``_sample``, on Python
+        floats for at most ``_SCALAR_OUTCOMES`` outcomes); arrays it cannot allocate raise
         ``ResourceExhaustedError`` with the amplitudes unchanged. The collapse is in
         place and allocates nothing of the state's size: a read of every qubit in
         order zeroes the state with one ``fill`` and writes its one amplitude back,
@@ -963,9 +990,8 @@ class SimulationContext:
         qubits; while it allows at most ``_SUPPORT_SHARE`` of the state, the read
         and the collapse touch its candidates alone.
         """
-        k = len(physical)
-        if k == 0:
-            return ()
+        if not physical:
+            return 0
         layout = _layout(self._count, physical)
         bound = self._bound()
         outcomes, marginal, candidates = self._read(layout, bound)
@@ -976,7 +1002,6 @@ class SimulationContext:
         except _ALLOCATION_FAILURES as exc:  # the cumulative weights of many outcomes
             raise _unreadable(self._count, layout) from exc
         outcome, p = picked if outcomes is None else int(outcomes[picked]), marginal[picked]
-        bits = tuple([(outcome >> (k - 1 - i)) & 1 for i in range(k)])
         if bound is not None:
             self._bind(bound.pinned(layout, outcome))
         scale = 1.0 / math.sqrt(p)
@@ -985,13 +1010,13 @@ class SimulationContext:
             kept = sub == outcome
             self._state[support[~kept]] = 0
             self._state[support[kept]] *= scale
-            return bits
+            return outcome
         if layout.block == (1, 1):
             # every qubit in order: one amplitude is kept, so zero all and write it back
             kept = self._state[outcome] * scale
             self._state.fill(0)
             self._state[outcome] = kept
-            return bits
+            return outcome
         # run by run, zero the values before and after the run's value inside the
         # slice kept so far: at most one pass of writes
         psi = self._state.reshape(layout.shape)
@@ -1007,7 +1032,7 @@ class SimulationContext:
             index[axis] = value
         kept = psi[tuple(index)]
         kept *= scale
-        return bits
+        return outcome
 
     def _classical_value(self, physical: tuple[int, ...]) -> int:
         """The basis word, big-endian in ``physical`` order, that those qubits
@@ -1209,10 +1234,11 @@ class RegisterView:
     def measure(self, subset=None) -> ClassicalResult:
         """Collapse and read the given exposed indices (default: all).
 
-        Collapse propagates to every view sharing the measured qubits.
+        Collapse reaches every view sharing those qubits; only here does an int outcome become bits.
         """
         view = self if subset is None else self.slice(subset)
-        return ClassicalResult._sampled(self.context._measure(view._exposed))
+        outcome, k = self.context._measure(view._exposed), len(view)
+        return ClassicalResult._sampled(tuple([outcome >> i & 1 for i in range(k - 1, -1, -1)]))
 
     # -- debug-only inspection ---------------------------------------------
 
@@ -1254,7 +1280,7 @@ def _measure_trials(register: RegisterView, master_seed: int, trials: int):
     NEP 19 freezes the SeedSequence and PCG64 streams, so the derivation stays
     exact. Once the trials end, or the iterator is closed, ``ctx.rng`` is the
     context's own generator again. Memory does not grow with ``trials``. Yields
-    each trial's bits, a tuple of ints.
+    each trial's outcome, the int ``_measure`` returns.
     """
     _trial_entropy(master_seed, 0)  # refused before any trial, even one that draws nothing
     ctx, physical = register.context, register._exposed

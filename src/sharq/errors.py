@@ -23,7 +23,9 @@ class NotSquareError(SharqError):
 
 
 class QubitLimitExceededError(SharqError):
-    """The requested size exceeds the configured or architectural qubit cap."""
+    """The requested size exceeds the configured or architectural qubit cap, or an
+    array that holds the problem, the state or a returned oracle's table, cannot be
+    allocated."""
 
 
 class IndexOutOfRangeError(SharqError):
@@ -72,10 +74,9 @@ class SemanticOracleNotMaterializableError(SharqError):
 
 class ResourceExhaustedError(SharqError):
     """A budget ran out: the retry budget of a probabilistic procedure, or the
-    memory for an array built after the state: a measurement's squares, marginal
-    or cumulative weights, a dense gate's product (the amplitudes are left as the
-    read or the gate found them), the Shor step's read, or the trials' restore
-    buffer."""
+    memory for an array that a call works in, beside the arrays that hold the
+    problem (``QubitLimitExceededError``). The message says what the call leaves as
+    it was."""
 
 
 def as_int(value, what: str) -> int:

@@ -411,8 +411,9 @@ class TestShorQuantumStep:
     def test_index_arrays_that_cannot_be_allocated_are_refused_before_the_state(
             self, debug_ctx, monkeypatch):
         # the step allocates its one N-entry index array before it sets the
-        # register or draws: a refused N-entry array raises the cap's error, not
-        # numpy's, and leaves the state and the generator as they were
+        # register or draws: a refused N-entry array, which the step works in,
+        # raises the typed refusal, not numpy's, and leaves the state and the
+        # generator as they were
         ctx = debug_ctx(seed=1)
         work = ctx.allocate_register(5).set_from_unsigned(5)
         before, draws = ctx._state.copy(), ctx.rng.bit_generator.state
@@ -424,7 +425,7 @@ class TestShorQuantumStep:
             return arange(*args, **kwargs)
 
         monkeypatch.setattr(np, "arange", refusing)
-        with pytest.raises(QubitLimitExceededError, match="cannot be allocated"):
+        with pytest.raises(ResourceExhaustedError, match="cannot be allocated"):
             shor_quantum_step(ctx, 15, 8, register=work)
         monkeypatch.undo()
         assert np.array_equal(ctx._state, before)

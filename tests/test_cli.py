@@ -2,6 +2,7 @@ import json
 import re
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from sharq import SimulationContext
@@ -123,6 +124,21 @@ class TestFactor:
     def test_resource_exhaustion_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "factor", "15", "--force-m", "14", "--seed", "1")
         assert code == 3
+
+    def test_a_step_index_that_cannot_be_allocated_exits_3(self, capsys, monkeypatch):
+        # the Shor step works in its N-entry index, so numpy's refusal of it is a
+        # resource exhaustion (3), not a precondition failure (2)
+        arange = np.arange
+
+        def refusing(*args, **kwargs):
+            if args[:1] == (15,):
+                raise MemoryError
+            return arange(*args, **kwargs)
+
+        monkeypatch.setattr(np, "arange", refusing)
+        code, out, err = run_cli(capsys, "factor", "15", "--force-m", "8", "--seed", "7")
+        assert code == 3
+        assert out == "" and "the multiply index for N=15 needs 120 bytes" in err
 
     def test_circuit_oracle_width_failure(self, capsys):
         code, out, _ = run_cli(

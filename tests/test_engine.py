@@ -630,6 +630,26 @@ class TestMeasurement:
         assert ctx.rng.bit_generator.state == draws
         assert np.array_equal(ctx._state, before)
 
+    @pytest.mark.parametrize("subset", [[], [0], [7], [2, 3], [3, 2], [6, 0, 4],
+                                        list(range(8)), [5, 0, 7, 1, 2, 6, 4, 3]])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_a_read_returns_the_int_its_bits_encode(self, debug_ctx, subset, sparse):
+        # on twin contexts the engine's read returns the int that the public result's
+        # bits encode, big-endian in the subset's order (0 for none), and both
+        # collapse alike; the sparse state's bound allows 4 of 256 amplitudes
+        for seed in range(6):
+            twins = [debug_ctx(seed=seed) for _ in range(2)]
+            for ctx in twins:
+                reg = ctx.allocate_register(8)
+                if sparse:
+                    reg.apply_operations([hadamard(1), cnot(1, 6), hadamard(4)])
+                else:
+                    ctx._set_state(random_state(np.random.default_rng(seed), 8))
+            outcome = twins[0]._measure(tuple(subset))
+            assert type(outcome) is int
+            assert outcome == reg.measure(subset).to_unsigned()
+            assert np.array_equal(twins[0]._state, twins[1]._state)
+
     @pytest.mark.parametrize("collapsed,read", [
         ((), lambda reg: reg.measure([0])),
         ((), lambda reg: reg.measure([9])),
@@ -930,7 +950,7 @@ class TestSeeds:
         assert spy.call_count == trials
         assert all(state is states[0] for state in states)
         # each trial restores the snapshot: both outcomes keep coming
-        assert set(read[1:]) == {(0, 0, 0), (1, 0, 1)}
+        assert set(read[1:]) == {0, 5}
 
     def test_the_register_measures_after_the_trials_through_its_own_generator(self):
         reg = SimulationContext(seed=11).allocate_register(2)
@@ -1028,6 +1048,59 @@ class TestApplyOperations:
         reg.apply_operation(hadamard(0))  # the same gate runs once numpy can build it
         twin_reg.apply_operation(hadamard(0))
         assert np.array_equal(ctx._state, twin._state)
+
+    def test_slice_cycles_whose_buffers_cannot_be_allocated_are_refused(self, monkeypatch):
+        # CNot(2, 7) on a dense 10-qubit state moves slots of 2**8 amplitudes through
+        # two buffers, built before the first cycle writes: when numpy cannot build
+        # them the gate raises the typed refusal with the state as it found it
+        ctx, reg = self._random(10)
+        before = ctx._state.copy()
+
+        def refusing(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(np, "empty_like", refusing)
+        with pytest.raises(ResourceExhaustedError, match=r"CNot on physical qubits \[2, 7\] needs "
+                           r"8192 bytes.*; the state is as the gate found it$"):
+            reg.apply_operation(cnot(2, 7))
+        assert np.array_equal(ctx._state, before)
+        monkeypatch.undo()
+        reg.apply_operation(cnot(2, 7))
+        index = np.arange(1 << 10)
+        assert np.array_equal(ctx._state, before[index ^ (index >> 7 & 1) << 2])
+
+    def _sparse(self):
+        # a bound of two words, moved by the CNot, with no bit free: 2 of 1024 amplitudes
+        ctx = SimulationContext(seed=0, debug=True)
+        reg = ctx.allocate_register(10).apply_operations([hadamard(3), cnot(3, 8)])
+        return ctx, reg, ctx._state.copy(), ctx._bound()
+
+    def test_sparse_rows_that_cannot_be_allocated_are_refused(self, monkeypatch):
+        # H on a sparse state gathers each group's row, multiplies the rows and
+        # writes them back once: when their index cannot be built the gate raises
+        # the typed refusal, and the state and its bound are as it found them
+        ctx, reg, before, bound = self._sparse()
+
+        def refusing(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(engine, "scatter_bits", refusing)
+        with pytest.raises(ResourceExhaustedError, match=r"H on physical qubits \[5\] needs 160 "
+                           r"bytes.*; the state is as the gate found it$"):
+            reg.apply_operation(hadamard(5))
+        assert np.array_equal(ctx._state, before) and ctx._bound() is bound
+
+    def test_a_move_whose_arrays_cannot_be_allocated_is_refused(self):
+        # a mover that numpy cannot run leaves the candidates where they were
+        ctx, _, before, bound = self._sparse()
+
+        def refusing(words):
+            raise MemoryError
+
+        with pytest.raises(ResourceExhaustedError, match="a move of 2 candidate amplitudes needs "
+                                                         "64 bytes.*; the state is unchanged$"):
+            ctx._move(refusing)
+        assert np.array_equal(ctx._state, before) and ctx._bound() is bound
 
     @pytest.mark.parametrize("junk", ["H", None, 3, hadamard, [hadamard(0)]],
                              ids=["name", "None", "int", "factory", "nested plan"])
