@@ -20,7 +20,7 @@ import numpy as np
 
 from .engine import _fused, _require_operations
 from .errors import InvalidParameterError, SizeMismatchError, as_indices, as_int, as_items
-from .gates import HARD_QUBIT_LIMIT, QuantumOperation, cnot, pauli_x, toffoli, trace_subindices
+from .gates import HARD_QUBIT_LIMIT, QuantumOperation, _catalog_gate, trace_subindices
 
 
 @dataclass(frozen=True)
@@ -99,6 +99,20 @@ def run_on_basis(ops, width: int, value):
 
 # --- sum / carry ------------------------------------------------------------
 
+# The catalog gates on indices a builder has parsed, taken from the cache that the
+# public constructors reach after parsing them again.
+def _not(target):
+    return _catalog_gate("X", (target,))
+
+
+def _cnot(control, target):
+    return _catalog_gate("CNot", (control, target))
+
+
+def _toffoli(control1, control2, target):
+    return _catalog_gate("Toffoli", (control1, control2, target))
+
+
 def sum_ops(carry: int, x: int, y: int) -> OperationPlan:
     """y <- carry XOR x XOR y; carry and x unchanged."""
     carry, x, y = as_indices((carry, x, y))[0]
@@ -106,7 +120,7 @@ def sum_ops(carry: int, x: int, y: int) -> OperationPlan:
 
 
 def _sum(carry, x, y):
-    return cnot(carry, y), cnot(x, y)
+    return _cnot(carry, y), _cnot(x, y)
 
 
 def carry_ops(carry: int, x: int, y: int, ancilla: int) -> OperationPlan:
@@ -116,7 +130,7 @@ def carry_ops(carry: int, x: int, y: int, ancilla: int) -> OperationPlan:
 
 
 def _carry(carry, x, y, ancilla):
-    return toffoli(x, y, ancilla), cnot(x, y), toffoli(carry, y, ancilla)
+    return _toffoli(x, y, ancilla), _cnot(x, y), _toffoli(carry, y, ancilla)
 
 
 def carry_inverse_ops(carry: int, x: int, y: int, ancilla: int) -> OperationPlan:
@@ -149,7 +163,7 @@ def add_n_ops(x_indices, y_indices, ancilla_indices) -> OperationPlan:
     ops: list[QuantumOperation] = []
     for i in range(n):
         ops.extend(_carry(carries[i], xs[i], ys[i], carries[i + 1]))
-    ops.append(cnot(xs[n - 1], ys[n - 1]))
+    ops.append(_cnot(xs[n - 1], ys[n - 1]))
     ops.extend(_sum(carries[n - 1], xs[n - 1], ys[n - 1]))
     # one fewer inverse carry than carries: walk back down restoring ancillae
     for i in range(n - 2, -1, -1):
@@ -183,22 +197,22 @@ def modular_add_ops(x_indices, y_indices, modulus_indices, scratch_indices,
     add_modulus = add_n_ops(n_reg, y, scratch)
     # CNots that zero the modulus register when the flag is set
     reset_modulus = tuple(
-        cnot(flag, n_reg[i]) for i in range(n) if (modulus >> (n - 1 - i)) & 1
+        _cnot(flag, n_reg[i]) for i in range(n) if (modulus >> (n - 1 - i)) & 1
     )
 
     ops: list[QuantumOperation] = []
     ops.extend(add_x.ops)                       # b := a + b            (n+1 bits)
     ops.extend(add_modulus.inverse().ops)       # b := b - N; overflow set iff b < 0
-    ops.append(cnot(overflow, flag))
-    ops.append(pauli_x(flag))                   # flag = 1 iff no re-add is needed
+    ops.append(_cnot(overflow, flag))
+    ops.append(_not(flag))                      # flag = 1 iff no re-add is needed
     ops.extend(reset_modulus)                   # modulus register -> 0 when flag set
     ops.extend(add_modulus.ops)                 # b += N or 0
     ops.extend(reset_modulus)                   # restore the modulus register
-    ops.append(pauli_x(flag))                   # flag = underflow again
+    ops.append(_not(flag))                      # flag = underflow again
     ops.extend(add_x.inverse().ops)             # b -= a, overflow now = NOT flag
-    ops.append(pauli_x(overflow))
-    ops.append(cnot(overflow, flag))            # clear the flag
-    ops.append(pauli_x(overflow))
+    ops.append(_not(overflow))
+    ops.append(_cnot(overflow, flag))           # clear the flag
+    ops.append(_not(overflow))
     ops.extend(add_x.ops)                       # b := (a + b) mod N
     return OperationPlan._built(tuple(ops), y)
 
@@ -238,7 +252,7 @@ def controlled_modular_multiply_ops(control: int, x_indices, y_indices,
         constant = (multiplier << j) % modulus
         x_qubit = x[n - 1 - j]
         load = tuple(
-            toffoli(control, x_qubit, addend[i])
+            _toffoli(control, x_qubit, addend[i])
             for i in range(n)
             if (constant >> (n - 1 - i)) & 1
         )
@@ -246,9 +260,9 @@ def controlled_modular_multiply_ops(control: int, x_indices, y_indices,
         ops.extend(add)
         ops.extend(load)  # unload the classical addend
     # pass-through: copy X into the zeroed output when the control is 0
-    ops.append(pauli_x(control))
-    ops.extend(toffoli(control, x[i], y[i]) for i in range(n))
-    ops.append(pauli_x(control))
+    ops.append(_not(control))
+    ops.extend(_toffoli(control, x[i], y[i]) for i in range(n))
+    ops.append(_not(control))
     return OperationPlan._built(tuple(ops), y)
 
 
@@ -278,7 +292,7 @@ def modular_exponentiation_ops(reg1_indices, reg2_indices, ancilla_indices,
     mult_scratch = anc[2 * n:]
 
     set_modulus = tuple(
-        pauli_x(n_reg[i]) for i in range(n) if (modulus >> (n - 1 - i)) & 1
+        _not(n_reg[i]) for i in range(n) if (modulus >> (n - 1 - i)) & 1
     )
     ops: list[QuantumOperation] = list(set_modulus)
     factor = base % modulus
@@ -299,7 +313,7 @@ def _multiply_round(control: int, acc, temp, n_reg, scratch,
         control, temp, acc, n_reg, scratch, pow(factor, -1, modulus), modulus)
     ops = [*forward.ops, *backward.inverse().ops]  # temp <- factor*acc or acc; acc -> 0
     for a, b in zip(acc, temp):                   # move the product back into acc
-        ops.extend((cnot(a, b), cnot(b, a), cnot(a, b)))
+        ops.extend((_cnot(a, b), _cnot(b, a), _cnot(a, b)))
     return ops
 
 
@@ -315,5 +329,5 @@ def reverse_ops(indices) -> OperationPlan:
     ops: list[QuantumOperation] = []
     for i in range(len(indices) // 2):
         a, b = indices[i], indices[len(indices) - 1 - i]
-        ops.extend((cnot(a, b), cnot(b, a), cnot(a, b)))
+        ops.extend((_cnot(a, b), _cnot(b, a), _cnot(a, b)))
     return OperationPlan._built(tuple(ops), indices[::-1])

@@ -355,9 +355,10 @@ class TestShorQuantumStep:
 
     @pytest.mark.parametrize("oracle", ["semantic", "circuit"])
     def test_tables_stay_within_the_step_width(self, monkeypatch, oracle):
-        # no operation, and no basis trace, a step builds holds more than
-        # 2**(n+1) entries; at N=77 the 3n-qubit U_f held 2**21. A semantic step
-        # builds no operation at all
+        # no operation, and no basis trace, a step builds holds more than the
+        # 2**(n+1) entries of its oracle (n = 7 at N=77) or of a fused run of
+        # engine._SLICE_MOVE_ARITY qubits; the 3n-qubit U_f once held 2**21. A
+        # semantic step builds no operation at all
         sizes = []
         post_init = QuantumOperation.__post_init__
 
@@ -374,7 +375,8 @@ class TestShorQuantumStep:
         algorithms.semantic_uf.cache_clear()
         algorithms.circuit_uf.cache_clear()
         shor_quantum_step(SimulationContext(seed=3), 77, 2, oracle=oracle)
-        assert (sizes and max(sizes) <= 1 << 8) if oracle == "circuit" else not sizes
+        bound = 1 << max(7 + 1, engine._SLICE_MOVE_ARITY)
+        assert (sizes and max(sizes) <= bound) if oracle == "circuit" else not sizes
 
     def test_a_semantic_step_peaks_within_three_states(self):
         # N=32767 and N=32761 have n=15: a 16-qubit, 1 MiB state. Above the state,

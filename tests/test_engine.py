@@ -1530,12 +1530,20 @@ class TestApplyOperations:
         assert set(engine._composed.keys()) == before
 
     def test_the_fifteen_modexp_plan_composes_each_distinct_run_once(self, monkeypatch):
-        # N=15, base 7: 10,856 gates fuse to 1,242 runs, of which at most 128 differ
+        # N=15, base 7: 10,856 gates of at most 3 qubits fuse to one run per greedy
+        # span of engine._SLICE_MOVE_ARITY qubits (1,242 runs at 8 qubits, 667 at 10),
+        # of which at most 128 differ
         composed = self._count_composes(monkeypatch)
         width, reg1, reg2 = 30, range(8), range(8, 12)
         plan = modular_exponentiation_ops(reg1, reg2, range(12, 30), 7, 15)
         fused = engine._fuse(plan.ops)
-        assert len(plan) == 10856 and len(fused) == 1242
+        spans, union = 0, set()
+        for op in plan.ops:  # a new span wherever a gate would widen the last past the width
+            if not union or len(union.union(op.targets)) > engine._SLICE_MOVE_ARITY:
+                spans, union = spans + 1, set()
+            union.update(op.targets)
+        assert len(plan) == 10856 and len(fused) == spans
+        assert max(op.arity for op in fused) == engine._SLICE_MOVE_ARITY
         assert len(composed) <= 128
         assert len({id(op) for op in fused}) == len(composed)
         inputs = np.array([(x << (width - 8)) | (1 << (width - 12)) for x in range(256)])

@@ -6,6 +6,7 @@ traces, the amplitude engine, the full-matrix expansion, or the semantic U_f).
 """
 import copy
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -257,9 +258,11 @@ def _random_unitary(rng, dim):
 def operations(draw, width):
     """An operation of any kernel class, arity 0-4, on random targets of a view.
 
-    Permutations of every arity here move slices in place when their targets
-    are scattered; ``test_nine_qubit_permutation_takes_the_axis_move`` covers
-    the axis move of wider ones."""
+    Permutations on scattered targets move slices in place when the context
+    holds at least twice their qubits, and take the axis move otherwise, as
+    ``test_slot_rule_takes_the_axis_move_below_twice_the_arity_and_the_slices_from_it``
+    pins; ``test_a_permutation_wider_than_a_fused_run_takes_the_axis_move``
+    covers wider ones."""
     arity = draw(st.integers(0, min(4, width)), label="arity")
     targets = tuple(draw(st.permutations(range(width)), label="targets")[:arity])
     return draw(actions(draw(st.sampled_from(KINDS), label="kind"), targets))
@@ -417,12 +420,13 @@ def test_failed_unitarity_check_leaves_the_state_bit_identical(kind, data):
     assert np.array_equal(ctx._state, before)
 
 
-def test_nine_qubit_permutation_takes_the_axis_move():
-    # wider than engine._SLICE_MOVE_ARITY on scattered, reordered targets; between
-    # fusable gates it stays a barrier of its own
-    n, physical = 10, (9, 0, 3, 5, 1, 8, 6, 2, 7)
-    rng = np.random.default_rng(9)
-    wide = QuantumOperation("wide", physical, permutation=rng.permutation(1 << 9))
+def test_a_permutation_wider_than_a_fused_run_takes_the_axis_move():
+    # one qubit wider than engine._SLICE_MOVE_ARITY, on scattered, reordered
+    # targets; between fusable gates it stays a barrier of its own
+    k = engine._SLICE_MOVE_ARITY + 1
+    n, rng = k + 1, np.random.default_rng(9)
+    physical = tuple(int(q) for q in rng.permutation(n) if q != 4)
+    wide = QuantumOperation("wide", physical, permutation=rng.permutation(1 << k))
     ctx = SimulationContext(seed=0, debug=True)
     reg = ctx.allocate_register(n)
     ctx._set_state(random_state(rng, n))
@@ -434,10 +438,39 @@ def test_nine_qubit_permutation_takes_the_axis_move():
     fused = engine._fused(plan).ops
     assert [op.targets for op in fused] == [(0, 4, 7), physical, (4, 7, 0)]
     assert fused[1] is wide and fused[2] is plan[3]  # a lone gate is kept as it is
-    for op in plan:
-        expected = _oracle(op, op.targets, n, expected)
+    # the plan's basis map, traced gate by gate: past 10 qubits no gate is expanded
+    expected[run_on_basis(plan, n, np.arange(1 << n))] = ctx._state
     reg.apply_operations(plan)
     assert np.array_equal(ctx._state, expected)
+
+
+def test_slot_rule_takes_the_axis_move_below_twice_the_arity_and_the_slices_from_it():
+    # a fused run on k = engine._SLICE_MOVE_ARITY scattered, reordered qubits has
+    # 2**k slots of 2**(n - k) amplitudes. With more slots than amplitudes per slot
+    # (18 qubits at k = 10) it takes the axis move, whose copies of the state
+    # tracemalloc sees; with fewer (22) it moves slices in place, through two slot
+    # buffers
+    k = engine._SLICE_MOVE_ARITY
+    for n, slices in ((2 * k - 2, False), (2 * k + 2, True)):
+        rng = np.random.default_rng(n)
+        physical = tuple(int(q) for q in rng.permutation(n)[:k])
+        plan = (*(pauli_x(q) for q in physical), cnot(physical[0], physical[5]),
+                toffoli(physical[1], physical[-1], physical[3]), cnot(physical[-2], physical[2]))
+        (fused,) = engine._fused(plan).ops
+        assert fused.targets == tuple(sorted(physical))
+        ctx = SimulationContext(seed=0, debug=True)
+        reg = ctx.allocate_register(n)
+        ctx._set_state(random_state(rng, n))  # a full support keeps the plan off the sparse path
+        expected = _oracle(fused, fused.targets, n, ctx._state)
+        tracemalloc.start()
+        try:
+            reg.apply_operations(plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(ctx._state, expected)
+        assert (peak < ctx._state.nbytes / 32) if slices else (peak >= ctx._state.nbytes)
+        del ctx, reg, expected
 
 
 # --- fused plans against gate-by-gate application and tracing -----------------
@@ -504,6 +537,40 @@ def test_fused_traces_equal_gate_by_gate_traces(data):
         expected = run_on_basis([op], width, expected)
     assert run_on_basis(ops, width, np.array(inputs)).tolist() == expected.tolist()
     assert [run_on_basis(ops, width, value) for value in inputs] == expected.tolist()
+
+
+@PROPERTY
+@given(st.data())
+def test_full_width_fused_runs_trace_alike_as_ints_arrays_and_gate_by_gate(data):
+    # runs that span engine._SLICE_MOVE_ARITY qubits or one fewer: the widest
+    # fused ops, whose int traces read the largest _word_flips dicts
+    top = engine._SLICE_MOVE_ARITY
+    width = data.draw(st.integers(top, 16), label="width")
+    ops = []
+    for _ in range(data.draw(st.integers(1, 2), label="runs")):
+        span = data.draw(st.integers(top - 1, top), label="span")
+        qubits = data.draw(st.permutations(range(width)), label="qubits")[:span]
+        drawn = data.draw(st.lists(classical_gates(span), max_size=12), label="gates")
+        run = [pauli_x(q) for q in qubits]  # the run covers every one of its qubits
+        run += [op.retarget([qubits[t] for t in op.targets]) for op in drawn]
+        ops += data.draw(st.permutations(run), label="order")
+    fused = engine._fused(tuple(ops)).ops
+    assert top - 1 <= max(op.arity for op in fused) <= top
+    values = data.draw(st.lists(st.integers(0, (1 << width) - 1),
+                                min_size=gates._INT_TRACE_WORDS + 1, max_size=40), label="values")
+    pad = HARD_QUBIT_LIMIT - width
+    gate_by_gate = []
+    for value in values:
+        word = value << pad
+        for op in ops:
+            word = trace_words([op], word)
+        gate_by_gate.append(word >> pad)
+    assert gate_by_gate == [_bitwise_trace(ops, value << pad) >> pad for value in values]
+    assert [run_on_basis(ops, width, value) for value in values] == gate_by_gate
+    for size in (gates._INT_TRACE_WORDS, len(values)):
+        # the first size is traced one int at a time, the second as one array
+        traced = run_on_basis(ops, width, np.array(values[:size], dtype=np.int64))
+        assert traced.tolist() == gate_by_gate[:size]
 
 
 @PROPERTY
