@@ -14,7 +14,7 @@ Gates are applied by structure class (``QuantumOperation._kernel``). A diagonal 
 multiplies, in place, the slices whose phase is not 1. On adjacent ascending targets
 the state is an ``(a, 2**k, b)`` array: a permutation is one ``take`` along its
 middle axis (U_f over a whole register) and a dense gate one matrix product. On
-other targets a permutation of k <= ``_SLICE_MOVE_ARITY`` = 10 qubits moves slices
+other targets a permutation of k <= ``_SLICE_MOVE_ARITY`` qubits moves slices
 in place through two slot-sized buffers while its 2**k slots are no more than the
 amplitudes in each (2k at most the state's qubits); a dense gate, or any other
 permutation, moves the target axes last and back. Each of these, the sparse rows
@@ -250,9 +250,7 @@ _composed: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 def _fuse(ops: tuple[QuantumOperation, ...]) -> tuple[QuantumOperation, ...]:
     """Greedily merge consecutive basis permutations while their targets span at
-    most ``_SLICE_MOVE_ARITY`` = 10 qubits, where the carry blocks of the VBE adders
-    and multipliers close: the N=15 modular exponentiation (10,856 gates) fuses to
-    667 runs, against 1,242 at 8 qubits, and an int trace pays one dict lookup per run.
+    most ``_SLICE_MOVE_ARITY`` qubits; an int trace pays one lookup per run.
 
     Gates join by structure alone: dense and diagonal gates and zero-target
     gates are barriers and pass through unchanged; a run of one gate is that
@@ -746,9 +744,9 @@ class SimulationContext:
             self._state = moved.reshape(-1)
         elif kernel == "perm" and op.arity <= _SLICE_MOVE_ARITY and 2 * op.arity <= self._count:
             # no more slots than amplitudes per slot: with more, the slot copies cost
-            # more than the axis move (the 18-qubit multiplier plan took twice as long).
-            # Every slot moves through two buffers, built before the first write:
-            # a copy between two views of the state would build a temporary each time
+            # more than the axis move. Every slot moves through two buffers, built
+            # before the first write: a copy between two views of the state would
+            # build a temporary each time
             first = psi[_selector(layout, 0)]
             try:
                 carried, spare = np.empty_like(first), np.empty_like(first)

@@ -33,10 +33,13 @@ from .errors import (
 HARD_QUBIT_LIMIT = 62
 
 # The one limit of three things: the widest permutation on scattered or reordered
-# targets that may move slices in place (at most 1024 slots per gate; the engine
+# targets that may move slices in place (at most 2**k slots per gate; the engine
 # takes them only while the slots are no more than the amplitudes per slot), the
 # widest fused run of basis permutations (``engine._fuse``), and the widest gate
-# whose int traces keep the flips they read in a dict (``_word_flips``).
+# whose int traces keep the flips they read in a dict (``_word_flips``). Int traces
+# pay one lookup per fused run, and the carry blocks of the VBE adders and
+# multipliers (quant-ph/9511018) close within 10 qubits, so their plans fuse to
+# about half the runs they form at 8.
 _SLICE_MOVE_ARITY = 10
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -241,7 +244,7 @@ class QuantumOperation:
         rather than up to 2**k Python ints.
         """
         runs = self._word_runs
-        gathered = _GatheredFlips(runs, memoryview(self.basis_flips))
+        gathered = _GatheredFlips(runs, self.basis_flips)
         flips = gathered if self.arity > _SLICE_MOVE_ARITY else _WordFlips(gathered)
         return scatter_bits(runs, self.dimension - 1), flips
 
@@ -253,15 +256,19 @@ class QuantumOperation:
 
 class _GatheredFlips:
     """A gate's flips by lookup: the sub-index, gathered out of the masked word,
-    read off ``basis_flips`` as a Python int."""
+    read off ``basis_flips`` as a Python int (through a memoryview, which a copy
+    or a pickle rebuilds from the array)."""
 
     __slots__ = ("runs", "flips")
 
-    def __init__(self, runs: tuple[tuple[int, int, int], ...], flips: memoryview):
-        self.runs, self.flips = runs, flips
+    def __init__(self, runs: tuple[tuple[int, int, int], ...], basis_flips: np.ndarray):
+        self.runs, self.flips = runs, memoryview(basis_flips)
 
     def __getitem__(self, masked: int) -> int:
         return self.flips[gather_bits(self.runs, masked)]
+
+    def __reduce__(self):
+        return _GatheredFlips, (self.runs, self.flips.obj)
 
 
 class _WordFlips(dict):

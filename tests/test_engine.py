@@ -1531,8 +1531,7 @@ class TestApplyOperations:
 
     def test_the_fifteen_modexp_plan_composes_each_distinct_run_once(self, monkeypatch):
         # N=15, base 7: 10,856 gates of at most 3 qubits fuse to one run per greedy
-        # span of engine._SLICE_MOVE_ARITY qubits (1,242 runs at 8 qubits, 667 at 10),
-        # of which at most 128 differ
+        # span of engine._SLICE_MOVE_ARITY qubits, of which at most 128 differ
         composed = self._count_composes(monkeypatch)
         width, reg1, reg2 = 30, range(8), range(8, 12)
         plan = modular_exponentiation_ops(reg1, reg2, range(12, 30), 7, 15)

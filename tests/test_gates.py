@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from sharq.errors import (
     SizeMismatchError,
 )
 from sharq.gates import (
+    HARD_QUBIT_LIMIT,
     GateSpec,
     QuantumOperation,
     cnot,
@@ -37,6 +40,7 @@ from sharq.gates import (
     single_qubit_gate,
     swap,
     toffoli,
+    trace_words,
     walsh,
 )
 
@@ -630,3 +634,19 @@ class TestReadOnlyAction:
         oracle = semantic_uf(2, 15)
         assert oracle.retarget(oracle.targets).permutation is oracle.permutation
         assert hadamard(1).matrix is hadamard(0).matrix
+
+
+@pytest.mark.parametrize("op", [
+    cnot(0, 1), toffoli(5, 0, 2),
+    QuantumOperation("wide", tuple(range(11)),
+                     permutation=np.random.default_rng(4).permutation(1 << 11)),
+], ids=lambda op: op.name)
+def test_a_traced_gate_still_pickles_and_deep_copies(op):
+    # an int trace keeps its flips on the gate (a shared catalog gate too): a
+    # dict of those it read up to _SLICE_MOVE_ARITY targets, a view of
+    # basis_flips above. Copies carry them and trace alike
+    words = [value << (HARD_QUBIT_LIMIT - 11) for value in (0, 5, 1234, 2047)]
+    expected = [trace_words([op], word) for word in words]
+    for twin in (pickle.loads(pickle.dumps(op)), copy.deepcopy(op)):
+        assert "_word_flips" in vars(twin)
+        assert [trace_words([twin], word) for word in words] == expected

@@ -438,8 +438,10 @@ def test_a_permutation_wider_than_a_fused_run_takes_the_axis_move():
     fused = engine._fused(plan).ops
     assert [op.targets for op in fused] == [(0, 4, 7), physical, (4, 7, 0)]
     assert fused[1] is wide and fused[2] is plan[3]  # a lone gate is kept as it is
-    # the plan's basis map, traced gate by gate: past 10 qubits no gate is expanded
-    expected[run_on_basis(plan, n, np.arange(1 << n))] = ctx._state
+    for op in plan:  # each gate traced alone, so nothing is fused or expanded
+        moved = np.empty_like(expected)
+        moved[run_on_basis([op], n, np.arange(1 << n))] = expected
+        expected = moved
     reg.apply_operations(plan)
     assert np.array_equal(ctx._state, expected)
 
@@ -458,6 +460,11 @@ def test_slot_rule_takes_the_axis_move_below_twice_the_arity_and_the_slices_from
                 toffoli(physical[1], physical[-1], physical[3]), cnot(physical[-2], physical[2]))
         (fused,) = engine._fused(plan).ops
         assert fused.targets == tuple(sorted(physical))
+        local, inputs = {q: i for i, q in enumerate(fused.targets)}, np.arange(1 << k)
+        by_gate = inputs.copy()  # the composed run against its gates, each traced alone
+        for op in plan:
+            by_gate = run_on_basis([op.retarget([local[q] for q in op.targets])], k, by_gate)
+        assert run_on_basis([fused.retarget(range(k))], k, inputs).tolist() == by_gate.tolist()
         ctx = SimulationContext(seed=0, debug=True)
         reg = ctx.allocate_register(n)
         ctx._set_state(random_state(rng, n))  # a full support keeps the plan off the sparse path
